@@ -1,35 +1,32 @@
 """Command-line entry point for the experiment pipeline.
 
-Subcommands cover individual stages (simulate, features, pretrain,
-train-central, train-fed, thresholds, detect, sweep-k, overhead) and the
-full reproduction (run-all). Every stage is a pure function of the seed
-and config, so stages can be re-run independently and still agree with a
-full run byte-for-byte.
+``run-all`` writes the full artifact bundle. Each other subcommand re-runs the
+pipeline from scratch up to its stage and writes its part of the bundle through
+the same harness writers, byte-identical to a ``run-all`` bundle of the same
+config (``features`` writes normal-corpus feature CSVs, which the bundle lacks).
+Exit codes: 0 success, 1 invalid config (checked before anything is simulated),
+2 a pipeline stage failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import yaml
 
-from .autoencoder import TrainConfig, init_weights, save_weights
-from .detect import report_csv
-from .harness import (
-    ExperimentConfig,
-    OverheadModel,
-    StageError,
-    build_pipeline,
-    evaluate_attack,
-    overhead_report,
-    run_experiment,
-    run_simulation,
-    write_bundle,
-)
-from .nodes import ROUTERS, ScenarioFamily, build_topology
+from . import harness
+from .autoencoder import TrainConfig
+from .harness import ExperimentConfig
+from .nodes import ScenarioFamily
 from .simkernel import HopDelayModel
+
+_TRAIN_KEYS = ("epochs", "batch_size", "learning_rate")
+_HOP_KEYS = ("median_ms", "sigma")
+_YAML_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"train", "hop_delay", "attack_tokens"}
+              | {"attacks", *_TRAIN_KEYS, *_HOP_KEYS})
 
 
 def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentConfig:
@@ -38,147 +35,92 @@ def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentC
     if path is not None:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
-    train_keys = {k: raw.pop(k) for k in
-                  ("epochs", "batch_size", "learning_rate") if k in raw}
-    hop_keys = {k: raw.pop(k) for k in ("median_ms", "sigma") if k in raw}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: the config must be a mapping of keys to values")
+    unknown = sorted(map(str, set(raw) - _YAML_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    if seed is not None:
+        raw["seed"] = seed
+    train_keys = {k: raw.pop(k) for k in _TRAIN_KEYS if k in raw}
+    hop_keys = {k: raw.pop(k) for k in _HOP_KEYS if k in raw}
     if "scenario" in raw:
         raw["scenario"] = ScenarioFamily(str(raw["scenario"]))
     if "ks" in raw:
         raw["ks"] = tuple(float(k) for k in raw["ks"])
     if "attacks" in raw:
         raw["attack_tokens"] = tuple(raw.pop("attacks"))
-    cfg = ExperimentConfig(
-        train=TrainConfig(**train_keys),
-        hop_delay=HopDelayModel(**hop_keys),
-        **raw,
-    )
-    if seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": seed})
-    return cfg
+    return ExperimentConfig(train=TrainConfig(**train_keys),
+                            hop_delay=HopDelayModel(**hop_keys), **raw)
 
 
-def _write_logs(sim, directory: Path) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for fname, text in sorted(sim.render_logs().items()):
-        (directory / fname).write_text(text)
-
-
-def _phase_sims(cfg: ExperimentConfig):
-    topology = build_topology(cfg.scenario)
-    pretrain = run_simulation(topology, cfg.sim_config("pretrain", cfg.pretrain_duration))
-    normal = run_simulation(topology, cfg.sim_config("normal", cfg.normal_duration))
-    return topology, pretrain, normal
-
-
-def _pipelines(cfg: ExperimentConfig):
-    topology, pretrain, normal = _phase_sims(cfg)
-    return topology, {mode: build_pipeline(cfg, mode, topology, pretrain, normal)
-                      for mode in cfg.modes}
-
-
-def cmd_simulate(cfg: ExperimentConfig, out: Path) -> None:
-    _, pretrain, normal = _phase_sims(cfg)
-    _write_logs(pretrain, out / "pretrain" / "logs")
-    _write_logs(normal, out / "normal" / "logs")
-    print(f"wrote pretrain and normal logs under {out}")
-
-
-def cmd_features(cfg: ExperimentConfig, out: Path) -> None:
-    from .features import to_csv
-    from .harness import _schema_of, _stream_of, window_features
-    from .simkernel import DEFAULT_START
-
-    _, _, normal = _phase_sims(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    for mode in cfg.modes:
-        for router in ROUTERS:
-            vectors = window_features(
-                _stream_of(mode, normal, router), DEFAULT_START,
-                cfg.normal_duration, cfg.window_len, _schema_of(mode), router)
-            (out / f"features_{mode}_{router}.csv").write_text(to_csv(vectors))
-    print(f"wrote normal-corpus feature CSVs under {out}")
-
-
-def cmd_pretrain(cfg: ExperimentConfig, out: Path) -> None:
-    _, pipelines = _pipelines(cfg)
-    model_dir = out / "models"
-    model_dir.mkdir(parents=True, exist_ok=True)
-    for mode, pipe in sorted(pipelines.items()):
-        (model_dir / f"{mode}_pretrained.wts").write_bytes(save_weights(pipe.pretrained))
-    print(f"wrote pretrained models under {model_dir}")
-
-
-def _cmd_train(cfg: ExperimentConfig, out: Path, mode: str) -> None:
-    cfg = ExperimentConfig(**{**cfg.__dict__, "mode": mode})
-    _, pipelines = _pipelines(cfg)
-    pipe = pipelines[mode]
-    model_dir = out / "models"
-    model_dir.mkdir(parents=True, exist_ok=True)
-    (model_dir / f"{mode}.wts").write_bytes(save_weights(pipe.model))
-    for i, g in enumerate(pipe.per_round_globals, start=1):
-        (model_dir / f"global_r{i}.wts").write_bytes(save_weights(g))
-    if pipe.ledger:
-        lines = ["round,sender,receiver,bytes"]
-        lines += [f"{r.round},{r.sender},{r.receiver},{r.bytes}" for r in pipe.ledger]
-        (out / "comms_ledger.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote {mode} model under {model_dir}")
-
-
-def cmd_thresholds(cfg: ExperimentConfig, out: Path) -> None:
-    _, pipelines = _pipelines(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["mode,device,k,mean,std,value"]
-    for mode, pipe in sorted(pipelines.items()):
-        for router in ROUTERS:
-            for k, t in sorted(pipe.thresholds(router, cfg.ks).items()):
-                lines.append(f"{mode},{router},{k:g},{t.mean!r},{t.std!r},{t.value!r}")
-    (out / "thresholds.csv").write_text("\n".join(lines) + "\n")
-    print(f"wrote thresholds to {out / 'thresholds.csv'}")
-
-
-def _cmd_detect(cfg: ExperimentConfig, out: Path, ks=None) -> None:
-    if ks is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "ks": tuple(ks)})
-    topology, pipelines = _pipelines(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    for spec in cfg.selected_attacks():
-        outcome = evaluate_attack(cfg, topology, spec, pipelines)
-        attack_dir = out / "attacks" / spec.token().replace(">", "_to_")
-        attack_dir.mkdir(parents=True, exist_ok=True)
-        for mode in cfg.modes:
-            rows = [(r, k, outcome.router_reports[mode][k][r])
-                    for k in cfg.ks for r in ROUTERS]
-            (attack_dir / f"report_{mode}.csv").write_text(report_csv(rows))
-        ks_summary = ", ".join(
-            f"{mode}: k*={outcome.optimal_k(mode):g} "
-            f"F1={outcome.aggregate_reports[mode][outcome.optimal_k(mode)].f1:.4f}"
-            for mode in cfg.modes)
-        print(f"{spec.token()}: {ks_summary}")
-
-
-def cmd_overhead(cfg: ExperimentConfig, out: Path) -> None:
-    payload = len(save_weights(init_weights(seed=0)))
-    report = overhead_report(OverheadModel(weight_payload_bytes=payload,
-                                           rounds=cfg.fl_rounds))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "overhead.csv").write_text(
-        "centralized_bytes,federated_bytes,ratio\n"
-        f"{report['centralized_bytes']!r},{report['federated_bytes']!r},"
-        f"{report['ratio']!r}\n")
-    print(f"centralized {report['centralized_bytes']:.0f} B, "
-          f"federated {report['federated_bytes']:.0f} B, "
-          f"ratio {report['ratio']:.1f}x")
-
-
-def cmd_run_all(cfg: ExperimentConfig, out: Path) -> None:
-    result = run_experiment(cfg, out_dir=out)
-    for outcome in result.outcomes:
+def _print_summary(cfg: ExperimentConfig, outcomes) -> None:
+    for outcome in outcomes:
         for mode in cfg.modes:
             k_star = outcome.optimal_k(mode)
             rep = outcome.aggregate_reports[mode][k_star]
             print(f"{outcome.spec.token()} {mode}: k*={k_star:g} "
                   f"recall={rep.recall:.3f} f1={rep.f1:.3f}")
-    print(f"bundle written to {out}")
+
+
+def simulate(cfg: ExperimentConfig, out: Path) -> None:
+    """pretrain and normal corpus logs"""
+    _, pretrain, normal = harness.simulate_phases(cfg)
+    harness.write_logs(pretrain, out / "pretrain" / "logs")
+    harness.write_logs(normal, out / "normal" / "logs")
+
+
+def features(cfg: ExperimentConfig, out: Path) -> None:
+    """per-router feature CSVs of the normal corpus"""
+    normal = harness.simulate_phases(cfg)[2]
+    harness.write_features({m: harness.mode_features(cfg, m, normal, cfg.normal_duration)
+                            for m in cfg.modes}, out)
+
+
+def models(cfg: ExperimentConfig, out: Path) -> None:
+    """pretrained and trained models, plus the federated comms ledger"""
+    harness.write_models(harness.train_pipelines(cfg, *harness.simulate_phases(cfg)), out)
+
+
+def thresholds(cfg: ExperimentConfig, out: Path) -> None:
+    """per-router detection thresholds"""
+    pipelines = harness.train_pipelines(cfg, *harness.simulate_phases(cfg))
+    harness.write_thresholds(cfg, pipelines, out)
+
+
+def detect(cfg: ExperimentConfig, out: Path) -> None:
+    """attack runs: logs, features, reports and plot data"""
+    result = harness.run_experiment(cfg)
+    for outcome in result.outcomes:
+        harness.write_attack(cfg, outcome, result.pipelines, out)
+    _print_summary(cfg, result.outcomes)
+
+
+def overhead(cfg: ExperimentConfig, out: Path) -> None:
+    """bytes-on-the-wire comparison"""
+    report = harness.modelled_overhead(cfg)
+    harness.write_overhead(report, out)
+    print(f"centralized {report['centralized_bytes']:.0f} B, federated "
+          f"{report['federated_bytes']:.0f} B, ratio {report['ratio']:.1f}x")
+
+
+def run_all(cfg: ExperimentConfig, out: Path) -> None:
+    """the full experiment bundle"""
+    _print_summary(cfg, harness.run_experiment(cfg, out_dir=out).outcomes)
+
+
+STAGES = {
+    "simulate": simulate,
+    "features": features,
+    "pretrain": models,
+    "train-central": lambda cfg, out: models(replace(cfg, mode=harness.MODE_CENTRALIZED), out),
+    "train-fed": lambda cfg, out: models(replace(cfg, mode=harness.MODE_FEDERATED), out),
+    "thresholds": thresholds,
+    "detect": detect,
+    "sweep-k": detect,
+    "overhead": overhead,
+    "run-all": run_all,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,11 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed override")
     parser.add_argument("--out", default="out", help="output bundle directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "features", "pretrain", "train-central",
-                 "train-fed", "thresholds", "detect", "overhead", "run-all"):
-        sub.add_parser(name)
-    sweep = sub.add_parser("sweep-k")
-    sweep.add_argument("--ks", type=float, nargs="+", default=None)
+    for name, stage in STAGES.items():
+        stage_parser = sub.add_parser(name, help=stage.__doc__)
+        if name == "sweep-k":
+            stage_parser.add_argument("--ks", type=float, nargs="+", default=None)
     return parser
 
 
@@ -202,28 +143,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed)
-        out = Path(args.out)
-        if args.command == "simulate":
-            cmd_simulate(cfg, out)
-        elif args.command == "features":
-            cmd_features(cfg, out)
-        elif args.command == "pretrain":
-            cmd_pretrain(cfg, out)
-        elif args.command == "train-central":
-            _cmd_train(cfg, out, "centralized")
-        elif args.command == "train-fed":
-            _cmd_train(cfg, out, "federated")
-        elif args.command == "thresholds":
-            cmd_thresholds(cfg, out)
-        elif args.command == "detect":
-            _cmd_detect(cfg, out)
-        elif args.command == "sweep-k":
-            _cmd_detect(cfg, out, ks=args.ks)
-        elif args.command == "overhead":
-            cmd_overhead(cfg, out)
-        elif args.command == "run-all":
-            cmd_run_all(cfg, out)
-    except StageError as exc:
+        if getattr(args, "ks", None) is not None:
+            cfg = replace(cfg, ks=tuple(args.ks))
+        STAGES[args.command](cfg, Path(args.out))
+        print(f"wrote {args.command} output under {args.out}")
+    except harness.StageError as exc:
         print(f"error in stage {exc.stage}: {exc.cause}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -38,7 +38,6 @@ class MissingUpdate(KeyError):
 class FLConfig:
     local_train: TrainConfig
     rounds: int = 5
-    round_interval: float = 3600.0
     client_roster: tuple[NodeId, ...] = ()
 
     def validate(self) -> None:

@@ -10,6 +10,7 @@ the experiment seed and config.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
@@ -67,6 +68,15 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError naming the stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc)
+
+
 def derive_seed(master: int, label: str) -> int:
     """Stable 64-bit sub-seed for a named pipeline stage."""
     digest = hashlib.sha256(f"{master}:{label}".encode()).digest()
@@ -83,7 +93,6 @@ class ExperimentConfig:
     window_len: float = 60.0
     validation_fraction: float = 0.2
     fl_rounds: int = 5
-    round_interval: float = 3600.0
     train: TrainConfig = field(default_factory=TrainConfig)
     ks: tuple[float, ...] = DEFAULT_KS
     hop_delay: HopDelayModel = field(default_factory=HopDelayModel)
@@ -102,6 +111,12 @@ class ExperimentConfig:
     # basins and the averaged global model stops reconstructing anything.
     fed_local_epochs: int = 5
     fed_local_lr: float = 1e-4
+
+    def __post_init__(self) -> None:
+        # Rejected here, before anything is simulated or trained.
+        if self.mode not in (*MODES, "both"):
+            raise ValueError(f"mode must be centralized, federated or both, not {self.mode!r}")
+        self.selected_attacks()
 
     @property
     def modes(self) -> tuple[str, ...]:
@@ -146,6 +161,18 @@ def window_features(entries: Sequence[LogEntry], start: datetime, duration: floa
     return [extract_window(entries, w, schema, device) for w in windows]
 
 
+def mode_features(cfg: ExperimentConfig, mode: str, result: SimResult,
+                  duration: float) -> dict[NodeId, list[FeatureVector]]:
+    """Raw window features of one experiment run for every router, as ``mode`` sees them."""
+    if mode == MODE_CENTRALIZED:
+        stream, schema = central_stream, COORDINATOR_SCHEMA
+    else:
+        stream, schema = federated_stream, ROUTER_SCHEMA
+    return {r: window_features(stream(result, r), DEFAULT_START, duration,
+                               cfg.window_len, schema, r)
+            for r in ROUTERS}
+
+
 def _matrix(vectors: Sequence[FeatureVector]) -> np.ndarray:
     return np.stack([v.values for v in vectors]).astype(np.float32)
 
@@ -172,32 +199,14 @@ class TrainedPipeline:
         return per_sample_losses(self.model, _matrix(scaled))
 
 
-def _stream_of(mode: str, result: SimResult, router: NodeId) -> list[LogEntry]:
-    if mode == MODE_CENTRALIZED:
-        return central_stream(result, router)
-    return federated_stream(result, router)
-
-
-def _schema_of(mode: str):
-    return COORDINATOR_SCHEMA if mode == MODE_CENTRALIZED else ROUTER_SCHEMA
-
-
 def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
                    pretrain_result: SimResult, normal_result: SimResult) -> TrainedPipeline:
     """Fit scalers, pretrain, train (centrally or federated), calibrate losses."""
-    schema = _schema_of(mode)
     n_windows = int(-(-cfg.normal_duration // cfg.window_len))
     n_train = round(n_windows * (1.0 - cfg.validation_fraction))
 
-    raw: dict[NodeId, list[FeatureVector]] = {}
-    raw_pre: dict[NodeId, list[FeatureVector]] = {}
-    for router in ROUTERS:
-        raw[router] = window_features(
-            _stream_of(mode, normal_result, router), DEFAULT_START,
-            cfg.normal_duration, cfg.window_len, schema, router)
-        raw_pre[router] = window_features(
-            _stream_of(mode, pretrain_result, router), DEFAULT_START,
-            cfg.pretrain_duration, cfg.window_len, schema, router)
+    raw = mode_features(cfg, mode, normal_result, cfg.normal_duration)
+    raw_pre = mode_features(cfg, mode, pretrain_result, cfg.pretrain_duration)
 
     # Per-router scalers in both modes. Each router normalizes against its
     # own traffic level, so clients look statistically alike after scaling
@@ -231,18 +240,14 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
                             learning_rate=cfg.fed_local_lr,
                             seed=derive_seed(cfg.seed, f"{mode}-local"))
         fl_cfg = FLConfig(local_train=local_cfg, rounds=cfg.fl_rounds,
-                          round_interval=cfg.round_interval,
                           client_roster=tuple(ROUTERS))
         fed = run_federated_training(fl_cfg, pretrained, streams, topology)
         model = fed.final_global
         per_round_globals = fed.per_round_globals
         ledger = fed.ledger
 
-    validation_losses = {}
-    for router in ROUTERS:
-        val = scaled(router, raw[router][n_train:])
-        validation_losses[router] = per_sample_losses(model, val)
-
+    validation_losses = {r: per_sample_losses(model, scaled(r, raw[r][n_train:]))
+                         for r in ROUTERS}
     return TrainedPipeline(mode, model, pretrained, scalers,
                            validation_losses, per_round_globals, ledger)
 
@@ -257,7 +262,7 @@ class AttackOutcome:
     router_reports: dict[str, dict[float, dict[NodeId, DetectionReport]]]
     # mode -> k -> aggregated (any-router) report
     aggregate_reports: dict[str, dict[float, DetectionReport]]
-    sim: SimResult | None = None
+    sim: SimResult
     # mode -> router -> raw per-window feature vectors
     raw_features: dict[str, dict[NodeId, list[FeatureVector]]] = field(default_factory=dict)
 
@@ -279,16 +284,11 @@ def evaluate_attack(cfg: ExperimentConfig, topology: Topology, spec: AttackSpec,
     aggregate_reports: dict[str, dict[float, DetectionReport]] = {}
     for mode in cfg.modes:
         pipe = pipelines[mode]
-        schema = _schema_of(mode)
         losses[mode] = {}
-        raw_features[mode] = {}
+        raw_features[mode] = mode_features(cfg, mode, result, plan.total_duration)
         verdicts_per_k: dict[float, dict[NodeId, list[bool]]] = {k: {} for k in cfg.ks}
         for router in ROUTERS:
-            raw_vectors = window_features(
-                _stream_of(mode, result, router), sim_cfg.start_time,
-                plan.total_duration, cfg.window_len, schema, router)
-            raw_features[mode][router] = raw_vectors
-            losses[mode][router] = pipe.window_losses(router, raw_vectors)
+            losses[mode][router] = pipe.window_losses(router, raw_features[mode][router])
             thresholds = pipe.thresholds(router, cfg.ks)
             for k in cfg.ks:
                 verdicts_per_k[k][router] = [
@@ -365,70 +365,72 @@ class ExperimentResult:
     overhead: dict[str, float]
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path | str | None = None,
-                   attack_specs: Sequence[AttackSpec] | None = None) -> ExperimentResult:
-    """Execute the full pipeline; optionally write the artifact bundle."""
-    try:
+def simulate_phases(cfg: ExperimentConfig) -> tuple[Topology, SimResult, SimResult]:
+    """Build the topology, then simulate the pretrain corpus and the normal corpus."""
+    with _stage("topology"):
         topology = build_topology(cfg.scenario)
-    except Exception as exc:
-        raise StageError("topology", exc)
-    try:
-        pretrain_result = run_simulation(
-            topology, cfg.sim_config("pretrain", cfg.pretrain_duration))
-        normal_result = run_simulation(
-            topology, cfg.sim_config("normal", cfg.normal_duration))
-    except Exception as exc:
-        raise StageError("simulate", exc)
+    with _stage("simulate"):
+        pretrain = run_simulation(topology, cfg.sim_config("pretrain", cfg.pretrain_duration))
+        normal = run_simulation(topology, cfg.sim_config("normal", cfg.normal_duration))
+    return topology, pretrain, normal
 
+
+def train_pipelines(cfg: ExperimentConfig, topology: Topology, pretrain: SimResult,
+                    normal: SimResult) -> dict[str, TrainedPipeline]:
+    """One trained pipeline for each mode in ``cfg.modes``."""
     pipelines = {}
     for mode in cfg.modes:
-        try:
-            pipelines[mode] = build_pipeline(cfg, mode, topology,
-                                             pretrain_result, normal_result)
-        except Exception as exc:
-            raise StageError(f"train-{mode}", exc)
+        with _stage(f"train-{mode}"):
+            pipelines[mode] = build_pipeline(cfg, mode, topology, pretrain, normal)
+    return pipelines
 
-    specs = list(attack_specs) if attack_specs is not None else cfg.selected_attacks()
-    outcomes = []
-    for spec in specs:
-        try:
-            outcomes.append(evaluate_attack(cfg, topology, spec, pipelines))
-        except Exception as exc:
-            raise StageError(f"attack-{spec.token()}", exc)
 
+def modelled_overhead(cfg: ExperimentConfig) -> dict[str, float]:
+    """The overhead report for the experiment's rounds and its weight-file size."""
     payload = len(save_weights(init_weights(seed=0)))
-    overhead = overhead_report(OverheadModel(weight_payload_bytes=payload,
-                                             rounds=cfg.fl_rounds))
-    result = ExperimentResult(cfg, topology, pipelines, outcomes, overhead)
+    return overhead_report(OverheadModel(weight_payload_bytes=payload, rounds=cfg.fl_rounds))
+
+
+def run_experiment(cfg: ExperimentConfig,
+                   out_dir: Path | str | None = None) -> ExperimentResult:
+    """Execute the full pipeline; optionally write the artifact bundle."""
+    topology, pretrain_result, normal_result = simulate_phases(cfg)
+    pipelines = train_pipelines(cfg, topology, pretrain_result, normal_result)
+    outcomes = []
+    for spec in cfg.selected_attacks():
+        with _stage(f"attack-{spec.token()}"):
+            outcomes.append(evaluate_attack(cfg, topology, spec, pipelines))
+    result = ExperimentResult(cfg, topology, pipelines, outcomes, modelled_overhead(cfg))
     if out_dir is not None:
-        try:
-            write_bundle(result, Path(out_dir),
-                         pretrain_result=pretrain_result,
-                         normal_result=normal_result)
-        except Exception as exc:
-            raise StageError("emit", exc)
+        with _stage("emit"):
+            write_bundle(result, Path(out_dir), pretrain_result, normal_result)
     return result
 
 
-def write_bundle(result: ExperimentResult, out_dir: Path,
-                 pretrain_result: SimResult | None = None,
-                 normal_result: SimResult | None = None) -> None:
-    """Write the versioned artifact bundle for one experiment."""
-    cfg = result.config
+# One writer per artifact group, shared by the bundle and the CLI stage commands.
+
+def write_logs(sim: SimResult, log_dir: Path) -> None:
+    """Every device log of one simulated run."""
+    log_dir.mkdir(parents=True, exist_ok=True)
+    for fname, text in sorted(sim.render_logs().items()):
+        (log_dir / fname).write_text(text)
+
+
+def write_features(raw_features: Mapping[str, Mapping[NodeId, Sequence[FeatureVector]]],
+                   out_dir: Path, truths: Sequence[bool] | None = None) -> None:
+    """``features_<mode>_<router>.csv`` per mode and router, labelled if truths are given."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "BUNDLE_VERSION").write_text("1\n")
+    for mode, per_router in raw_features.items():
+        for router, vectors in per_router.items():
+            (out_dir / f"features_{mode}_{router}.csv").write_text(
+                to_csv(vectors, truths))
 
-    for name, sim in (("pretrain", pretrain_result), ("normal", normal_result)):
-        if sim is None:
-            continue
-        log_dir = out_dir / name / "logs"
-        log_dir.mkdir(parents=True, exist_ok=True)
-        for fname, text in sorted(sim.render_logs().items()):
-            (log_dir / fname).write_text(text)
 
+def write_models(pipelines: Mapping[str, TrainedPipeline], out_dir: Path) -> None:
+    """Pretrained and final weights per mode, federated round globals and comms ledger."""
     model_dir = out_dir / "models"
-    model_dir.mkdir(exist_ok=True)
-    for mode, pipe in sorted(result.pipelines.items()):
+    model_dir.mkdir(parents=True, exist_ok=True)
+    for mode, pipe in sorted(pipelines.items()):
         (model_dir / f"{mode}_pretrained.wts").write_bytes(save_weights(pipe.pretrained))
         (model_dir / f"{mode}.wts").write_bytes(save_weights(pipe.model))
         for i, g in enumerate(pipe.per_round_globals, start=1):
@@ -439,50 +441,74 @@ def write_bundle(result: ExperimentResult, out_dir: Path,
                       for rec in pipe.ledger]
             (out_dir / "comms_ledger.csv").write_text("\n".join(lines) + "\n")
 
-    threshold_lines = ["mode,device,k,mean,std,value"]
-    for mode, pipe in sorted(result.pipelines.items()):
+
+def write_thresholds(cfg: ExperimentConfig, pipelines: Mapping[str, TrainedPipeline],
+                     out_dir: Path) -> None:
+    """Every (mode, router, k) detection threshold."""
+    lines = ["mode,device,k,mean,std,value"]
+    for mode, pipe in sorted(pipelines.items()):
         for router in ROUTERS:
             for k, t in sorted(pipe.thresholds(router, cfg.ks).items()):
-                threshold_lines.append(
-                    f"{mode},{router},{k:g},{t.mean!r},{t.std!r},{t.value!r}")
-    (out_dir / "thresholds.csv").write_text("\n".join(threshold_lines) + "\n")
+                lines.append(f"{mode},{router},{k:g},{t.mean!r},{t.std!r},{t.value!r}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "thresholds.csv").write_text("\n".join(lines) + "\n")
 
-    summary_rows = []
-    for outcome in result.outcomes:
-        attack_dir = out_dir / "attacks" / outcome.spec.token().replace(">", "_to_")
-        attack_dir.mkdir(parents=True, exist_ok=True)
-        if outcome.sim is not None:
-            log_dir = attack_dir / "logs"
-            log_dir.mkdir(exist_ok=True)
-            for fname, text in sorted(outcome.sim.render_logs().items()):
-                (log_dir / fname).write_text(text)
-        for mode, per_router in sorted(outcome.raw_features.items()):
-            for router, vectors in sorted(per_router.items(), key=lambda kv: str(kv[0])):
-                (attack_dir / f"features_{mode}_{router}.csv").write_text(
-                    to_csv(vectors, outcome.truths))
-        for mode in cfg.modes:
-            pipe = result.pipelines[mode]
-            rows = [(r, k, outcome.router_reports[mode][k][r])
-                    for k in cfg.ks for r in ROUTERS]
-            (attack_dir / f"report_{mode}.csv").write_text(report_csv(rows))
-        for router in ROUTERS:
-            series = {m: outcome.losses[m][router] for m in cfg.modes}
-            ths = {m: result.pipelines[m].thresholds(router, cfg.ks)
-                   for m in cfg.modes}
-            (attack_dir / f"plot_{router}.csv").write_text(
-                emit_plot_data(outcome.truths, series, ths))
+
+def write_attack(cfg: ExperimentConfig, outcome: AttackOutcome,
+                 pipelines: Mapping[str, TrainedPipeline], out_dir: Path) -> None:
+    """One attack's directory: logs, features, per-mode reports, per-router plot data."""
+    attack_dir = out_dir / "attacks" / outcome.spec.token().replace(">", "_to_")
+    write_features(outcome.raw_features, attack_dir, outcome.truths)
+    write_logs(outcome.sim, attack_dir / "logs")
+    for mode in cfg.modes:
+        rows = [(r, k, outcome.router_reports[mode][k][r])
+                for k in cfg.ks for r in ROUTERS]
+        (attack_dir / f"report_{mode}.csv").write_text(report_csv(rows))
+    for router in ROUTERS:
+        series = {m: outcome.losses[m][router] for m in cfg.modes}
+        ths = {m: pipelines[m].thresholds(router, cfg.ks) for m in cfg.modes}
+        (attack_dir / f"plot_{router}.csv").write_text(
+            emit_plot_data(outcome.truths, series, ths))
+
+
+def write_summary(cfg: ExperimentConfig, outcomes: Sequence[AttackOutcome],
+                  out_dir: Path) -> None:
+    """One row per attack and mode at the mode's optimal k."""
+    rows = []
+    for outcome in outcomes:
         for mode in cfg.modes:
             k_star = outcome.optimal_k(mode)
             rep = outcome.aggregate_reports[mode][k_star]
-            summary_rows.append(
-                f"{outcome.spec.token()},{mode},{k_star:g},{rep.accuracy:.4f},"
-                f"{rep.precision:.4f},{rep.recall:.4f},{rep.f1:.4f}")
-
+            rows.append(f"{outcome.spec.token()},{mode},{k_star:g},{rep.accuracy:.4f},"
+                        f"{rep.precision:.4f},{rep.recall:.4f},{rep.f1:.4f}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.csv").write_text(
         "attack,mode,optimal_k,accuracy,precision,recall,f1\n"
-        + "\n".join(summary_rows) + ("\n" if summary_rows else ""))
+        + "\n".join(rows) + ("\n" if rows else ""))
 
-    oh = result.overhead
+
+def write_overhead(overhead: Mapping[str, float], out_dir: Path) -> None:
+    """Centralized and federated byte totals and their ratio."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "overhead.csv").write_text(
         "centralized_bytes,federated_bytes,ratio\n"
-        f"{oh['centralized_bytes']!r},{oh['federated_bytes']!r},{oh['ratio']!r}\n")
+        f"{overhead['centralized_bytes']!r},{overhead['federated_bytes']!r},"
+        f"{overhead['ratio']!r}\n")
+
+
+def write_bundle(result: ExperimentResult, out_dir: Path,
+                 pretrain_result: SimResult | None = None,
+                 normal_result: SimResult | None = None) -> None:
+    """Write the versioned artifact bundle for one experiment."""
+    cfg = result.config
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "BUNDLE_VERSION").write_text("1\n")
+    for name, sim in (("pretrain", pretrain_result), ("normal", normal_result)):
+        if sim is not None:
+            write_logs(sim, out_dir / name / "logs")
+    write_models(result.pipelines, out_dir)
+    write_thresholds(cfg, result.pipelines, out_dir)
+    for outcome in result.outcomes:
+        write_attack(cfg, outcome, result.pipelines, out_dir)
+    write_summary(cfg, result.outcomes, out_dir)
+    write_overhead(result.overhead, out_dir)

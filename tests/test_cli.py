@@ -109,3 +109,42 @@ class TestCommands:
         bad.write_text(yaml.safe_dump(dict(attacks=["E1>R2"])))
         assert main(["--config", str(bad), "--out", str(tmp_path / "o"),
                      "detect"]) == 1
+
+    def test_invalid_mode_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(dict(SMALL, mode="centralised")))
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "--out", str(out), "thresholds"]) == 1
+        assert "centralised" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["round_intervall", "round_interval"])
+    def test_unknown_key_exit_code(self, tmp_path, capsys, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({**SMALL, key: 5}))
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "--out", str(out), "overhead"]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_mapping_config_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("5\n")
+        assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "overhead"]) == 1
+
+
+STAGE_COMMANDS = ("simulate", "pretrain", "train-central", "train-fed",
+                  "thresholds", "detect", "sweep-k", "overhead")
+
+
+def test_stage_files_match_run_all_bundle(config_file, tmp_path):
+    bundle = tmp_path / "run-all"
+    assert main(["--config", str(config_file), "--out", str(bundle), "run-all"]) == 0
+    for command in STAGE_COMMANDS:
+        out = tmp_path / command
+        assert main(["--config", str(config_file), "--out", str(out), command]) == 0
+        written = [p.relative_to(out) for p in out.rglob("*") if p.is_file()]
+        assert written, command
+        for rel in written:
+            assert (bundle / rel).is_file(), f"{command}: {rel} not in the bundle"
+            assert (out / rel).read_bytes() == (bundle / rel).read_bytes(), f"{command}: {rel}"

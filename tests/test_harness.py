@@ -69,6 +69,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(attack_tokens=("E1>R2",)).selected_attacks()
 
+    def test_invalid_config_rejected_when_built(self):
+        with pytest.raises(ValueError, match="E1>R2"):
+            ExperimentConfig(attack_tokens=("E1>R2",))
+        with pytest.raises(ValueError, match="centralised"):
+            ExperimentConfig(mode="centralised")
+
     def test_sim_config_seeds_differ_by_label(self):
         cfg = ExperimentConfig(seed=5)
         assert cfg.sim_config("a", 60.0).seed != cfg.sim_config("b", 60.0).seed
