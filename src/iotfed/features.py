@@ -8,6 +8,8 @@ Router-level schemas zero-fill the slots a router cannot observe
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
@@ -124,17 +126,16 @@ def _quartiles(samples: list[float]) -> tuple[float, float, float]:
     return float(q1), float(q2), float(q3)
 
 
-def extract_window(entries: Sequence[LogEntry], window: tuple[datetime, datetime],
-                   schema: FeatureSchema, device: NodeId = C) -> FeatureVector:
-    """Raw 31-slot feature vector for one device and one [start, end) window.
+def window_vector(selected: Sequence[LogEntry], start: datetime,
+                  schema: FeatureSchema, device: NodeId = C) -> FeatureVector:
+    """Raw 31-slot feature vector of the entries one window holds.
 
-    Entries are filtered by their first send timestamp; an empty window
+    ``selected`` are the window's entries in stream order (the mean and
+    std sums depend on it); no entry is filtered out here. An empty window
     yields the all-zero vector. Delay slots are in milliseconds. Pair
     counts tally every hop segment, so routing changes shift them even
     when total volume is unchanged.
     """
-    start, end = window
-    selected = [e for e in entries if start <= e.segments[0].sent_at < end]
     values = np.zeros(N_FEATURES)
     if selected:
         e2e, first = _delay_samples(selected, schema)
@@ -145,22 +146,34 @@ def extract_window(entries: Sequence[LogEntry], window: tuple[datetime, datetime
         values[9:12] = _quartiles(first)
         values[12] = shannon_entropy(e2e)
         values[13] = shannon_entropy(first)
+        hops = [hop_count(e) for e in selected]
         values[14] = len(selected)
-        values[15] = float(np.mean([hop_count(e) for e in selected]))
-        for e in selected:
-            for seg in e.segments:
-                slot = _SRC_SLOT.get(seg.src)
-                if slot is not None:
-                    values[slot] += 1
-                slot = _DST_SLOT.get(seg.dst)
-                if slot is not None:
-                    values[slot] += 1
-            hops = hop_count(e)
-            if 1 <= hops <= 3:
-                values[27 + hops] += 1
+        values[15] = float(np.mean(hops))
+        segments = [seg for e in selected for seg in e.segments]
+        srcs = Counter(seg.src for seg in segments)
+        dsts = Counter(seg.dst for seg in segments)
+        for node, slot in _SRC_SLOT.items():
+            values[slot] = srcs[node]
+        for node, slot in _DST_SLOT.items():
+            values[slot] = dsts[node]
+        for n, count in Counter(hops).items():
+            if 1 <= n <= 3:
+                values[27 + n] = count
     for slot in schema.zero_slots:
         values[slot] = 0.0
     return FeatureVector(start, device, values)
+
+
+def extract_window(entries: Sequence[LogEntry], window: tuple[datetime, datetime],
+                   schema: FeatureSchema, device: NodeId = C) -> FeatureVector:
+    """Raw 31-slot feature vector for one device and one [start, end) window.
+
+    Entries are filtered by their first send timestamp, then scored by
+    ``window_vector``.
+    """
+    start, end = window
+    selected = [e for e in entries if start <= e.segments[0].sent_at < end]
+    return window_vector(selected, start, schema, device)
 
 
 def router_view(entries: Iterable[LogEntry], router: NodeId) -> list[LogEntry]:
@@ -213,6 +226,28 @@ def make_windows(start: datetime, duration: float,
     count = int(-(-duration // window_len))
     return [(start + timedelta(seconds=i * window_len),
              start + timedelta(seconds=(i + 1) * window_len)) for i in range(count)]
+
+
+def bucket_entries(entries: Iterable[LogEntry],
+                   windows: Sequence[tuple[datetime, datetime]]) -> list[list[LogEntry]]:
+    """Each window's entries, by first send timestamp, in one pass over the stream.
+
+    ``windows`` are tumbling [start, end) windows in time order, as
+    ``make_windows`` returns them. Each entry goes to the window whose
+    start is the last one at or before its timestamp (found by bisection
+    over those starts, never by dividing by the window length, which can
+    disagree with the µs-rounded boundaries), if the entry is also before
+    that window's end. Entries before the first start or at or after the
+    last end are dropped. Within a window entries keep their stream order.
+    """
+    starts = [start for start, _ in windows]
+    buckets: list[list[LogEntry]] = [[] for _ in windows]
+    for e in entries:
+        sent = e.segments[0].sent_at
+        i = bisect_right(starts, sent) - 1
+        if i >= 0 and sent < windows[i][1]:
+            buckets[i].append(e)
+    return buckets
 
 
 def to_csv(vectors: Sequence[FeatureVector], truths: Sequence[bool] | None = None) -> str:

@@ -9,7 +9,7 @@ The result equals the flat element-wise mean of all client weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -165,7 +165,6 @@ class FederatedResult:
     final_global: ModelWeights
     per_round_globals: list[ModelWeights]
     ledger: list[CommsRecord]
-    client_weights: dict[NodeId, ModelWeights] = field(default_factory=dict)
 
 
 def run_federated_training(cfg: FLConfig, pretrained: ModelWeights,
@@ -192,7 +191,6 @@ def run_federated_training(cfg: FLConfig, pretrained: ModelWeights,
     states: dict[NodeId, AdamState | None] = {r: None for r in roster}
     per_round: list[ModelWeights] = []
     ledger: list[CommsRecord] = []
-    client_weights: dict[NodeId, ModelWeights] = {}
 
     for rnd in range(1, cfg.rounds + 1):
         locals_: dict[NodeId, ModelWeights] = {}
@@ -205,7 +203,6 @@ def run_federated_training(cfg: FLConfig, pretrained: ModelWeights,
                 locals_[router] = result.weights
             else:
                 locals_[router] = transfer_init(global_model)
-            client_weights[router] = locals_[router]
         global_model = hierarchical_round(tree, locals_)
         per_round.append(global_model)
         for router in roster:
@@ -213,4 +210,4 @@ def run_federated_training(cfg: FLConfig, pretrained: ModelWeights,
         for router in roster:
             ledger.append(CommsRecord(rnd, C, router, payload))
 
-    return FederatedResult(global_model, per_round, ledger, client_weights)
+    return FederatedResult(global_model, per_round, ledger)

@@ -43,11 +43,12 @@ from .features import (
     FeatureVector,
     ScalerParams,
     apply_scaler,
-    extract_window,
+    bucket_entries,
     fit_scaler,
     make_windows,
     router_view,
     to_csv,
+    window_vector,
 )
 from .federated import FLConfig, run_federated_training, transfer_init
 from .logfmt import LogEntry
@@ -116,6 +117,15 @@ class ExperimentConfig:
         # Rejected here, before anything is simulated or trained.
         if self.mode not in (*MODES, "both"):
             raise ValueError(f"mode must be centralized, federated or both, not {self.mode!r}")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise ValueError("validation_fraction must lie strictly between 0 and 1, "
+                             f"not {self.validation_fraction!r}")
+        if not self.window_len > 0:
+            raise ValueError(f"window_len must be positive, not {self.window_len!r}")
+        if self.fl_rounds < 1:
+            raise ValueError(f"fl_rounds must be at least 1, not {self.fl_rounds!r}")
+        if not self.ks:
+            raise ValueError("ks must list at least one k")
         self.selected_attacks()
 
     @property
@@ -157,8 +167,15 @@ def federated_stream(result: SimResult, router: NodeId) -> list[LogEntry]:
 
 def window_features(entries: Sequence[LogEntry], start: datetime, duration: float,
                     window_len: float, schema, device: NodeId) -> list[FeatureVector]:
+    """Raw feature vector of every ``make_windows`` window of a stream.
+
+    One pass puts each entry into its window (``bucket_entries``, stable
+    within a window); each vector is then built from that window's entries
+    alone, equal slot for slot to ``extract_window`` on the whole stream.
+    """
     windows = make_windows(start, duration, window_len)
-    return [extract_window(entries, w, schema, device) for w in windows]
+    return [window_vector(bucket, w_start, schema, device)
+            for (w_start, _), bucket in zip(windows, bucket_entries(entries, windows))]
 
 
 def mode_features(cfg: ExperimentConfig, mode: str, result: SimResult,

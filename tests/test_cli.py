@@ -127,6 +127,17 @@ class TestCommands:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("validation_fraction", 1.5), ("validation_fraction", -0.1),
+        ("ks", []), ("window_len", 0.0), ("window_len", -60.0), ("fl_rounds", 0)])
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({**SMALL, key: value}))
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "--out", str(out), "run-all"]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_mapping_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("5\n")

@@ -1,8 +1,11 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import COORD_LINE, ROUTER_LINE, coordinator_entry, ts
+from iotfed import harness
 from iotfed.features import (
     COORDINATOR_SCHEMA,
     ENTROPY_BINS,
@@ -14,6 +17,7 @@ from iotfed.features import (
     ScalerMismatch,
     ScalerParams,
     apply_scaler,
+    bucket_entries,
     extract_window,
     fit_scaler,
     make_windows,
@@ -22,7 +26,7 @@ from iotfed.features import (
     to_csv,
 )
 from iotfed.logfmt import parse_entry
-from iotfed.nodes import C, E1, E3, R1, R3
+from iotfed.nodes import C, E1, E2, E3, E4, R1, R2, R3
 
 SLOT = {name: i for i, name in enumerate(FEATURE_NAMES)}
 WINDOW = (ts(0.0), ts(60.0))
@@ -220,3 +224,51 @@ class TestWindowsAndCsv:
         assert lines[0].count(",") == 3 + 30
         assert ",normal," in lines[1]
         assert ",attack," in lines[2]
+
+
+# Paths an edge's packet can take to the coordinator in the test entries.
+PATHS = ([R1, C], [R2, C], [R3, C], [R3, R2, C], [R1, R2, C])
+
+
+class TestWindowFeatures:
+    """harness.window_features (one pass) against extract_window per window."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           window_len=st.sampled_from([0.7, 1.3, 2.5, 60.0]),
+           n_windows=st.integers(min_value=1, max_value=12),
+           remainder=st.floats(min_value=0.05, max_value=0.95),
+           schema=st.sampled_from([COORDINATOR_SCHEMA, ROUTER_SCHEMA]))
+    def test_equals_extract_window_per_window(self, data, window_len, n_windows,
+                                              remainder, schema):
+        start = ts(0.123457)
+        # Not a multiple of window_len: the last window runs past the duration.
+        duration = (n_windows - 1 + remainder) * window_len
+        windows = make_windows(start, duration, window_len)
+        boundaries = [w[0] for w in windows] + [windows[-1][1]]
+        span = len(windows) * window_len
+        on_boundary = st.sampled_from(boundaries)
+        near_boundary = st.tuples(on_boundary, st.sampled_from([-1, 1])).map(
+            lambda bt: bt[0] + timedelta(microseconds=bt[1]))
+        anywhere = st.floats(min_value=-2 * window_len, max_value=span + 2 * window_len).map(
+            lambda x: start + timedelta(seconds=x))
+        sends = data.draw(st.lists(st.one_of(on_boundary, near_boundary, anywhere),
+                                   max_size=40))
+        entries = [coordinator_entry(data.draw(st.sampled_from([E1, E2, E3, E4])),
+                                     data.draw(st.sampled_from(PATHS)), sent,
+                                     hop_ms=data.draw(st.floats(min_value=1.0, max_value=500.0)))
+                   for sent in sends]
+
+        got = harness.window_features(entries, start, duration, window_len, schema, R2)
+        want = [extract_window(entries, w, schema, R2) for w in windows]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.window_start, g.device) == (w.window_start, w.device)
+            assert np.array_equal(g.values, w.values)
+
+    def test_entry_at_a_window_end_lands_in_the_next_window(self):
+        windows = make_windows(ts(0), 2.0, 0.7)
+        entry = coordinator_entry(E1, [R1, C], windows[0][1])
+        assert bucket_entries([entry], windows) == [[], [entry], []]
+        vectors = harness.window_features([entry], ts(0), 2.0, 0.7, COORDINATOR_SCHEMA, C)
+        assert [v.values[SLOT["total_count"]] for v in vectors] == [0.0, 1.0, 0.0]
