@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .features import window_count
 from .nodes import (
     EDGES,
     ROUTERS,
@@ -115,7 +116,7 @@ def label_windows(plan: AttackPlan, window_len: float = MINUTE) -> list[WindowLa
         raise ValueError("window length must divide evenly into minutes")
     a_start, a_end = plan.attack_interval
     labels = []
-    count = int(-(-plan.total_duration // window_len))
+    count = window_count(plan.total_duration, window_len)
     for i in range(count):
         w_start, w_end = i * window_len, (i + 1) * window_len
         overlap = w_start < a_end and a_start < w_end and a_end > a_start

@@ -220,10 +220,23 @@ def apply_scaler(vector: FeatureVector, params: ScalerParams) -> FeatureVector:
     return replace(vector, values=scaled, normalized=True)
 
 
+def window_count(duration: float, window_len: float) -> int:
+    """How many tumbling windows of ``window_len`` seconds cover ``duration``.
+
+    Counted over whole microseconds, as the ``make_windows`` boundaries are
+    rounded: in floats ``2.1 // 0.7`` is 2.0, which would add a fourth
+    window wholly past a 2.1 s run.
+    """
+    len_us = round(window_len * 1e6)
+    if len_us < 1:
+        raise ValueError("window length must be at least one microsecond")
+    return -(-round(duration * 1e6) // len_us)
+
+
 def make_windows(start: datetime, duration: float,
                  window_len: float = 60.0) -> list[tuple[datetime, datetime]]:
-    """Tumbling [start, end) windows covering ceil(duration / window_len) slots."""
-    count = int(-(-duration // window_len))
+    """Tumbling [start, end) windows covering ``window_count(duration, window_len)`` slots."""
+    count = window_count(duration, window_len)
     return [(start + timedelta(seconds=i * window_len),
              start + timedelta(seconds=(i + 1) * window_len)) for i in range(count)]
 

@@ -48,6 +48,7 @@ from .features import (
     make_windows,
     router_view,
     to_csv,
+    window_count,
     window_vector,
 )
 from .federated import FLConfig, run_federated_training, transfer_init
@@ -151,13 +152,8 @@ class ExperimentConfig:
 
 def central_stream(result: SimResult, router: NodeId) -> list[LogEntry]:
     """Coordinator entries replayed for one router: those whose path crosses it."""
-    entries = result.entries.get(C, [])
-    out = []
-    for e in entries:
-        nodes = {e.segments[0].src} | {s.dst for s in e.segments}
-        if router in nodes:
-            out.append(e)
-    return out
+    return [e for e in result.entries.get(C, [])
+            if e.segments[0].src is router or any(s.dst is router for s in e.segments)]
 
 
 def federated_stream(result: SimResult, router: NodeId) -> list[LogEntry]:
@@ -219,7 +215,7 @@ class TrainedPipeline:
 def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
                    pretrain_result: SimResult, normal_result: SimResult) -> TrainedPipeline:
     """Fit scalers, pretrain, train (centrally or federated), calibrate losses."""
-    n_windows = int(-(-cfg.normal_duration // cfg.window_len))
+    n_windows = window_count(cfg.normal_duration, cfg.window_len)
     n_train = round(n_windows * (1.0 - cfg.validation_fraction))
 
     raw = mode_features(cfg, mode, normal_result, cfg.normal_duration)

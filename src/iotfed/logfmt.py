@@ -4,7 +4,8 @@ Edge entry:        ``E3>R3, <sent>, S:0``
 Router entry:      ``E3>R3, <sent>, <received>, R3>R2, <sent>, S:0``
 Coordinator entry: ``E3>R3, <sent>, <received>, ..., R2>C, <sent>, <received>``
 
-Timestamps are ``YYYY-MM-DD HH:MM:SS.ffffff`` at microsecond precision.
+Timestamps are ``YYYY-MM-DD HH:MM:SS.ffffff`` at microsecond precision,
+ASCII digits only.
 Canonical serialization puts no spaces around ``>`` and a single space
 after each comma; the parser additionally accepts single spaces around
 ``>`` and missing spaces after commas (the two renderings seen in the
@@ -20,13 +21,12 @@ from datetime import datetime
 
 from .nodes import EDGES, ROUTERS, A, C, NodeId
 
-TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S.%f"
-
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}\.\d{6}$")
+# ASCII so that every accepted timestamp re-serializes to its own bytes.
+_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}\.\d{6}$", re.ASCII)
 _PAIR_RE = re.compile(r"^([A-Z][0-9]*) ?> ?([A-Z][0-9]*)$")
 _STATUS_RE = re.compile(r"^S:(\d+)$")
 
-_KNOWN_TOKENS = {str(n) for n in (C, A) + ROUTERS + EDGES}
+_KNOWN_NODES = {str(n): n for n in (C, A) + ROUTERS + EDGES}
 
 
 class ParseError(ValueError):
@@ -74,13 +74,25 @@ class LogEntry:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime(TIMESTAMP_FORMAT)
+    """``YYYY-MM-DD HH:MM:SS.ffffff``; the year is zero-padded to four digits."""
+    return ts.isoformat(" ", "microseconds")
+
+
+def _parse_timestamp(token: str, offset: int) -> datetime:
+    """A token ``_TIMESTAMP_RE`` passed, read by its fixed-width fields."""
+    try:
+        return datetime(int(token[0:4]), int(token[5:7]), int(token[8:10]),
+                        int(token[11:13]), int(token[14:16]), int(token[17:19]),
+                        int(token[20:26]))
+    except ValueError:
+        raise ParseError(f"invalid timestamp {token!r}", offset) from None
 
 
 def _parse_node(token: str, offset: int) -> NodeId:
-    if token not in _KNOWN_TOKENS:
-        raise ParseError(f"unknown node {token!r}", offset)
-    return NodeId.parse(token)
+    try:
+        return _KNOWN_NODES[token]
+    except KeyError:
+        raise ParseError(f"unknown node {token!r}", offset) from None
 
 
 def parse_entry(line: str) -> LogEntry:
@@ -137,10 +149,7 @@ def parse_entry(line: str) -> LogEntry:
         elif _TIMESTAMP_RE.match(token):
             if pending is None:
                 raise ParseError("timestamp before any node pair", off)
-            try:
-                times.append(datetime.strptime(token, TIMESTAMP_FORMAT))
-            except ValueError:
-                raise ParseError(f"invalid timestamp {token!r}", off) from None
+            times.append(_parse_timestamp(token, off))
         else:
             raise ParseError(f"unrecognized field {token!r}", off)
     flush(len(line))

@@ -9,6 +9,8 @@ byte-identical logs.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -22,6 +24,7 @@ from .nodes import (
     C,
     NodeId,
     Role,
+    RoutePath,
     Topology,
     route_path,
 )
@@ -125,6 +128,24 @@ def _trace_segments(cfg: SimConfig, trace: PacketTrace) -> list[Segment]:
     return segments
 
 
+@contextmanager
+def _gc_paused():
+    """Suspend the cyclic garbage collector, then restore the caller's setting.
+
+    A simulation allocates tens of container objects per packet and no
+    reference cycles, so collector passes over them reclaim nothing; with
+    earlier corpora still alive each pass also rescans those.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def run_simulation(topology: Topology, cfg: SimConfig,
                    attack_plan: AttackPlan | None = None) -> SimResult:
     """Generate all packet traces and per-device log entries for one run.
@@ -132,12 +153,15 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     Routing is resolved at each packet's send instant against the plan's
     view of the topology; in-flight packets are never rerouted. Traffic
     reaching the attacker is swallowed there and produces no coordinator
-    entry.
+    entry. The cyclic garbage collector is paused while it runs.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n_sends = int(cfg.duration / cfg.send_period)
 
+    # The live topology depends only on whether the plan's attack is active,
+    # so each edge's route is resolved once per phase.
+    routes: dict[tuple[bool, NodeId], RoutePath] = {}
     traces: list[PacketTrace] = []
     for tick in range(n_sends):
         for edge in EDGES:
@@ -145,9 +169,12 @@ def run_simulation(topology: Topology, cfg: SimConfig,
                 continue
             jitter = float(rng.uniform(0.0, cfg.send_jitter)) if cfg.send_jitter else 0.0
             send_at = tick * cfg.send_period + jitter
-            live = (apply_plan(topology, attack_plan, send_at)
-                    if attack_plan is not None else topology)
-            path = route_path(live, edge)
+            phase = attack_plan is not None and attack_plan.active_at(send_at)
+            path = routes.get((phase, edge))
+            if path is None:
+                live = (apply_plan(topology, attack_plan, send_at)
+                        if attack_plan is not None else topology)
+                path = routes[(phase, edge)] = route_path(live, edge)
             hops: list[Hop] = []
             statuses: list[int] = []
             clock = send_at

@@ -209,6 +209,11 @@ class TestWindowsAndCsv:
     def test_make_windows_counts(self):
         assert len(make_windows(ts(0), 3600.0)) == 60
         assert len(make_windows(ts(0), 90.0)) == 2  # ceil
+        assert len(make_windows(ts(0), 2.1, 0.7)) == 3  # 2.1 // 0.7 == 2.0 in floats
+
+    def test_window_shorter_than_a_microsecond_rejected(self):
+        with pytest.raises(ValueError):
+            make_windows(ts(0), 1.0, 1e-7)
 
     def test_windows_are_tumbling(self):
         windows = make_windows(ts(0), 180.0)

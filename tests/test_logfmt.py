@@ -200,3 +200,65 @@ def test_parser_never_crashes_on_text(text):
 def test_format_timestamp_microsecond_precision():
     ts = datetime(2024, 4, 26, 13, 36, 10, 5)
     assert format_timestamp(ts) == "2024-04-26 13:36:10.000005"
+
+
+_STRFTIME = "%Y-%m-%d %H:%M:%S.%f"
+
+
+@given(st.datetimes(min_value=datetime(1000, 1, 1),
+                    max_value=datetime(9999, 12, 31, 23, 59, 59, 999999)))
+def test_timestamps_match_strftime_and_read_back(ts):
+    text = format_timestamp(ts)
+    assert text == ts.strftime(_STRFTIME)
+    assert parse_entry(f"E3>R3, {text}, S:0").segments[0].sent_at == ts
+
+
+@given(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+       st.integers(0, 25), st.integers(0, 61), st.integers(0, 61),
+       st.integers(0, 999999))
+def test_timestamp_tokens_read_as_strptime_reads_them(year, month, day, hour,
+                                                      minute, second, micro):
+    token = (f"{year:04d}-{month:02d}-{day:02d} "
+             f"{hour:02d}:{minute:02d}:{second:02d}.{micro:06d}")
+    line = f"E3>R3, {token}, S:0"
+    try:
+        expected = datetime.strptime(token, _STRFTIME)
+    except ValueError:
+        with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
+            parse_entry(line)
+        assert exc_info.value.offset == line.index(token)
+    else:
+        assert parse_entry(line).segments[0].sent_at == expected
+
+
+@pytest.mark.parametrize("token", [
+    "2024-13-01 00:00:00.000000",   # month 13
+    "2024-02-30 00:00:00.000000",   # Feb 30
+    "2024-04-26 24:00:00.000000",   # hour 24
+    "2024-04-26 13:36:60.000000",   # second 60
+    "0000-01-01 00:00:00.000000",   # year 0
+])
+def test_impossible_timestamps_raise_at_their_offset(token):
+    line = f"E3>R3, 2024-04-26 13:36:10.273312, {token}, S:0"
+    with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
+        parse_entry(line)
+    assert exc_info.value.offset == line.index(token)
+
+
+@pytest.mark.parametrize("position", [0, 6, 9, 12, 15, 18, 25])
+def test_timestamps_with_non_ascii_digits_rejected(position):
+    good = "2024-04-26 13:36:10.273312"
+    token = good[:position] + "١" + good[position + 1:]  # ARABIC-INDIC DIGIT ONE
+    line = f"E3>R3, {token}, S:0"
+    with pytest.raises(ParseError) as exc_info:
+        parse_entry(line)
+    assert exc_info.value.offset == line.index(token)
+
+
+def test_years_below_1000_round_trip():
+    ts = datetime(5, 1, 2, 3, 4, 5, 6)
+    assert format_timestamp(ts) == "0005-01-02 03:04:05.000006"
+    entry = LogEntry(EntryKind.EDGE, (Segment(E3, R3, ts),), status=0)
+    line = serialize_entry(entry)
+    assert parse_entry(line) == entry
+    assert serialize_entry(parse_entry(line)) == line

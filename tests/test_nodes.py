@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +59,38 @@ class TestNodeId:
         ordered = sorted(ROSTER, key=NodeId.sort_key)
         assert ordered[0] == A and ordered[1] == C
         assert ordered[2:5] == list(EDGES[:3])
+
+    def test_construction_and_parse_return_the_interned_instance(self):
+        assert NodeId(Role.ROUTER, 1) is R1
+        assert NodeId(role=Role.COORDINATOR) is C
+        assert NodeId.parse("E12") is NodeId(Role.EDGE, 12)
+        assert NodeId.parse(" R2 ") is R2
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        lambda node: pickle.loads(pickle.dumps(node)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_the_interned_instance(self, clone):
+        for node in ROSTER + (NodeId(Role.EDGE, 12),):
+            assert clone(node) is node
+        assert clone({R1: [E1]})[R1][0] is E1
+
+    def test_fields_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            R1.index = 2
+        with pytest.raises(AttributeError):
+            R1.role = Role.EDGE
+        with pytest.raises(AttributeError):
+            del R1.index
+        assert R1.role is Role.ROUTER and R1.index == 1 and str(R1) == "R1"
+
+    def test_invalid_index_leaves_nothing_interned(self):
+        for role, index in ((Role.ATTACKER, 2), (Role.EDGE, -1)):
+            with pytest.raises(ValueError):
+                NodeId(role, index)
+            with pytest.raises(ValueError):
+                NodeId(role, index)
 
 
 class TestTopology:

@@ -1,6 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
+from iotfed import simkernel
 from iotfed.attacks import AttackPlan, AttackSpec
 from iotfed.logfmt import EntryKind, parse_log
 from iotfed.nodes import (
@@ -165,3 +168,61 @@ class TestDropsAndSkew:
         result = run_simulation(topology, cfg)
         for entry in result.entries[E1]:
             assert entry.segments[0].sent_at.microsecond == 0
+
+
+def _no_route(topology, src):
+    raise RuntimeError("route lookup failed")
+
+
+class TestCollectorPause:
+    def test_collector_back_on_after_return(self):
+        run_simulation(build_topology(ScenarioFamily.III), SimConfig(seed=1, duration=2.0))
+        assert gc.isenabled()
+
+    def test_collector_back_on_after_raise(self, monkeypatch):
+        monkeypatch.setattr(simkernel, "route_path", _no_route)
+        with pytest.raises(RuntimeError, match="route lookup failed"):
+            run_simulation(build_topology(ScenarioFamily.III), SimConfig(seed=1, duration=2.0))
+        assert gc.isenabled()
+
+    def test_collector_stays_off_when_caller_disabled_it(self, monkeypatch):
+        topology, cfg = build_topology(ScenarioFamily.III), SimConfig(seed=1, duration=2.0)
+        gc.disable()
+        try:
+            run_simulation(topology, cfg)
+            assert not gc.isenabled()
+            monkeypatch.setattr(simkernel, "route_path", _no_route)
+            with pytest.raises(RuntimeError, match="route lookup failed"):
+                run_simulation(topology, cfg)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+class TestRoutesPerPhase:
+    @pytest.fixture
+    def route_calls(self, monkeypatch):
+        calls = []
+        real = simkernel.route_path
+
+        def counting(topology, src):
+            calls.append(src)
+            return real(topology, src)
+
+        monkeypatch.setattr(simkernel, "route_path", counting)
+        return calls
+
+    def test_attack_run_routes_each_edge_once_per_phase(self, route_calls):
+        plan = AttackPlan(AttackSpec(ScenarioFamily.III, E1, A),
+                          normal_before=10.0, attack_window=10.0, normal_after=10.0)
+        topology = build_topology(ScenarioFamily.III)
+        result = run_simulation(topology, SimConfig(seed=9, duration=plan.total_duration), plan)
+        assert sorted(route_calls, key=str) == sorted(EDGES * 2, key=str)
+        start, end = plan.attack_interval
+        for trace in result.traces:
+            attacked = trace.origin is E1 and start <= trace.send_time < end
+            assert (trace.delivered_to is A) == attacked
+
+    def test_run_without_plan_routes_each_edge_once(self, route_calls):
+        run_simulation(build_topology(ScenarioFamily.I), SimConfig(seed=2, duration=30.0))
+        assert sorted(route_calls, key=str) == sorted(EDGES, key=str)
