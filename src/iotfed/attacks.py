@@ -104,16 +104,22 @@ class WindowLabel:
     attack: bool
 
 
+def check_window_len(window_len: float) -> None:
+    """Reject a window length that is not positive or does not tile minutes."""
+    if not window_len > 0:
+        raise ValueError(f"window_len must be positive, not {window_len!r}")
+    if not (MINUTE % window_len == 0 or window_len % MINUTE == 0):
+        raise ValueError("window_len must divide a minute or be a whole number "
+                         f"of minutes, not {window_len!r}")
+
+
 def label_windows(plan: AttackPlan, window_len: float = MINUTE) -> list[WindowLabel]:
     """Ground-truth labels for tumbling windows over the plan's run.
 
     A window is an attack window iff its [start, end) interval overlaps
     the attack interval at all (any-overlap labeling).
     """
-    if window_len <= 0:
-        raise ValueError("window length must be positive")
-    if not (MINUTE % window_len == 0 or window_len % MINUTE == 0):
-        raise ValueError("window length must divide evenly into minutes")
+    check_window_len(window_len)
     a_start, a_end = plan.attack_interval
     labels = []
     count = window_count(plan.total_duration, window_len)

@@ -177,30 +177,89 @@ def backward(weights: ModelWeights, batch: np.ndarray,
     return grads
 
 
+def _arrays(pairs) -> list[np.ndarray]:
+    """Per-layer ``(weight, bias)`` pairs as one list: W0, b0, W1, b1, ..."""
+    return [a for pair in pairs for a in pair]
+
+
+def _flatten(arrays, dtype) -> np.ndarray:
+    """A fresh contiguous 1-D buffer holding ``arrays`` in order, in ``dtype``."""
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=dtype)
+
+
+def _flat_copies(weights: ModelWeights, state: AdamState | None):
+    """Fresh flat parameter, ``m`` and ``v`` buffers in the weights' dtype.
+
+    The moments are zero when ``state`` is None.
+    """
+    dtype = weights.layers[0].weight.dtype
+    p = _flatten(_arrays((l.weight, l.bias) for l in weights.layers), dtype)
+    if state is None:
+        return p, np.zeros_like(p), np.zeros_like(p)
+    return p, _flatten(_arrays(state.m), dtype), _flatten(_arrays(state.v), dtype)
+
+
+def _unflatten(buf: np.ndarray, like: ModelWeights) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Views into ``buf`` shaped like ``like``'s per-layer (weight, bias) pairs."""
+    pairs, start = [], 0
+    for layer in like.layers:
+        w_end = start + layer.weight.size
+        b_end = w_end + layer.bias.size
+        pairs.append((buf[start:w_end].reshape(layer.weight.shape), buf[w_end:b_end]))
+        start = b_end
+    return tuple(pairs)
+
+
+def _model_view(p: np.ndarray, like: ModelWeights) -> ModelWeights:
+    """A model with ``like``'s architecture whose arrays are views into ``p``."""
+    return ModelWeights(tuple(Layer(w, b, layer.activation) for (w, b), layer
+                              in zip(_unflatten(p, like), like.layers)), like.arch_tag)
+
+
+def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 t: int, cfg: TrainConfig, scratch: np.ndarray) -> None:
+    """Bias-corrected Adam step ``t`` on flat buffers, in place on ``p``, ``m`` and ``v``.
+
+    Performs the float operations of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g``, ``m_hat = m/(1-b1**t)``, ``v_hat = v/(1-b2**t)``
+    and ``p = p - lr*m_hat/(sqrt(v_hat) + eps)``, each read left to right, in
+    that order, so it gives the same bits as evaluating those expressions.
+    ``scratch`` holds two rows of ``p``'s size.
+    """
+    step, denom = scratch
+    m *= cfg.beta1
+    np.multiply(1 - cfg.beta1, g, out=step)
+    m += step
+    v *= cfg.beta2
+    np.multiply(1 - cfg.beta2, g, out=step)
+    step *= g
+    v += step
+    np.divide(v, 1 - cfg.beta2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    np.divide(m, 1 - cfg.beta1 ** t, out=step)
+    step *= cfg.learning_rate
+    step /= denom
+    p -= step
+
+
 def adam_step(weights: ModelWeights, grads, state: AdamState,
               cfg: TrainConfig) -> tuple[ModelWeights, AdamState]:
-    """Bias-corrected Adam update; pure in all arguments."""
+    """Bias-corrected Adam update; pure in all arguments.
+
+    Computes in the weights' dtype: gradients and moments of another dtype
+    are cast to it first, and the returned moments have that dtype.
+    """
+    if len(grads) != len(weights.layers) or any(
+            gw.shape != layer.weight.shape or gb.shape != layer.bias.shape
+            for layer, (gw, gb) in zip(weights.layers, grads)):
+        raise ShapeMismatch("gradient shapes do not mirror the weights")
+    p, m, v = _flat_copies(weights, state)
     t = state.t + 1
-    new_layers, new_m, new_v = [], [], []
-    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(
-            weights.layers, grads, state.m, state.v):
-        if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
-            raise ShapeMismatch("gradient shapes do not mirror the weights")
-        dtype = layer.weight.dtype
-        pairs = []
-        for param, g, m, v in ((layer.weight, gw, mw, vw), (layer.bias, gb, mb, vb)):
-            m_new = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v_new = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            m_hat = m_new / (1 - cfg.beta1 ** t)
-            v_hat = v_new / (1 - cfg.beta2 ** t)
-            updated = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-            pairs.append((updated.astype(dtype), m_new, v_new))
-        (w_upd, mw_new, vw_new), (b_upd, mb_new, vb_new) = pairs
-        new_layers.append(Layer(w_upd, b_upd, layer.activation))
-        new_m.append((mw_new, mb_new))
-        new_v.append((vw_new, vb_new))
-    return (ModelWeights(tuple(new_layers), weights.arch_tag),
-            AdamState(tuple(new_m), tuple(new_v), t))
+    _adam_update(p, _flatten(_arrays(grads), p.dtype), m, v, t, cfg,
+                 np.empty((2, p.size), p.dtype))
+    return (_model_view(p, weights),
+            AdamState(_unflatten(m, weights), _unflatten(v, weights), t))
 
 
 @dataclass
@@ -216,13 +275,19 @@ def train(weights: ModelWeights, data: np.ndarray, cfg: TrainConfig,
 
     ``loss_history`` holds the per-epoch mean training loss measured on
     each batch before its update. An existing Adam state may be passed to
-    continue optimization across federated rounds.
+    continue optimization across federated rounds. Parameters, gradients
+    and moments each live in one flat buffer of the weights' dtype, copied
+    from the arguments, which are never written to; the returned arrays
+    are views into those buffers.
     """
     cfg.validate()
     data = np.atleast_2d(np.asarray(data, dtype=weights.layers[0].weight.dtype))
     if data.shape[0] == 0:
         raise EmptyDataset("no training vectors")
-    state = adam_state if adam_state is not None else zero_adam_state(weights)
+    p, m, v = _flat_copies(weights, adam_state)
+    t = adam_state.t if adam_state is not None else 0
+    model = _model_view(p, weights)
+    g, scratch = np.empty_like(p), np.empty((2, p.size), p.dtype)
     rng = np.random.default_rng(cfg.seed)
     n = data.shape[0]
     history = []
@@ -231,12 +296,14 @@ def train(weights: ModelWeights, data: np.ndarray, cfg: TrainConfig,
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = data[order[start:start + cfg.batch_size]]
-            x_hat, cache = forward(weights, batch)
+            x_hat, cache = forward(model, batch)
             total += float(np.sum(np.sum((batch - x_hat) ** 2, axis=1)))
-            grads = backward(weights, batch, cache)
-            weights, state = adam_step(weights, grads, state, cfg)
+            np.concatenate([a.ravel() for a in _arrays(backward(model, batch, cache))], out=g)
+            t += 1
+            _adam_update(p, g, m, v, t, cfg, scratch)
         history.append(total / n)
-    return TrainResult(weights, history, state)
+    return TrainResult(model, history,
+                       AdamState(_unflatten(m, weights), _unflatten(v, weights), t))
 
 
 def save_weights(weights: ModelWeights) -> bytes:

@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .attacks import AttackPlan, AttackSpec, enumerate_attacks, label_windows
+from .attacks import (AttackPlan, AttackSpec, check_window_len, enumerate_attacks,
+                      label_windows)
 from .autoencoder import (
     ModelWeights,
     TrainConfig,
@@ -121,8 +122,7 @@ class ExperimentConfig:
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie strictly between 0 and 1, "
                              f"not {self.validation_fraction!r}")
-        if not self.window_len > 0:
-            raise ValueError(f"window_len must be positive, not {self.window_len!r}")
+        check_window_len(self.window_len)
         if self.fl_rounds < 1:
             raise ValueError(f"fl_rounds must be at least 1, not {self.fl_rounds!r}")
         if not self.ks:

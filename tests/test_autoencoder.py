@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from iotfed.autoencoder import (
     DEFAULT_ACTIVATIONS,
@@ -221,6 +224,153 @@ class TestTrain:
         second = train(first.weights, x, cfg, adam_state=first.adam_state)
         assert second.adam_state.t == first.adam_state.t + 1
         assert isinstance(second.adam_state, AdamState)
+
+
+def _oracle_adam_step(weights, grads, state, cfg):
+    """Per-array Adam as first written: the reference for the flat-buffer update."""
+    t = state.t + 1
+    layers, ms, vs = [], [], []
+    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(weights.layers, grads, state.m, state.v):
+        new = []
+        for param, g, m, v in ((layer.weight, gw, mw, vw), (layer.bias, gb, mb, vb)):
+            m = cfg.beta1 * m + (1 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+            m_hat = m / (1 - cfg.beta1 ** t)
+            v_hat = v / (1 - cfg.beta2 ** t)
+            p = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            new.append((p.astype(param.dtype), m, v))
+        (w, mw, vw), (b, mb, vb) = new
+        layers.append(Layer(w, b, layer.activation))
+        ms.append((mw, mb))
+        vs.append((vw, vb))
+    return ModelWeights(tuple(layers), weights.arch_tag), AdamState(tuple(ms), tuple(vs), t)
+
+
+def _oracle_train(weights, data, cfg, state=None):
+    """The training loop as first written, one ``_oracle_adam_step`` per batch."""
+    data = np.atleast_2d(np.asarray(data, dtype=weights.layers[0].weight.dtype))
+    state = state if state is not None else zero_adam_state(weights)
+    rng = np.random.default_rng(cfg.seed)
+    n = data.shape[0]
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            batch = data[order[start:start + cfg.batch_size]]
+            x_hat, cache = forward(weights, batch)
+            total += float(np.sum(np.sum((batch - x_hat) ** 2, axis=1)))
+            grads = backward(weights, batch, cache)
+            weights, state = _oracle_adam_step(weights, grads, state, cfg)
+        history.append(total / n)
+    return weights, history, state
+
+
+def _snapshot(weights, state=None):
+    """Every array of a model (and an Adam state) as (dtype, shape, bytes)."""
+    arrays = [a for l in weights.layers for a in (l.weight, l.bias)]
+    if state is not None:
+        arrays += [a for pairs in (state.m, state.v) for pair in pairs for a in pair]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_state_equal(got, want):
+    assert got.t == want.t
+    for got_pairs, want_pairs in ((got.m, want.m), (got.v, want.v)):
+        for got_pair, want_pair in zip(got_pairs, want_pairs, strict=True):
+            for g, w in zip(got_pair, want_pair, strict=True):
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+class TestTrainMatchesPerArrayAdam:
+    # No shrink phase: a failing example is reported as found, since
+    # shrinking one that needs thousands of steps runs for minutes.
+    @settings(max_examples=40, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(rows=st.integers(1, 200), batch_size=st.integers(1, 64),
+           shuffle=st.booleans(), epochs=st.integers(1, 5),
+           learning_rate=st.sampled_from([1e-2, 1e-3, 1e-4]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           dims=st.sampled_from([DEFAULT_DIMS, (5, 4, 3, 4, 5)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_per_array_loop(self, rows, batch_size, shuffle, epochs,
+                                             learning_rate, dtype, dims, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(rows, dims[0]))
+        model = init_weights(dims, DEFAULT_ACTIVATIONS, seed=seed % 1000, dtype=dtype)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
+                          learning_rate=learning_rate, seed=seed, shuffle=shuffle)
+        got = train(model, x, cfg)
+        want_weights, want_history, want_state = _oracle_train(model, x, cfg)
+        # Continue once through the returned state, as federated rounds do.
+        again = train(got.weights, x, replace(cfg, seed=seed + 1), got.adam_state)
+        want_again = _oracle_train(want_weights, x, replace(cfg, seed=seed + 1), want_state)
+        for result, (weights, history, state) in ((got, (want_weights, want_history, want_state)),
+                                                   (again, want_again)):
+            assert save_weights(result.weights) == save_weights(weights)
+            assert _snapshot(result.weights) == _snapshot(weights)
+            assert result.loss_history == history
+            _assert_state_equal(result.adam_state, state)
+
+    def test_adam_step_matches_the_per_array_step(self):
+        model = init_weights(seed=4)
+        x = np.random.default_rng(5).uniform(size=(6, 31)).astype(np.float32)
+        cfg = TrainConfig(learning_rate=1e-2)
+        state = want_state = zero_adam_state(model)
+        weights = want_weights = model
+        for _ in range(3):
+            _, cache = forward(weights, x)
+            weights, state = adam_step(weights, backward(weights, x, cache), state, cfg)
+            _, cache = forward(want_weights, x)
+            want_weights, want_state = _oracle_adam_step(
+                want_weights, backward(want_weights, x, cache), want_state, cfg)
+        assert _snapshot(weights) == _snapshot(want_weights)
+        _assert_state_equal(state, want_state)
+
+    def test_mixed_dtype_step_computes_in_the_weights_dtype(self):
+        model = init_weights(seed=6)
+        grads = [(np.full(l.weight.shape, 0.25), np.full(l.bias.shape, -0.5))
+                 for l in model.layers]
+        updated, state = adam_step(model, grads, zero_adam_state(model), TrainConfig())
+        assert all(l.weight.dtype == np.float32 for l in updated.layers)
+        assert all(a.dtype == np.float32 for pair in state.m + state.v for a in pair)
+
+
+class TestNoAliasing:
+    def _data(self):
+        return np.random.default_rng(12).uniform(size=(10, 31)).astype(np.float32)
+
+    def test_train_leaves_its_inputs_unchanged(self):
+        cfg = TrainConfig(epochs=2, batch_size=4, seed=1)
+        model = init_weights(seed=3)
+        model_before = _snapshot(model)
+        first = train(model, self._data(), cfg)
+        assert _snapshot(model) == model_before
+        before = _snapshot(first.weights, first.adam_state)
+        train(first.weights, self._data(), cfg, adam_state=first.adam_state)
+        assert _snapshot(first.weights, first.adam_state) == before
+
+    def test_two_continuations_from_one_result_agree(self):
+        cfg = TrainConfig(epochs=2, batch_size=3, seed=2)
+        first = train(init_weights(seed=4), self._data(), cfg)
+        before = _snapshot(first.weights, first.adam_state)
+        a = train(first.weights, self._data(), cfg, adam_state=first.adam_state)
+        b = train(first.weights, self._data(), cfg, adam_state=first.adam_state)
+        assert _snapshot(a.weights, a.adam_state) == _snapshot(b.weights, b.adam_state)
+        assert a.loss_history == b.loss_history
+        assert _snapshot(first.weights, first.adam_state) == before
+
+    def test_adam_step_leaves_its_arguments_unchanged(self):
+        model = init_weights(seed=5)
+        x = self._data()
+        _, cache = forward(model, x)
+        grads = backward(model, x, cache)
+        _, state = adam_step(model, grads, zero_adam_state(model), TrainConfig())
+        before = _snapshot(model, state)
+        grads_before = [a.tobytes() for pair in grads for a in pair]
+        adam_step(model, grads, state, TrainConfig())
+        assert _snapshot(model, state) == before
+        assert [a.tobytes() for pair in grads for a in pair] == grads_before
 
 
 class TestWeightFile:

@@ -262,3 +262,17 @@ def test_years_below_1000_round_trip():
     line = serialize_entry(entry)
     assert parse_entry(line) == entry
     assert serialize_entry(parse_entry(line)) == line
+
+
+@pytest.mark.parametrize("status", ["١", "1١", "٠", "𝟙"])
+def test_statuses_with_non_ascii_digits_rejected(status):
+    line = f"E3>R3, 2024-04-26 13:36:10.273312, S:{status}"
+    with pytest.raises(ParseError):
+        parse_entry(line)
+
+
+@pytest.mark.parametrize("status", [0, 1, 7, 255, 1024])
+def test_ascii_statuses_round_trip(status):
+    line = f"E3>R3, 2024-04-26 13:36:10.273312, S:{status}"
+    assert parse_entry(line).status == status
+    assert serialize_entry(parse_entry(line)) == line
