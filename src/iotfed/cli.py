@@ -34,7 +34,10 @@ def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentC
     raw: dict = {}
     if path is not None:
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
+            try:
+                raw = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ValueError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: the config must be a mapping of keys to values")
     unknown = sorted(map(str, set(raw) - _YAML_KEYS))
@@ -44,14 +47,17 @@ def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentC
         raw["seed"] = seed
     train_keys = {k: raw.pop(k) for k in _TRAIN_KEYS if k in raw}
     hop_keys = {k: raw.pop(k) for k in _HOP_KEYS if k in raw}
-    if "scenario" in raw:
-        raw["scenario"] = ScenarioFamily(str(raw["scenario"]))
-    if "ks" in raw:
-        raw["ks"] = tuple(float(k) for k in raw["ks"])
-    if "attacks" in raw:
-        raw["attack_tokens"] = tuple(raw.pop("attacks"))
-    return ExperimentConfig(train=TrainConfig(**train_keys),
-                            hop_delay=HopDelayModel(**hop_keys), **raw)
+    try:
+        if "scenario" in raw:
+            raw["scenario"] = ScenarioFamily(str(raw["scenario"]))
+        if "ks" in raw:
+            raw["ks"] = tuple(float(k) for k in raw["ks"])
+        if "attacks" in raw:
+            raw["attack_tokens"] = tuple(raw.pop("attacks"))
+        return ExperimentConfig(train=TrainConfig(**train_keys),
+                                hop_delay=HopDelayModel(**hop_keys), **raw)
+    except TypeError as exc:
+        raise ValueError(f"{path}: a value has the wrong type: {exc}") from None
 
 
 def _print_summary(cfg: ExperimentConfig, outcomes) -> None:

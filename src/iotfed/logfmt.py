@@ -21,9 +21,10 @@ from datetime import datetime
 
 from .nodes import EDGES, ROUTERS, A, C, NodeId
 
-# ASCII so that every accepted timestamp and status re-serializes to its own bytes.
+# ASCII digits, and no leading zero in a status, so that every accepted
+# timestamp and status re-serializes to its own bytes.
 _TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}\.\d{6}$", re.ASCII)
-_STATUS_RE = re.compile(r"^S:(\d+)$", re.ASCII)
+_STATUS_RE = re.compile(r"^S:(0|[1-9][0-9]*)$")
 _PAIR_RE = re.compile(r"^([A-Z][0-9]*) ?> ?([A-Z][0-9]*)$")
 
 _KNOWN_NODES = {str(n): n for n in (C, A) + ROUTERS + EDGES}

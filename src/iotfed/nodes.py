@@ -124,14 +124,13 @@ class Topology:
     nodes: frozenset[NodeId]
     normal_dest: dict[NodeId, NodeId]
     current_dest: dict[NodeId, NodeId]
-    pan_id: str = "PAN-1"
 
     def require(self, node: NodeId) -> None:
         if node not in self.nodes:
             raise UnknownNode(f"node {node} not in topology")
 
 
-def build_topology(family: ScenarioFamily, pan_id: str = "PAN-1") -> Topology:
+def build_topology(family: ScenarioFamily) -> Topology:
     """Build the standard nine-node topology for a scenario family.
 
     R3's baseline parent is R2 for families I/II and C for family III.
@@ -142,7 +141,6 @@ def build_topology(family: ScenarioFamily, pan_id: str = "PAN-1") -> Topology:
         nodes=frozenset(ROSTER),
         normal_dest=dict(normal),
         current_dest=dict(normal),
-        pan_id=pan_id,
     )
 
 
@@ -198,43 +196,3 @@ def set_destination(topology: Topology, target: NodeId, new_dest: NodeId) -> Top
 def restore_normal(topology: Topology) -> Topology:
     """Return a topology with live routing reset to the baseline."""
     return replace(topology, current_dest=dict(topology.normal_dest))
-
-
-def to_config(topology: Topology) -> str:
-    """Serialize a topology to the text config format.
-
-    One ``nodes`` line, one ``pan`` line, then one ``X>Y`` baseline pair
-    per sender in roster order.
-    """
-    nodes = " ".join(str(n) for n in sorted(topology.nodes, key=NodeId.sort_key))
-    lines = [f"nodes {nodes}", f"pan {topology.pan_id}"]
-    for src in sorted(topology.normal_dest, key=NodeId.sort_key):
-        lines.append(f"{src}>{topology.normal_dest[src]}")
-    return "\n".join(lines) + "\n"
-
-
-def from_config(text: str) -> Topology:
-    """Parse the config format produced by :func:`to_config`."""
-    nodes: frozenset[NodeId] | None = None
-    pan_id = "PAN-1"
-    normal: dict[NodeId, NodeId] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("nodes "):
-            nodes = frozenset(NodeId.parse(tok) for tok in line.split()[1:])
-        elif line.startswith("pan "):
-            pan_id = line.split(None, 1)[1]
-        elif ">" in line:
-            src_tok, dst_tok = line.split(">", 1)
-            normal[NodeId.parse(src_tok)] = NodeId.parse(dst_tok)
-        else:
-            raise ValueError(f"unrecognized topology config line {raw!r}")
-    if nodes is None:
-        raise ValueError("topology config missing nodes line")
-    for src, dst in normal.items():
-        if src not in nodes or dst not in nodes:
-            raise UnknownNode(f"destination pair {src}>{dst} references unknown node")
-    return Topology(nodes=nodes, normal_dest=dict(normal),
-                    current_dest=dict(normal), pan_id=pan_id)

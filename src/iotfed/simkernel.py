@@ -1,10 +1,10 @@
 """Deterministic discrete-event simulation of the hierarchical network.
 
-Every edge device emits one packet per send period (default 1 s, with a
-small bounded jitter so per-window counts are not perfectly constant).
-Packets are routed along the live destination map at their send instant;
-per-hop transit times are lognormal. Identical configs produce
-byte-identical logs.
+Every edge device emits one packet per second (with a small bounded
+jitter so per-window counts are not perfectly constant). Packets are
+routed along the live destination map at their send instant; per-hop
+transit times are lognormal. Each device's log entries are built as its
+packets are drawn. Identical configs produce byte-identical logs.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .attacks import AttackPlan, apply_plan
 from .logfmt import EntryKind, LogEntry, Segment, serialize_entry
 from .nodes import (
     EDGES,
-    A,
     C,
     NodeId,
     Role,
@@ -48,9 +48,7 @@ class HopDelayModel:
 class SimConfig:
     seed: int
     duration: float
-    send_period: float = 1.0
     hop_delay_model: HopDelayModel = field(default_factory=HopDelayModel)
-    start_time: datetime = DEFAULT_START
     # Bounded uniform jitter added to each send instant. Nonzero by default
     # so window-level packet counts carry training variance.
     send_jitter: float = 1.5
@@ -59,8 +57,6 @@ class SimConfig:
     drop_prob: float = 0.0
 
     def validate(self) -> None:
-        if self.send_period <= 0:
-            raise ConfigError("send_period must be positive")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.hop_delay_model.median_ms <= 0:
@@ -74,24 +70,11 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class Hop:
-    src: NodeId
-    dst: NodeId
-    sent_at: float             # seconds from run start, true clock
-    received_at: float | None  # None when the hop was dropped
-
-
-@dataclass(frozen=True)
 class PacketTrace:
     origin: NodeId
-    hops: tuple[Hop, ...]
-    delivered_to: NodeId | None  # None means dropped in transit
+    send_time: float             # seconds from run start, true clock
+    delivered_to: NodeId | None  # None means dropped in transit or looped
     status_per_hop: tuple[int, ...]
-    looped: bool = False
-
-    @property
-    def send_time(self) -> float:
-        return self.hops[0].sent_at
 
 
 @dataclass
@@ -115,17 +98,7 @@ def sample_hop_delay(rng: np.random.Generator, model: HopDelayModel) -> float:
 
 def _timestamp(cfg: SimConfig, offset_s: float, clock_of: NodeId) -> datetime:
     skew = cfg.node_skew.get(clock_of, 0.0)
-    return cfg.start_time + timedelta(microseconds=round((offset_s + skew) * 1e6))
-
-
-def _trace_segments(cfg: SimConfig, trace: PacketTrace) -> list[Segment]:
-    segments = []
-    for hop in trace.hops:
-        received = (None if hop.received_at is None
-                    else _timestamp(cfg, hop.received_at, hop.dst))
-        segments.append(Segment(hop.src, hop.dst,
-                                _timestamp(cfg, hop.sent_at, hop.src), received))
-    return segments
+    return DEFAULT_START + timedelta(microseconds=round((offset_s + skew) * 1e6))
 
 
 @contextmanager
@@ -151,85 +124,61 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     """Generate all packet traces and per-device log entries for one run.
 
     Routing is resolved at each packet's send instant against the plan's
-    view of the topology; in-flight packets are never rerouted. Traffic
-    reaching the attacker is swallowed there and produces no coordinator
-    entry. The cyclic garbage collector is paused while it runs.
+    view of the topology; in-flight packets are never rerouted. Each
+    sender logs a hop before its fate is drawn: the edge at the first hop,
+    a router at a later one. Traffic reaching the attacker is swallowed
+    there, and looped or dropped traffic never reaches C, so neither
+    produces a coordinator entry. The cyclic garbage collector is paused
+    while it runs.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    n_sends = int(cfg.duration / cfg.send_period)
 
     # The live topology depends only on whether the plan's attack is active,
     # so each edge's route is resolved once per phase.
     routes: dict[tuple[bool, NodeId], RoutePath] = {}
     traces: list[PacketTrace] = []
-    for tick in range(n_sends):
+    # Per device: (log time in seconds, packet number, entry).
+    logs: dict[NodeId, list[tuple[float, int, LogEntry]]] = {}
+    for tick in range(int(cfg.duration)):
         for edge in EDGES:
             if edge not in topology.nodes:
                 continue
             jitter = float(rng.uniform(0.0, cfg.send_jitter)) if cfg.send_jitter else 0.0
-            send_at = tick * cfg.send_period + jitter
+            send_at = tick + jitter
             phase = attack_plan is not None and attack_plan.active_at(send_at)
             path = routes.get((phase, edge))
             if path is None:
                 live = (apply_plan(topology, attack_plan, send_at)
                         if attack_plan is not None else topology)
                 path = routes[(phase, edge)] = route_path(live, edge)
-            hops: list[Hop] = []
+            order = len(traces)
+            segments: list[Segment] = []  # completed hops
             statuses: list[int] = []
             clock = send_at
+            sent = _timestamp(cfg, clock, edge)
             delivered: NodeId | None = None
             for src, dst in zip(path.hops, path.hops[1:]):
-                if cfg.drop_prob and rng.random() < cfg.drop_prob:
-                    hops.append(Hop(src, dst, clock, None))
-                    statuses.append(1)
+                status = 1 if cfg.drop_prob and rng.random() < cfg.drop_prob else 0
+                statuses.append(status)
+                if not segments or src.role is Role.ROUTER:
+                    kind = EntryKind.ROUTER if segments else EntryKind.EDGE
+                    entry = LogEntry(kind, (*segments, Segment(src, dst, sent)), status)
+                    logs.setdefault(src, []).append((clock, order, entry))
+                if status:
                     break
-                delay_s = sample_hop_delay(rng, cfg.hop_delay_model) / 1000.0
-                hops.append(Hop(src, dst, clock, clock + delay_s))
-                statuses.append(0)
-                clock += delay_s
-                delivered = dst
-            if path.looped or hops[-1].received_at is None or delivered not in (C, A):
-                delivered = None
-            traces.append(PacketTrace(edge, tuple(hops), delivered,
-                                      tuple(statuses), looped=path.looped))
+                clock += sample_hop_delay(rng, cfg.hop_delay_model) / 1000.0
+                # The receiver's clock stamps the arrival and its next send.
+                received = _timestamp(cfg, clock, dst)
+                segments.append(Segment(src, dst, sent, received))
+                sent = received
+            else:
+                delivered = None if path.looped else path.terminal
+            if delivered is C:
+                entry = LogEntry(EntryKind.COORDINATOR, tuple(segments))
+                logs.setdefault(C, []).append((clock, order, entry))
+            traces.append(PacketTrace(edge, send_at, delivered, tuple(statuses)))
 
-    entries = _build_entries(cfg, traces)
+    entries = {node: [entry for *_, entry in sorted(items, key=itemgetter(0, 1))]
+               for node, items in logs.items()}
     return SimResult(traces, entries)
-
-
-def _build_entries(cfg: SimConfig, traces: list[PacketTrace]) -> dict[NodeId, list[LogEntry]]:
-    keyed: dict[NodeId, list[tuple[float, int, LogEntry]]] = {}
-
-    def emit(node: NodeId, sort_time: float, order: int, entry: LogEntry) -> None:
-        keyed.setdefault(node, []).append((sort_time, order, entry))
-
-    for order, trace in enumerate(traces):
-        segments = _trace_segments(cfg, trace)
-        n = len(trace.hops)
-
-        edge_entry = LogEntry(EntryKind.EDGE,
-                              (Segment(segments[0].src, segments[0].dst,
-                                       segments[0].sent_at, None),),
-                              status=trace.status_per_hop[0])
-        emit(trace.origin, trace.hops[0].sent_at, order, edge_entry)
-
-        for j in range(1, n):
-            forwarder = trace.hops[j].src
-            if forwarder.role is not Role.ROUTER:
-                continue
-            segs = tuple(segments[:j]) + (Segment(segments[j].src, segments[j].dst,
-                                                  segments[j].sent_at, None),)
-            router_entry = LogEntry(EntryKind.ROUTER, segs,
-                                    status=trace.status_per_hop[j])
-            emit(forwarder, trace.hops[j].sent_at, order, router_entry)
-
-        if trace.delivered_to == C and trace.hops[-1].received_at is not None:
-            coord_entry = LogEntry(EntryKind.COORDINATOR, tuple(segments))
-            emit(C, trace.hops[-1].received_at, order, coord_entry)
-
-    out: dict[NodeId, list[LogEntry]] = {}
-    for node, items in keyed.items():
-        items.sort(key=lambda it: (it[0], it[1]))
-        out[node] = [entry for _, _, entry in items]
-    return out

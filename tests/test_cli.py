@@ -139,6 +139,16 @@ class TestCommands:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["ks: 2\n", 'window_len: "60"\n', "seed: [\n"],
+                             ids=["ks-scalar", "window_len-string", "unparsable"])
+    def test_badly_typed_or_unparsable_config_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "--out", str(out), "overhead"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_mapping_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("5\n")

@@ -271,6 +271,13 @@ def test_statuses_with_non_ascii_digits_rejected(status):
         parse_entry(line)
 
 
+@pytest.mark.parametrize("status", ["01", "00", "007"])
+def test_statuses_with_leading_zeros_rejected(status):
+    line = f"E3>R3, 2024-04-26 13:36:10.273312, S:{status}"
+    with pytest.raises(ParseError):
+        parse_entry(line)
+
+
 @pytest.mark.parametrize("status", [0, 1, 7, 255, 1024])
 def test_ascii_statuses_round_trip(status):
     line = f"E3>R3, 2024-04-26 13:36:10.273312, S:{status}"

@@ -23,11 +23,9 @@ from iotfed.nodes import (
     ScenarioFamily,
     UnknownNode,
     build_topology,
-    from_config,
     restore_normal,
     route_path,
     set_destination,
-    to_config,
 )
 
 
@@ -161,30 +159,6 @@ class TestSetDestination:
         with pytest.raises(UnknownNode):
             set_destination(build_topology(ScenarioFamily.I),
                             NodeId(Role.EDGE, 9), R1)
-
-
-class TestConfigFormat:
-    def test_round_trip(self):
-        for family in ScenarioFamily:
-            topo = build_topology(family, pan_id="PAN-7")
-            parsed = from_config(to_config(topo))
-            assert parsed.nodes == topo.nodes
-            assert parsed.normal_dest == topo.normal_dest
-            assert parsed.pan_id == "PAN-7"
-
-    def test_missing_nodes_line_rejected(self):
-        with pytest.raises(ValueError):
-            from_config("pan PAN-1\nE1>R1\n")
-
-    def test_unknown_destination_rejected(self):
-        text = "nodes C R1 E1\npan PAN-1\nE1>R9\n"
-        with pytest.raises(UnknownNode):
-            from_config(text)
-
-    def test_comments_and_blanks_ignored(self):
-        topo = build_topology(ScenarioFamily.III)
-        text = "# comment\n\n" + to_config(topo)
-        assert from_config(text).normal_dest == topo.normal_dest
 
 
 _senders = [n for n in ROSTER if n.role in (Role.EDGE, Role.ROUTER)]

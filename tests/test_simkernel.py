@@ -1,26 +1,34 @@
 import gc
+from dataclasses import dataclass
+from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from iotfed import simkernel
-from iotfed.attacks import AttackPlan, AttackSpec
-from iotfed.logfmt import EntryKind, parse_log
+from iotfed.attacks import AttackPlan, AttackSpec, apply_plan
+from iotfed.logfmt import EntryKind, LogEntry, Segment, parse_log
 from iotfed.nodes import (
     A,
     C,
     E1,
+    E3,
     EDGES,
     R1,
     R2,
     R3,
+    NodeId,
+    Role,
     ScenarioFamily,
     build_topology,
+    route_path,
 )
 from iotfed.simkernel import (
+    DEFAULT_START,
     ConfigError,
     HopDelayModel,
     SimConfig,
+    SimResult,
     run_simulation,
     sample_hop_delay,
 )
@@ -31,7 +39,7 @@ MIN = 60.0
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(seed=1, duration=0.0),
-        dict(seed=1, duration=60.0, send_period=0.0),
+        dict(seed=1, duration=60.0, drop_prob=-0.1),
         dict(seed=1, duration=60.0, send_jitter=-1.0),
         dict(seed=1, duration=60.0, drop_prob=1.5),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(median_ms=0.0)),
@@ -74,7 +82,7 @@ class TestTraceGeneration:
 
     def test_edges_log_every_send(self, small_sim):
         _, cfg, result = small_sim
-        n_sends = int(cfg.duration / cfg.send_period)
+        n_sends = int(cfg.duration)
         for edge in EDGES:
             entries = result.entries[edge]
             assert len(entries) == n_sends
@@ -119,8 +127,7 @@ class TestAttackEffects:
         result, plan = attack_run
         start, end = plan.attack_interval
         for entry in result.entries[C]:
-            offset = (entry.segments[0].sent_at
-                      - SimConfig(seed=0, duration=1.0).start_time).total_seconds()
+            offset = (entry.segments[0].sent_at - simkernel.DEFAULT_START).total_seconds()
             if entry.origin == E1:
                 assert not (start <= offset < end)
 
@@ -131,7 +138,7 @@ class TestAttackEffects:
                       if t.origin == E1 and start <= t.send_time < end]
         assert redirected
         assert all(t.delivered_to == A for t in redirected)
-        assert all(len(t.hops) == 1 for t in redirected)
+        assert all(len(t.status_per_hop) == 1 for t in redirected)
 
     def test_attacker_logs_nothing(self, attack_run):
         result, _ = attack_run
@@ -226,3 +233,100 @@ class TestRoutesPerPhase:
     def test_run_without_plan_routes_each_edge_once(self, route_calls):
         run_simulation(build_topology(ScenarioFamily.I), SimConfig(seed=2, duration=30.0))
         assert sorted(route_calls, key=str) == sorted(EDGES, key=str)
+
+
+# Reference: the two-pass construction the one-pass simulator must equal. The
+# draw loop records hops with float times, then a second pass turns each
+# packet's hops into timestamped segments and its device log entries.
+@dataclass(frozen=True)
+class _Hop:
+    src: NodeId
+    dst: NodeId
+    sent_at: float
+    received_at: float | None  # None when the hop was dropped
+
+
+def _reference_traces(topology, cfg, plan):
+    rng = np.random.default_rng(cfg.seed)
+    traces = []
+    for tick in range(int(cfg.duration)):
+        for edge in EDGES:
+            jitter = float(rng.uniform(0.0, cfg.send_jitter)) if cfg.send_jitter else 0.0
+            send_at = tick * 1.0 + jitter  # a send period of 1 s
+            live = apply_plan(topology, plan, send_at) if plan is not None else topology
+            path = route_path(live, edge)
+            hops, statuses, clock, delivered = [], [], send_at, None
+            for src, dst in zip(path.hops, path.hops[1:]):
+                if cfg.drop_prob and rng.random() < cfg.drop_prob:
+                    hops.append(_Hop(src, dst, clock, None))
+                    statuses.append(1)
+                    break
+                delay_s = sample_hop_delay(rng, cfg.hop_delay_model) / 1000.0
+                hops.append(_Hop(src, dst, clock, clock + delay_s))
+                statuses.append(0)
+                clock += delay_s
+                delivered = dst
+            if path.looped or hops[-1].received_at is None or delivered not in (C, A):
+                delivered = None
+            traces.append((edge, hops, delivered, tuple(statuses)))
+    return traces
+
+
+def _reference_entries(cfg, traces):
+    def stamp(offset_s, clock_of):
+        skew = cfg.node_skew.get(clock_of, 0.0)
+        return DEFAULT_START + timedelta(microseconds=round((offset_s + skew) * 1e6))
+
+    keyed = {}
+    for order, (origin, hops, delivered, statuses) in enumerate(traces):
+        segments = [Segment(h.src, h.dst, stamp(h.sent_at, h.src),
+                            None if h.received_at is None else stamp(h.received_at, h.dst))
+                    for h in hops]
+        send_only = [Segment(seg.src, seg.dst, seg.sent_at) for seg in segments]
+        keyed.setdefault(origin, []).append(
+            (hops[0].sent_at, order, LogEntry(EntryKind.EDGE, (send_only[0],), statuses[0])))
+        for j in range(1, len(hops)):
+            if hops[j].src.role is Role.ROUTER:
+                entry = LogEntry(EntryKind.ROUTER, (*segments[:j], send_only[j]), statuses[j])
+                keyed.setdefault(hops[j].src, []).append((hops[j].sent_at, order, entry))
+        if delivered == C and hops[-1].received_at is not None:
+            entry = LogEntry(EntryKind.COORDINATOR, tuple(segments))
+            keyed.setdefault(C, []).append((hops[-1].received_at, order, entry))
+    return {node: [e for _, _, e in sorted(items, key=lambda it: (it[0], it[1]))]
+            for node, items in keyed.items()}
+
+
+def _short_plan(family, target, new_dest):
+    return AttackPlan(AttackSpec(family, target, new_dest),
+                      normal_before=MIN, attack_window=MIN, normal_after=MIN)
+
+
+_SKEW = {E1: 0.4, E3: -0.2, R1: 0.0123, R2: -0.0457, R3: 0.3, C: 0.0021}
+
+
+class TestMatchesTwoPassReference:
+    @pytest.mark.parametrize("family,plan", [
+        (ScenarioFamily.I, None),
+        (ScenarioFamily.II, None),
+        (ScenarioFamily.III, None),
+        (ScenarioFamily.I, _short_plan(ScenarioFamily.I, E1, C)),
+        (ScenarioFamily.II, _short_plan(ScenarioFamily.II, R2, R3)),  # R2 and R3 loop
+        (ScenarioFamily.III, _short_plan(ScenarioFamily.III, R2, A)),
+    ], ids=["I", "II", "III", "I-E1>C", "II-R2>R3", "III-R2>A"])
+    @pytest.mark.parametrize("drop_prob", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("node_skew,send_jitter", [({}, 6.0), (_SKEW, 0.0)],
+                             ids=["no-skew-jitter-6", "skew-jitter-0"])
+    def test_same_logs_and_traces(self, family, plan, drop_prob, node_skew, send_jitter):
+        topology = build_topology(family)
+        cfg = SimConfig(seed=17, duration=3 * MIN, drop_prob=drop_prob,
+                        send_jitter=send_jitter, node_skew=node_skew)
+        result = run_simulation(topology, cfg, plan)
+        traces = _reference_traces(topology, cfg, plan)
+        entries = _reference_entries(cfg, traces)
+        assert result.render_logs() == SimResult([], entries).render_logs()
+        assert list(result.entries) == list(entries)
+        assert result.entries == entries
+        assert ([(t.origin, t.send_time, t.delivered_to, t.status_per_hop)
+                 for t in result.traces]
+                == [(origin, hops[0].sent_at, delivered, statuses)
+                    for origin, hops, delivered, statuses in traces])
