@@ -98,12 +98,6 @@ def apply_plan(topology: Topology, plan: AttackPlan, now: float) -> Topology:
     return restore_normal(topology)
 
 
-@dataclass(frozen=True)
-class WindowLabel:
-    window_index: int
-    attack: bool
-
-
 def check_window_len(window_len: float) -> None:
     """Reject a window length that is not positive or does not tile minutes."""
     if not window_len > 0:
@@ -113,18 +107,13 @@ def check_window_len(window_len: float) -> None:
                          f"of minutes, not {window_len!r}")
 
 
-def label_windows(plan: AttackPlan, window_len: float = MINUTE) -> list[WindowLabel]:
-    """Ground-truth labels for tumbling windows over the plan's run.
+def label_windows(plan: AttackPlan, window_len: float = MINUTE) -> list[bool]:
+    """Ground-truth label (True: attack) of each tumbling window over the plan's run.
 
     A window is an attack window iff its [start, end) interval overlaps
     the attack interval at all (any-overlap labeling).
     """
     check_window_len(window_len)
     a_start, a_end = plan.attack_interval
-    labels = []
-    count = window_count(plan.total_duration, window_len)
-    for i in range(count):
-        w_start, w_end = i * window_len, (i + 1) * window_len
-        overlap = w_start < a_end and a_start < w_end and a_end > a_start
-        labels.append(WindowLabel(i, overlap))
-    return labels
+    return [i * window_len < a_end and a_start < (i + 1) * window_len and a_end > a_start
+            for i in range(window_count(plan.total_duration, window_len))]

@@ -27,6 +27,11 @@ _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate")
 _HOP_KEYS = ("median_ms", "sigma")
 _YAML_KEYS = ({f.name for f in fields(ExperimentConfig)} - {"train", "hop_delay", "attack_tokens"}
               | {"attacks", *_TRAIN_KEYS, *_HOP_KEYS})
+#: The numeric YAML keys and the type of their default: int or float.
+_NUMBER_TYPES = {f.name: type(getattr(obj, f.name))
+                 for obj in (ExperimentConfig(), TrainConfig(), HopDelayModel())
+                 for f in fields(obj)
+                 if f.name in _YAML_KEYS and type(getattr(obj, f.name)) in (int, float)}
 
 
 def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentConfig:
@@ -45,6 +50,12 @@ def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentC
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     if seed is not None:
         raw["seed"] = seed
+    for key, kind in _NUMBER_TYPES.items():
+        # bool is an int subclass, so it is refused apart; a float field also takes an int.
+        allowed = int if kind is int else (int, float)
+        if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], allowed)):
+            raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"not {raw[key]!r}")
     train_keys = {k: raw.pop(k) for k in _TRAIN_KEYS if k in raw}
     hop_keys = {k: raw.pop(k) for k in _HOP_KEYS if k in raw}
     try:
@@ -61,12 +72,8 @@ def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentC
 
 
 def _print_summary(cfg: ExperimentConfig, outcomes) -> None:
-    for outcome in outcomes:
-        for mode in cfg.modes:
-            k_star = outcome.optimal_k(mode)
-            rep = outcome.aggregate_reports[mode][k_star]
-            print(f"{outcome.spec.token()} {mode}: k*={k_star:g} "
-                  f"recall={rep.recall:.3f} f1={rep.f1:.3f}")
+    for token, mode, k_star, rep in harness.summary_rows(cfg, outcomes):
+        print(f"{token} {mode}: k*={k_star:g} recall={rep.recall:.3f} f1={rep.f1:.3f}")
 
 
 def simulate(cfg: ExperimentConfig, out: Path) -> None:
@@ -91,7 +98,7 @@ def models(cfg: ExperimentConfig, out: Path) -> None:
 def thresholds(cfg: ExperimentConfig, out: Path) -> None:
     """per-router detection thresholds"""
     pipelines = harness.train_pipelines(cfg, *harness.simulate_phases(cfg))
-    harness.write_thresholds(cfg, pipelines, out)
+    harness.write_thresholds(pipelines, out)
 
 
 def detect(cfg: ExperimentConfig, out: Path) -> None:

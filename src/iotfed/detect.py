@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .nodes import C, NodeId
+from .nodes import NodeId
 
 DEFAULT_KS = (1.0, 2.0, 3.0, 4.0)
 
@@ -23,7 +23,6 @@ class EmptyValidation(ValueError):
 
 @dataclass(frozen=True)
 class Threshold:
-    device: NodeId
     mean: float
     std: float
     k: float
@@ -33,15 +32,14 @@ class Threshold:
         return self.mean + self.k * self.std
 
 
-def calibrate_threshold(validation_losses: Sequence[float], k: float,
-                        device: NodeId = C) -> Threshold:
+def calibrate_threshold(validation_losses: Sequence[float], k: float) -> Threshold:
     """Threshold from validation losses: arithmetic mean + k * population std."""
     losses = np.asarray(validation_losses, dtype=float)
     if losses.size == 0:
         raise EmptyValidation("no validation losses")
     if np.any(losses < 0):
         raise ValueError("reconstruction losses must be nonnegative")
-    return Threshold(device, float(losses.mean()), float(losses.std()), k)
+    return Threshold(float(losses.mean()), float(losses.std()), k)
 
 
 def classify_window(loss: float, threshold: Threshold) -> bool:
@@ -102,21 +100,6 @@ def score(verdicts: Sequence[bool], truths: Sequence[bool]) -> DetectionReport:
                            f1_score(precision, recall),
                            degenerate_precision=degenerate_p,
                            degenerate_recall=degenerate_r)
-
-
-def sweep_k(losses: Sequence[float], truths: Sequence[bool],
-            validation_losses: Sequence[float],
-            ks: Sequence[float] = DEFAULT_KS,
-            device: NodeId = C) -> dict[float, DetectionReport]:
-    """Detection report per k, thresholds calibrated from the validation losses."""
-    if not ks:
-        raise ValueError("ks must be nonempty")
-    reports = {}
-    for k in ks:
-        threshold = calibrate_threshold(validation_losses, k, device)
-        verdicts = [classify_window(loss, threshold) for loss in losses]
-        reports[k] = score(verdicts, truths)
-    return reports
 
 
 def select_optimal_k(reports: Mapping[float, DetectionReport]) -> float:

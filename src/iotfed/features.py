@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence
 
@@ -52,27 +52,12 @@ _DST_SLOT = {node: 23 + i for i, node in enumerate(ROUTERS + (C, A))}
 
 
 class ScalerMismatch(ValueError):
-    """Vector and scaler disagree on schema shape or normalization state."""
+    """Scaler params that do not cover the 31 slots, or a slot max below its min."""
 
 
-class SchemaLevel:
-    COORDINATOR = "coordinator"
-    ROUTER = "router"
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    level: str = SchemaLevel.COORDINATOR
-
-    @property
-    def zero_slots(self) -> frozenset[int]:
-        if self.level == SchemaLevel.ROUTER:
-            return ROUTER_ZERO_SLOTS
-        return frozenset()
-
-
-COORDINATOR_SCHEMA = FeatureSchema(SchemaLevel.COORDINATOR)
-ROUTER_SCHEMA = FeatureSchema(SchemaLevel.ROUTER)
+#: A schema is the set of slots zero-filled in every vector it builds.
+COORDINATOR_SCHEMA: frozenset[int] = frozenset()
+ROUTER_SCHEMA = ROUTER_ZERO_SLOTS
 
 
 @dataclass(frozen=True)
@@ -80,7 +65,6 @@ class FeatureVector:
     window_start: datetime
     device: NodeId
     values: np.ndarray  # shape (31,), float64
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         if self.values.shape != (N_FEATURES,):
@@ -102,10 +86,10 @@ def shannon_entropy(samples: Sequence[float], bins: int = ENTROPY_BINS) -> float
     return float(-np.sum(p * np.log2(p)))
 
 
-def _delay_samples(entries: Iterable[LogEntry], schema: FeatureSchema) -> tuple[list[float], list[float]]:
+def _delay_samples(entries: Iterable[LogEntry]) -> tuple[list[float], list[float]]:
     e2e, first = [], []
     for e in entries:
-        if schema.level == SchemaLevel.COORDINATOR and e.kind is EntryKind.COORDINATOR:
+        if e.kind is EntryKind.COORDINATOR:
             e2e.append(end_to_end_delay(e))
         if e.segments[0].received_at is not None:
             first.append(first_hop_delay(e))
@@ -127,7 +111,7 @@ def _quartiles(samples: list[float]) -> tuple[float, float, float]:
 
 
 def window_vector(selected: Sequence[LogEntry], start: datetime,
-                  schema: FeatureSchema, device: NodeId = C) -> FeatureVector:
+                  schema: frozenset[int], device: NodeId = C) -> FeatureVector:
     """Raw 31-slot feature vector of the entries one window holds.
 
     ``selected`` are the window's entries in stream order (the mean and
@@ -138,7 +122,7 @@ def window_vector(selected: Sequence[LogEntry], start: datetime,
     """
     values = np.zeros(N_FEATURES)
     if selected:
-        e2e, first = _delay_samples(selected, schema)
+        e2e, first = _delay_samples(selected)
         values[0:4] = _stats(e2e)
         values[4:7] = _quartiles(e2e)
         mean_f, std_f, _, _ = _stats(first)
@@ -159,13 +143,13 @@ def window_vector(selected: Sequence[LogEntry], start: datetime,
         for n, count in Counter(hops).items():
             if 1 <= n <= 3:
                 values[27 + n] = count
-    for slot in schema.zero_slots:
+    for slot in schema:
         values[slot] = 0.0
     return FeatureVector(start, device, values)
 
 
 def extract_window(entries: Sequence[LogEntry], window: tuple[datetime, datetime],
-                   schema: FeatureSchema, device: NodeId = C) -> FeatureVector:
+                   schema: frozenset[int], device: NodeId = C) -> FeatureVector:
     """Raw 31-slot feature vector for one device and one [start, end) window.
 
     Entries are filtered by their first send timestamp, then scored by
@@ -197,27 +181,24 @@ class ScalerParams:
 
 
 def fit_scaler(train: Sequence[FeatureVector]) -> ScalerParams:
-    """Per-slot min/max over unnormalized training vectors."""
+    """Per-slot min/max over raw training vectors."""
     if not train:
         raise ValueError("cannot fit a scaler on an empty training set")
-    if any(v.normalized for v in train):
-        raise ScalerMismatch("scaler must be fit on unnormalized vectors")
     data = np.stack([v.values for v in train])
     return ScalerParams(data.min(axis=0), data.max(axis=0))
 
 
-def apply_scaler(vector: FeatureVector, params: ScalerParams) -> FeatureVector:
-    """MinMax-scale into [0, 1], clamping out-of-range (attack-time) values.
+def apply_scaler(vectors: Sequence[FeatureVector], params: ScalerParams) -> np.ndarray:
+    """The vectors as one float32 matrix, each row MinMax-scaled into [0, 1].
 
-    Slots that were constant in training map to 0 regardless of input.
+    Scaled in float64, then cast once. Out-of-range (attack-time) values
+    clamp; slots that were constant in training map to 0 regardless of input.
     """
-    if vector.values.shape != params.mins.shape:
-        raise ScalerMismatch("vector and scaler shapes differ")
+    data = np.stack([v.values for v in vectors])
     span = params.maxs - params.mins
     with np.errstate(invalid="ignore", divide="ignore"):
-        scaled = np.where(span > 0, (vector.values - params.mins) / np.where(span > 0, span, 1.0), 0.0)
-    scaled = np.clip(scaled, 0.0, 1.0)
-    return replace(vector, values=scaled, normalized=True)
+        scaled = np.where(span > 0, (data - params.mins) / np.where(span > 0, span, 1.0), 0.0)
+    return np.clip(scaled, 0.0, 1.0).astype(np.float32)
 
 
 def window_count(duration: float, window_len: float) -> int:

@@ -186,10 +186,6 @@ def mode_features(cfg: ExperimentConfig, mode: str, result: SimResult,
             for r in ROUTERS}
 
 
-def _matrix(vectors: Sequence[FeatureVector]) -> np.ndarray:
-    return np.stack([v.values for v in vectors]).astype(np.float32)
-
-
 @dataclass
 class TrainedPipeline:
     """Everything detection needs for one mode: model, scalers, thresholds."""
@@ -199,17 +195,10 @@ class TrainedPipeline:
     pretrained: ModelWeights
     scalers: dict[NodeId, ScalerParams]
     validation_losses: dict[NodeId, np.ndarray]
+    # router -> k -> threshold, calibrated once from the validation losses
+    thresholds: dict[NodeId, dict[float, Threshold]]
     per_round_globals: list[ModelWeights] = field(default_factory=list)
     ledger: list = field(default_factory=list)
-
-    def thresholds(self, router: NodeId, ks: Sequence[float]) -> dict[float, Threshold]:
-        return {k: calibrate_threshold(self.validation_losses[router], k, router)
-                for k in ks}
-
-    def window_losses(self, router: NodeId,
-                      raw_vectors: Sequence[FeatureVector]) -> np.ndarray:
-        scaled = [apply_scaler(v, self.scalers[router]) for v in raw_vectors]
-        return per_sample_losses(self.model, _matrix(scaled))
 
 
 def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
@@ -226,11 +215,7 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
     # (which keeps weight averaging meaningful) and a redirected flow
     # clamps hard against the router's own training range.
     scalers = {r: fit_scaler(raw[r][:n_train]) for r in ROUTERS}
-
-    def scaled(router: NodeId, vectors: Sequence[FeatureVector]) -> np.ndarray:
-        return _matrix([apply_scaler(v, scalers[router]) for v in vectors])
-
-    pretrain_pool = np.concatenate([scaled(r, raw_pre[r]) for r in ROUTERS])
+    pretrain_pool = np.concatenate([apply_scaler(raw_pre[r], scalers[r]) for r in ROUTERS])
     w0 = init_weights(seed=derive_seed(cfg.seed, f"{mode}-init"))
     pre_cfg = replace(cfg.train, epochs=cfg.pretrain_epochs,
                       seed=derive_seed(cfg.seed, f"{mode}-pretrain"))
@@ -239,14 +224,14 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
     per_round_globals: list[ModelWeights] = []
     ledger: list = []
     if mode == MODE_CENTRALIZED:
-        pool = np.concatenate([scaled(r, raw[r][:n_train]) for r in ROUTERS])
+        pool = np.concatenate([apply_scaler(raw[r][:n_train], scalers[r]) for r in ROUTERS])
         fit_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, f"{mode}-fit"))
         model = train(transfer_init(pretrained), pool, fit_cfg).weights
     else:
         chunk = max(1, n_train // cfg.fl_rounds)
         streams = {}
         for router in ROUTERS:
-            train_mat = scaled(router, raw[router][:n_train])
+            train_mat = apply_scaler(raw[router][:n_train], scalers[router])
             streams[router] = [train_mat[i * chunk:(i + 1) * chunk]
                                for i in range(cfg.fl_rounds)]
         local_cfg = replace(cfg.train, epochs=cfg.fed_local_epochs,
@@ -259,10 +244,12 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
         per_round_globals = fed.per_round_globals
         ledger = fed.ledger
 
-    validation_losses = {r: per_sample_losses(model, scaled(r, raw[r][n_train:]))
+    validation_losses = {r: per_sample_losses(model, apply_scaler(raw[r][n_train:], scalers[r]))
                          for r in ROUTERS}
-    return TrainedPipeline(mode, model, pretrained, scalers,
-                           validation_losses, per_round_globals, ledger)
+    thresholds = {r: {k: calibrate_threshold(validation_losses[r], k) for k in cfg.ks}
+                  for r in ROUTERS}
+    return TrainedPipeline(mode, model, pretrained, scalers, validation_losses,
+                           thresholds, per_round_globals, ledger)
 
 
 @dataclass
@@ -283,37 +270,44 @@ class AttackOutcome:
         return select_optimal_k(self.aggregate_reports[mode])
 
 
+def detection_reports(losses: Mapping[NodeId, np.ndarray],
+                      thresholds: Mapping[NodeId, Mapping[float, Threshold]],
+                      truths: Sequence[bool],
+                      ) -> tuple[dict[float, dict[NodeId, DetectionReport]],
+                                 dict[float, DetectionReport]]:
+    """Per-router and any-router reports at each k (every router holds the same ks).
+
+    Each router classifies each of its windows against its own threshold;
+    the any-router verdict flags a window that at least one router flags.
+    """
+    ks = next(iter(thresholds.values()))
+    verdicts = {k: {r: [classify_window(float(loss), thresholds[r][k]) for loss in window_losses]
+                    for r, window_losses in losses.items()}
+                for k in ks}
+    per_router = {k: {r: score(v, truths) for r, v in by_router.items()}
+                  for k, by_router in verdicts.items()}
+    any_router = {k: score([any(flags) for flags in zip(*by_router.values())], truths)
+                  for k, by_router in verdicts.items()}
+    return per_router, any_router
+
+
 def evaluate_attack(cfg: ExperimentConfig, topology: Topology, spec: AttackSpec,
                     pipelines: Mapping[str, TrainedPipeline]) -> AttackOutcome:
     """Run one 35-minute attack scenario and score both pipelines."""
     plan = AttackPlan(spec)
     sim_cfg = cfg.sim_config(f"attack-{spec.token()}", plan.total_duration)
     result = run_simulation(topology, sim_cfg, plan)
-    truths = [w.attack for w in label_windows(plan, cfg.window_len)]
+    truths = label_windows(plan, cfg.window_len)
 
-    losses: dict[str, dict[NodeId, np.ndarray]] = {}
-    raw_features: dict[str, dict[NodeId, list[FeatureVector]]] = {}
-    router_reports: dict[str, dict[float, dict[NodeId, DetectionReport]]] = {}
-    aggregate_reports: dict[str, dict[float, DetectionReport]] = {}
+    losses, raw_features, router_reports, aggregate_reports = {}, {}, {}, {}
     for mode in cfg.modes:
         pipe = pipelines[mode]
-        losses[mode] = {}
         raw_features[mode] = mode_features(cfg, mode, result, plan.total_duration)
-        verdicts_per_k: dict[float, dict[NodeId, list[bool]]] = {k: {} for k in cfg.ks}
-        for router in ROUTERS:
-            losses[mode][router] = pipe.window_losses(router, raw_features[mode][router])
-            thresholds = pipe.thresholds(router, cfg.ks)
-            for k in cfg.ks:
-                verdicts_per_k[k][router] = [
-                    classify_window(float(l), thresholds[k])
-                    for l in losses[mode][router]]
-        router_reports[mode] = {
-            k: {r: score(verdicts_per_k[k][r], truths) for r in ROUTERS}
-            for k in cfg.ks}
-        aggregate_reports[mode] = {
-            k: score([any(verdicts_per_k[k][r][i] for r in ROUTERS)
-                      for i in range(len(truths))], truths)
-            for k in cfg.ks}
+        losses[mode] = {
+            r: per_sample_losses(pipe.model, apply_scaler(raw_features[mode][r], pipe.scalers[r]))
+            for r in ROUTERS}
+        router_reports[mode], aggregate_reports[mode] = detection_reports(
+            losses[mode], pipe.thresholds, truths)
     return AttackOutcome(spec, truths, losses, router_reports, aggregate_reports,
                          sim=result, raw_features=raw_features)
 
@@ -455,13 +449,12 @@ def write_models(pipelines: Mapping[str, TrainedPipeline], out_dir: Path) -> Non
             (out_dir / "comms_ledger.csv").write_text("\n".join(lines) + "\n")
 
 
-def write_thresholds(cfg: ExperimentConfig, pipelines: Mapping[str, TrainedPipeline],
-                     out_dir: Path) -> None:
+def write_thresholds(pipelines: Mapping[str, TrainedPipeline], out_dir: Path) -> None:
     """Every (mode, router, k) detection threshold."""
     lines = ["mode,device,k,mean,std,value"]
     for mode, pipe in sorted(pipelines.items()):
         for router in ROUTERS:
-            for k, t in sorted(pipe.thresholds(router, cfg.ks).items()):
+            for k, t in sorted(pipe.thresholds[router].items()):
                 lines.append(f"{mode},{router},{k:g},{t.mean!r},{t.std!r},{t.value!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "thresholds.csv").write_text("\n".join(lines) + "\n")
@@ -479,21 +472,29 @@ def write_attack(cfg: ExperimentConfig, outcome: AttackOutcome,
         (attack_dir / f"report_{mode}.csv").write_text(report_csv(rows))
     for router in ROUTERS:
         series = {m: outcome.losses[m][router] for m in cfg.modes}
-        ths = {m: pipelines[m].thresholds(router, cfg.ks) for m in cfg.modes}
+        ths = {m: pipelines[m].thresholds[router] for m in cfg.modes}
         (attack_dir / f"plot_{router}.csv").write_text(
             emit_plot_data(outcome.truths, series, ths))
+
+
+def summary_rows(cfg: ExperimentConfig, outcomes: Sequence[AttackOutcome],
+                 ) -> list[tuple[str, str, float, DetectionReport]]:
+    """(attack token, mode, k*, any-router report at k*) per attack and mode."""
+    rows = []
+    for outcome in outcomes:
+        for mode in cfg.modes:
+            k_star = outcome.optimal_k(mode)
+            rows.append((outcome.spec.token(), mode, k_star,
+                         outcome.aggregate_reports[mode][k_star]))
+    return rows
 
 
 def write_summary(cfg: ExperimentConfig, outcomes: Sequence[AttackOutcome],
                   out_dir: Path) -> None:
     """One row per attack and mode at the mode's optimal k."""
-    rows = []
-    for outcome in outcomes:
-        for mode in cfg.modes:
-            k_star = outcome.optimal_k(mode)
-            rep = outcome.aggregate_reports[mode][k_star]
-            rows.append(f"{outcome.spec.token()},{mode},{k_star:g},{rep.accuracy:.4f},"
-                        f"{rep.precision:.4f},{rep.recall:.4f},{rep.f1:.4f}")
+    rows = [f"{token},{mode},{k_star:g},{rep.accuracy:.4f},"
+            f"{rep.precision:.4f},{rep.recall:.4f},{rep.f1:.4f}"
+            for token, mode, k_star, rep in summary_rows(cfg, outcomes)]
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.csv").write_text(
         "attack,mode,optimal_k,accuracy,precision,recall,f1\n"
@@ -520,7 +521,7 @@ def write_bundle(result: ExperimentResult, out_dir: Path,
         if sim is not None:
             write_logs(sim, out_dir / name / "logs")
     write_models(result.pipelines, out_dir)
-    write_thresholds(cfg, result.pipelines, out_dir)
+    write_thresholds(result.pipelines, out_dir)
     for outcome in result.outcomes:
         write_attack(cfg, outcome, result.pipelines, out_dir)
     write_summary(cfg, result.outcomes, out_dir)

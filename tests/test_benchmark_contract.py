@@ -1,0 +1,41 @@
+"""The names the benchmark in perfbench/ looks up in iotfed still exist.
+
+The traced benchmark patches a wrapper onto each ``(owner, attribute)`` in
+``spans.TARGETS`` by name, and the workloads call iotfed's public functions
+as module attributes. A refactor that moves or renames one of them breaks
+the benchmark; these tests catch it at tier 1.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("owner,attr", [(owner, attr) for owner, attr, _, _ in spans.TARGETS],
+                         ids=[f"{getattr(owner, '__name__', owner)}.{attr}"
+                              for owner, attr, _, _ in spans.TARGETS])
+def test_traced_target_resolves_to_a_callable(owner, attr):
+    assert callable(getattr(owner, attr, None))
+
+
+def test_workloads_match_benchmark_json():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert {w["name"] for w in spec["workloads"]} == set(workloads.WORKLOADS)
+
+
+def test_window_matrices_on_a_short_corpus():
+    cfg = workloads.experiment_config(3, dict(normal_duration=120.0))
+    sim = workloads.harness.run_simulation(
+        workloads.build_topology(cfg.scenario), cfg.sim_config("normal", cfg.normal_duration))
+    matrices = workloads.window_matrices(sim, cfg, cfg.normal_duration)
+    assert len(matrices) == len(workloads.harness.MODES) * len(workloads.ROUTERS)
+    assert all(m.shape == (2, 31) and np.isfinite(m).all() for m in matrices.values())

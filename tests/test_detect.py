@@ -12,9 +12,8 @@ from iotfed.detect import (
     report_csv,
     score,
     select_optimal_k,
-    sweep_k,
 )
-from iotfed.nodes import C, R1
+from iotfed.nodes import R1
 
 
 class TestCalibration:
@@ -51,14 +50,14 @@ class TestCalibration:
 
 class TestClassification:
     def test_strict_inequality(self):
-        t = Threshold(C, mean=0.1, std=0.05, k=2.0)
+        t = Threshold(mean=0.1, std=0.05, k=2.0)
         assert not classify_window(t.value, t)        # equality is normal
         assert classify_window(t.value + 1e-9, t)     # any excess is anomalous
         assert not classify_window(0.0, t)
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError):
-            classify_window(-0.1, Threshold(C, 0.1, 0.05, 1.0))
+            classify_window(-0.1, Threshold(0.1, 0.05, 1.0))
 
 
 class TestScore:
@@ -91,20 +90,6 @@ class TestScore:
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
             score([True], [True, False])
-
-
-class TestSweep:
-    def test_reports_per_k(self):
-        validation = [0.1, 0.1, 0.12, 0.08]
-        losses = [0.09, 0.5, 0.11, 0.6]
-        truths = [False, True, False, True]
-        reports = sweep_k(losses, truths, validation)
-        assert set(reports) == set(DEFAULT_KS)
-        assert all(reports[k].recall == 1.0 for k in DEFAULT_KS)
-
-    def test_empty_ks_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_k([0.1], [True], [0.1], ks=())
 
 
 class TestOptimalK:

@@ -146,9 +146,8 @@ class TestRouterView:
             router_view([], E3)
 
 
-def vec(values, normalized=False):
-    return FeatureVector(WINDOW[0], C, np.asarray(values, dtype=float),
-                         normalized=normalized)
+def vec(values):
+    return FeatureVector(WINDOW[0], C, np.asarray(values, dtype=float))
 
 
 class TestScaler:
@@ -158,24 +157,32 @@ class TestScaler:
 
     def test_midpoint_maps_to_half(self):
         params = self._params([0.0] * 31, [10.0] * 31)
-        out = apply_scaler(vec([5.0] * 31), params)
-        assert out.normalized
-        np.testing.assert_allclose(out.values, 0.5)
+        out = apply_scaler([vec([5.0] * 31), vec([2.5] * 31)], params)
+        assert out.dtype == np.float32 and out.shape == (2, 31)
+        np.testing.assert_allclose(out[0], 0.5)
+        np.testing.assert_allclose(out[1], 0.25)
 
     def test_constant_slot_maps_to_zero(self):
         lows = [0.0] * 31
         highs = [10.0] * 31
         highs[4] = 0.0  # slot 4 constant in training
         params = self._params(lows, highs)
-        out = apply_scaler(vec([7.0] * 31), params)
-        assert out.values[4] == 0.0
+        out = apply_scaler([vec([7.0] * 31)], params)
+        assert out[0, 4] == 0.0
 
     def test_out_of_range_clamps(self):
         params = self._params([0.0] * 31, [10.0] * 31)
-        high = apply_scaler(vec([15.0] * 31), params)
-        low = apply_scaler(vec([-3.0] * 31), params)
-        np.testing.assert_allclose(high.values, 1.0)
-        np.testing.assert_allclose(low.values, 0.0)
+        high, low = apply_scaler([vec([15.0] * 31), vec([-3.0] * 31)], params)
+        np.testing.assert_allclose(high, 1.0)
+        np.testing.assert_allclose(low, 0.0)
+
+    def test_rows_equal_each_vector_scaled_in_float64_then_cast(self):
+        rng = np.random.default_rng(0)
+        params = fit_scaler([vec(rng.uniform(0.0, 50.0, 31)) for _ in range(20)])
+        vectors = [vec(rng.uniform(-10.0, 60.0, 31)) for _ in range(7)]
+        for row, v in zip(apply_scaler(vectors, params), vectors):
+            scaled = (v.values - params.mins) / (params.maxs - params.mins)
+            assert row.tobytes() == np.clip(scaled, 0.0, 1.0).astype(np.float32).tobytes()
 
     def test_fit_recovers_min_max(self):
         train = [vec([float(i)] * 31) for i in (2, 5, 9)]
@@ -183,11 +190,9 @@ class TestScaler:
         np.testing.assert_allclose(params.mins, 2.0)
         np.testing.assert_allclose(params.maxs, 9.0)
 
-    def test_fit_rejects_empty_or_normalized(self):
+    def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):
             fit_scaler([])
-        with pytest.raises(ScalerMismatch):
-            fit_scaler([vec([0.5] * 31, normalized=True)])
 
     def test_params_shape_checked(self):
         with pytest.raises(ScalerMismatch):
@@ -200,8 +205,7 @@ class TestScaler:
     def test_scaling_is_order_preserving(self, x1, x2):
         params = self._params([-10.0] * 31, [10.0] * 31)
         lo, hi = sorted((x1, x2))
-        a = apply_scaler(vec([lo] * 31), params).values[0]
-        b = apply_scaler(vec([hi] * 31), params).values[0]
+        a, b = apply_scaler([vec([lo] * 31), vec([hi] * 31)], params)[:, 0]
         assert a <= b
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from iotfed import harness
 from iotfed.attacks import AttackSpec
 from iotfed.autoencoder import TrainConfig
-from iotfed.detect import Threshold
+from iotfed.detect import DEFAULT_KS, Threshold, calibrate_threshold
 from iotfed.harness import (
     ExperimentConfig,
     OverheadModel,
@@ -11,6 +12,7 @@ from iotfed.harness import (
     build_pipeline,
     central_stream,
     derive_seed,
+    detection_reports,
     emit_plot_data,
     evaluate_attack,
     federated_stream,
@@ -134,7 +136,8 @@ class TestPipelines:
     def test_thresholds_scale_with_k(self, small_experiment):
         cfg, result, _ = small_experiment
         pipe = result.pipelines["centralized"]
-        ths = pipe.thresholds(R1, cfg.ks)
+        ths = pipe.thresholds[R1]
+        assert list(ths) == list(cfg.ks)
         assert ths[1.0].value <= ths[4.0].value
         assert ths[4.0].value - ths[1.0].value == pytest.approx(3 * ths[1.0].std)
 
@@ -154,6 +157,41 @@ class TestEvaluateAttack:
             k_star = outcome.optimal_k(mode)
             assert k_star in cfg.ks
             assert outcome.aggregate_reports[mode][k_star].total == 35
+
+
+class TestDetectionReports:
+    def test_reports_per_k(self):
+        validation = [0.1, 0.1, 0.12, 0.08]
+        thresholds = {R1: {k: calibrate_threshold(validation, k) for k in DEFAULT_KS}}
+        losses = {R1: np.array([0.09, 0.5, 0.11, 0.6])}
+        truths = [False, True, False, True]
+        per_router, any_router = detection_reports(losses, thresholds, truths)
+        assert list(per_router) == list(any_router) == list(DEFAULT_KS)
+        assert all(per_router[k][R1].recall == 1.0 for k in DEFAULT_KS)
+        assert all(any_router[k] == per_router[k][R1] for k in DEFAULT_KS)
+
+    def test_any_router_flags_what_one_router_flags(self):
+        thresholds = {r: {1.0: Threshold(0.5, 0.0, 1.0)} for r in ROUTERS}
+        losses = {R1: np.array([0.9, 0.1, 0.5]),   # only R1 flags window 0
+                  R2: np.array([0.1, 0.1, 0.5]),   # a loss equal to the threshold is normal
+                  R3: np.array([0.1, 0.1, 0.1])}
+        truths = [True, False, True]
+        per_router, any_router = detection_reports(losses, thresholds, truths)
+        assert per_router[1.0][R1].tp == 1 and per_router[1.0][R2].tp == 0
+        report = any_router[1.0]
+        assert (report.tp, report.tn, report.fp, report.fn) == (1, 1, 0, 1)
+
+    def test_each_threshold_calibrated_once(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return calibrate_threshold(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "calibrate_threshold", counted)
+        cfg = small_config()
+        run_experiment(cfg, out_dir=tmp_path)
+        assert len(calls) == len(cfg.modes) * len(ROUTERS) * len(cfg.ks) == 24
 
 
 class TestOverhead:
@@ -176,7 +214,7 @@ class TestEmitPlotData:
     def test_layout_and_labels(self):
         truths = [False, True]
         series = {"centralized": [0.1, 0.9], "federated": [0.2, 0.8]}
-        ths = {m: {1.0: Threshold(R1, 0.1, 0.05, 1.0)} for m in series}
+        ths = {m: {1.0: Threshold(0.1, 0.05, 1.0)} for m in series}
         text = emit_plot_data(truths, series, ths)
         lines = text.strip().split("\n")
         assert lines[0] == ("window,truth,centralized_loss,federated_loss,"
