@@ -34,6 +34,12 @@ _NUMBER_TYPES = {f.name: type(getattr(obj, f.name))
                  if f.name in _YAML_KEYS and type(getattr(obj, f.name)) in (int, float)}
 
 
+def _is_a(value, kind: type) -> bool:
+    """Whether a YAML value fits a numeric field of type ``kind`` (int or float)."""
+    # bool is an int subclass, so it is refused apart; a float field also takes an int.
+    return not isinstance(value, bool) and isinstance(value, int if kind is int else (int, float))
+
+
 def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a YAML key-value file plus overrides."""
     raw: dict = {}
@@ -51,11 +57,12 @@ def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentC
     if seed is not None:
         raw["seed"] = seed
     for key, kind in _NUMBER_TYPES.items():
-        # bool is an int subclass, so it is refused apart; a float field also takes an int.
-        allowed = int if kind is int else (int, float)
-        if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], allowed)):
+        if key in raw and not _is_a(raw[key], kind):
             raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
                              f"not {raw[key]!r}")
+    if "ks" in raw and not (isinstance(raw["ks"], list)
+                            and all(_is_a(k, float) for k in raw["ks"])):
+        raise ValueError(f"ks must be a list of numbers, not {raw['ks']!r}")
     train_keys = {k: raw.pop(k) for k in _TRAIN_KEYS if k in raw}
     hop_keys = {k: raw.pop(k) for k in _HOP_KEYS if k in raw}
     try:

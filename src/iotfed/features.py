@@ -8,21 +8,13 @@ Router-level schemas zero-fill the slots a router cannot observe
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .logfmt import (
-    EntryKind,
-    LogEntry,
-    end_to_end_delay,
-    first_hop_delay,
-    hop_count,
-)
+from .logfmt import NODE_CODE, NODES, DeviceLog, LogEntry, to_us
 from .nodes import EDGES, ROUTERS, A, C, NodeId, Role
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -47,8 +39,9 @@ ROUTER_ZERO_SLOTS = frozenset(range(0, 7)) | {12}
 
 ENTROPY_BINS = 10
 
-_SRC_SLOT = {node: 16 + i for i, node in enumerate(EDGES + ROUTERS)}
-_DST_SLOT = {node: 23 + i for i, node in enumerate(ROUTERS + (C, A))}
+#: Node codes of the source-count slots 16-22 and the destination-count slots 23-27.
+_SRC_CODES = [NODE_CODE[n] for n in EDGES + ROUTERS]
+_DST_CODES = [NODE_CODE[n] for n in ROUTERS + (C, A)]
 
 
 class ScalerMismatch(ValueError):
@@ -86,86 +79,92 @@ def shannon_entropy(samples: Sequence[float], bins: int = ENTROPY_BINS) -> float
     return float(-np.sum(p * np.log2(p)))
 
 
-def _delay_samples(entries: Iterable[LogEntry]) -> tuple[list[float], list[float]]:
-    e2e, first = [], []
-    for e in entries:
-        if e.kind is EntryKind.COORDINATOR:
-            e2e.append(end_to_end_delay(e))
-        if e.segments[0].received_at is not None:
-            first.append(first_hop_delay(e))
-    return e2e, first
-
-
-def _stats(samples: list[float]) -> tuple[float, float, float, float]:
-    if not samples:
+def _stats(samples: np.ndarray) -> tuple[float, float, float, float]:
+    if not len(samples):
         return 0.0, 0.0, 0.0, 0.0
-    arr = np.asarray(samples)
-    return float(arr.mean()), float(arr.std()), float(arr.min()), float(arr.max())
+    return (float(samples.mean()), float(samples.std()), float(samples.min()),
+            float(samples.max()))
 
 
-def _quartiles(samples: list[float]) -> tuple[float, float, float]:
-    if not samples:
+def _quartiles(samples: np.ndarray) -> tuple[float, float, float]:
+    if not len(samples):
         return 0.0, 0.0, 0.0
     q1, q2, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
     return float(q1), float(q2), float(q3)
 
 
-def window_vector(selected: Sequence[LogEntry], start: datetime,
-                  schema: frozenset[int], device: NodeId = C) -> FeatureVector:
-    """Raw 31-slot feature vector of the entries one window holds.
+def _ms(d_us: np.ndarray) -> np.ndarray:
+    """Microsecond differences in milliseconds, rounded as ``timedelta.total_seconds``."""
+    return (d_us / 1_000_000) * 1000.0
 
-    ``selected`` are the window's entries in stream order (the mean and
-    std sums depend on it); no entry is filtered out here. An empty window
-    yields the all-zero vector. Delay slots are in milliseconds. Pair
-    counts tally every hop segment, so routing changes shift them even
-    when total volume is unchanged.
+
+def window_matrix(log: DeviceLog, windows: Sequence[tuple[datetime, datetime]],
+                  schema: frozenset[int]) -> np.ndarray:
+    """Raw 31-slot feature vectors of a log, one row per window.
+
+    ``windows`` are tumbling [start, end) windows in time order, as
+    ``make_windows`` returns them. Each entry goes to the window its first
+    send time falls in, found by bisection over the µs boundaries (never
+    by dividing by the window length, which can disagree with the rounded
+    boundaries); entries outside every window are dropped. Within a window
+    the delay samples keep stream order, which the mean and std sums
+    depend on. An empty window is all zero. Delay slots are in
+    milliseconds. Pair counts tally every hop segment, so routing changes
+    shift them even when total volume is unchanged.
     """
-    values = np.zeros(N_FEATURES)
-    if selected:
-        e2e, first = _delay_samples(selected)
-        values[0:4] = _stats(e2e)
-        values[4:7] = _quartiles(e2e)
-        mean_f, std_f, _, _ = _stats(first)
-        values[7:9] = (mean_f, std_f)
-        values[9:12] = _quartiles(first)
-        values[12] = shannon_entropy(e2e)
-        values[13] = shannon_entropy(first)
-        hops = [hop_count(e) for e in selected]
-        values[14] = len(selected)
-        values[15] = float(np.mean(hops))
-        segments = [seg for e in selected for seg in e.segments]
-        srcs = Counter(seg.src for seg in segments)
-        dsts = Counter(seg.dst for seg in segments)
-        for node, slot in _SRC_SLOT.items():
-            values[slot] = srcs[node]
-        for node, slot in _DST_SLOT.items():
-            values[slot] = dsts[node]
-        for n, count in Counter(hops).items():
-            if 1 <= n <= 3:
-                values[27 + n] = count
-    for slot in schema:
-        values[slot] = 0.0
-    return FeatureVector(start, device, values)
+    n = len(windows)
+    values = np.zeros((n, N_FEATURES))
+    if not n:
+        return values
+    bounds = [to_us(start) for start, _ in windows] + [to_us(windows[-1][1])]
+    win = np.searchsorted(bounds, log.times[log.starts, 0], side="right") - 1
+    order = np.flatnonzero((win >= 0) & (win < n))
+    order = order[np.argsort(win[order], kind="stable")]
+    log, win = log.rows(order), win[order]
+    hops = log.n_segs
+    count = np.bincount(win, minlength=n)
+    values[:, 14] = count
+    values[:, 15] = np.bincount(win, weights=hops, minlength=n) / np.maximum(count, 1)
+    seg_win = np.repeat(win, hops) * len(NODES)
+    for slots, codes, nodes in ((slice(16, 23), _SRC_CODES, log.src),
+                                (slice(23, 28), _DST_CODES, log.dst)):
+        values[:, slots] = np.bincount(seg_win + nodes, minlength=n * len(NODES)).reshape(
+            n, len(NODES))[:, codes]
+    short = hops <= 3
+    values[:, 28:31] = np.bincount(win[short] * 4 + hops[short], minlength=n * 4).reshape(
+        n, 4)[:, 1:]
+
+    sent = log.times[log.starts, 0]
+    has_first = log.received | (hops > 1)
+    e2e = _ms(log.times[log.ends - 1, 1] - sent)[log.received]
+    first = _ms(log.times[log.starts, 1] - sent)[has_first]
+    splits = [np.split(x, np.searchsorted(win[has], np.arange(1, n)))
+              for x, has in ((e2e, log.received), (first, has_first))]
+    for w, (e, f) in enumerate(zip(*splits)):
+        values[w, 0:4] = _stats(e)
+        values[w, 4:7] = _quartiles(e)
+        values[w, 7:9] = _stats(f)[:2]
+        values[w, 9:12] = _quartiles(f)
+        values[w, 12] = shannon_entropy(e)
+        values[w, 13] = shannon_entropy(f)
+    values[:, sorted(schema)] = 0.0
+    return values
 
 
 def extract_window(entries: Sequence[LogEntry], window: tuple[datetime, datetime],
                    schema: frozenset[int], device: NodeId = C) -> FeatureVector:
-    """Raw 31-slot feature vector for one device and one [start, end) window.
-
-    Entries are filtered by their first send timestamp, then scored by
-    ``window_vector``.
-    """
-    start, end = window
-    selected = [e for e in entries if start <= e.segments[0].sent_at < end]
-    return window_vector(selected, start, schema, device)
+    """Raw 31-slot feature vector of the entries sent in one [start, end) window."""
+    values = window_matrix(DeviceLog.from_entries(entries), [window], schema)[0]
+    return FeatureVector(window[0], device, values)
 
 
-def router_view(entries: Iterable[LogEntry], router: NodeId) -> list[LogEntry]:
+def router_view(entries: Sequence[LogEntry], router: NodeId) -> DeviceLog:
     """The entries a given router logged itself (those it forwarded)."""
     if router.role is not Role.ROUTER:
         raise ValueError(f"{router} is not a router")
-    return [e for e in entries
-            if e.kind is EntryKind.ROUTER and e.segments[-1].src == router]
+    log = DeviceLog.from_entries(entries)
+    forwarded = ~log.received & (log.n_segs > 1)  # router entries, by their shape
+    return log.rows(forwarded & (log.src[log.ends - 1] == NODE_CODE[router]))
 
 
 @dataclass(frozen=True)
@@ -220,28 +219,6 @@ def make_windows(start: datetime, duration: float,
     count = window_count(duration, window_len)
     return [(start + timedelta(seconds=i * window_len),
              start + timedelta(seconds=(i + 1) * window_len)) for i in range(count)]
-
-
-def bucket_entries(entries: Iterable[LogEntry],
-                   windows: Sequence[tuple[datetime, datetime]]) -> list[list[LogEntry]]:
-    """Each window's entries, by first send timestamp, in one pass over the stream.
-
-    ``windows`` are tumbling [start, end) windows in time order, as
-    ``make_windows`` returns them. Each entry goes to the window whose
-    start is the last one at or before its timestamp (found by bisection
-    over those starts, never by dividing by the window length, which can
-    disagree with the µs-rounded boundaries), if the entry is also before
-    that window's end. Entries before the first start or at or after the
-    last end are dropped. Within a window entries keep their stream order.
-    """
-    starts = [start for start, _ in windows]
-    buckets: list[list[LogEntry]] = [[] for _ in windows]
-    for e in entries:
-        sent = e.segments[0].sent_at
-        i = bisect_right(starts, sent) - 1
-        if i >= 0 and sent < windows[i][1]:
-            buckets[i].append(e)
-    return buckets
 
 
 def to_csv(vectors: Sequence[FeatureVector], truths: Sequence[bool] | None = None) -> str:

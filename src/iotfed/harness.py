@@ -44,16 +44,15 @@ from .features import (
     FeatureVector,
     ScalerParams,
     apply_scaler,
-    bucket_entries,
     fit_scaler,
     make_windows,
     router_view,
     to_csv,
     window_count,
-    window_vector,
+    window_matrix,
 )
 from .federated import FLConfig, run_federated_training, transfer_init
-from .logfmt import LogEntry
+from .logfmt import NODE_CODE, DeviceLog, LogEntry
 from .nodes import ROUTERS, C, NodeId, ScenarioFamily, Topology, build_topology
 from .simkernel import DEFAULT_START, HopDelayModel, SimConfig, SimResult, run_simulation
 
@@ -127,6 +126,8 @@ class ExperimentConfig:
             raise ValueError(f"fl_rounds must be at least 1, not {self.fl_rounds!r}")
         if not self.ks:
             raise ValueError("ks must list at least one k")
+        if len(set(self.ks)) != len(self.ks):
+            raise ValueError(f"ks must not list a k twice: {self.ks!r}")
         self.selected_attacks()
 
     @property
@@ -150,28 +151,24 @@ class ExperimentConfig:
                              f"for scenario {self.scenario.value}") from None
 
 
-def central_stream(result: SimResult, router: NodeId) -> list[LogEntry]:
+def central_stream(result: SimResult, router: NodeId) -> DeviceLog:
     """Coordinator entries replayed for one router: those whose path crosses it."""
-    return [e for e in result.entries.get(C, [])
-            if e.segments[0].src is router or any(s.dst is router for s in e.segments)]
+    log, code = DeviceLog.from_entries(result.entries.get(C, [])), NODE_CODE[router]
+    reached = np.logical_or.reduceat(log.dst == code, log.starts)
+    return log.rows(reached | (log.src[log.starts] == code))
 
 
-def federated_stream(result: SimResult, router: NodeId) -> list[LogEntry]:
+def federated_stream(result: SimResult, router: NodeId) -> DeviceLog:
     """The entries a router logged itself."""
     return router_view(result.entries.get(router, []), router)
 
 
 def window_features(entries: Sequence[LogEntry], start: datetime, duration: float,
                     window_len: float, schema, device: NodeId) -> list[FeatureVector]:
-    """Raw feature vector of every ``make_windows`` window of a stream.
-
-    One pass puts each entry into its window (``bucket_entries``, stable
-    within a window); each vector is then built from that window's entries
-    alone, equal slot for slot to ``extract_window`` on the whole stream.
-    """
+    """Raw feature vector of every ``make_windows`` window of a stream (``window_matrix``)."""
     windows = make_windows(start, duration, window_len)
-    return [window_vector(bucket, w_start, schema, device)
-            for (w_start, _), bucket in zip(windows, bucket_entries(entries, windows))]
+    values = window_matrix(DeviceLog.from_entries(entries), windows, schema)
+    return [FeatureVector(w_start, device, row) for (w_start, _), row in zip(windows, values)]
 
 
 def mode_features(cfg: ExperimentConfig, mode: str, result: SimResult,
@@ -468,7 +465,7 @@ def write_attack(cfg: ExperimentConfig, outcome: AttackOutcome,
     write_logs(outcome.sim, attack_dir / "logs")
     for mode in cfg.modes:
         rows = [(r, k, outcome.router_reports[mode][k][r])
-                for k in cfg.ks for r in ROUTERS]
+                for k in sorted(cfg.ks) for r in ROUTERS]
         (attack_dir / f"report_{mode}.csv").write_text(report_csv(rows))
     for router in ROUTERS:
         series = {m: outcome.losses[m][router] for m in cfg.modes}

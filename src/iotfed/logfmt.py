@@ -10,6 +10,8 @@ Canonical serialization puts no spaces around ``>`` and a single space
 after each comma; the parser additionally accepts single spaces around
 ``>`` and missing spaces after commas (the two renderings seen in the
 field differ only in that whitespace).
+
+A device's whole log is held in columns as a :class:`DeviceLog`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
+from typing import Iterable, Sequence
 
-from .nodes import EDGES, ROUTERS, A, C, NodeId
+import numpy as np
+
+from .nodes import EDGES, ROSTER, ROUTERS, A, C, NodeId
 
 # ASCII digits, and no leading zero in a status, so that every accepted
 # timestamp and status re-serializes to its own bytes.
@@ -79,6 +84,31 @@ def format_timestamp(ts: datetime) -> str:
     return ts.isoformat(" ", "microseconds")
 
 
+_ONE_US = timedelta(microseconds=1)
+
+
+def to_us(ts: datetime) -> int:
+    """A timestamp as whole microseconds since 0001-01-01 00:00:00."""
+    return (ts - datetime.min) // _ONE_US
+
+
+def from_us(us: int) -> datetime:
+    """Inverse of :func:`to_us`."""
+    return datetime.min + timedelta(microseconds=us)
+
+
+def format_us(stamps: np.ndarray) -> np.ndarray:
+    """``format_timestamp`` of each ``to_us`` value, as a same-shaped object array.
+
+    Each distinct value is formatted once, its whole second from a cache.
+    """
+    distinct, inverse = np.unique(stamps, return_inverse=True)
+    seconds, fractions = np.divmod(distinct, 1_000_000)
+    prefix = {s: from_us(s * 1_000_000).isoformat(" ") for s in np.unique(seconds).tolist()}
+    text = [f"{prefix[s]}.{f:06d}" for s, f in zip(seconds.tolist(), fractions.tolist())]
+    return np.array(text, dtype=object)[inverse].reshape(np.shape(stamps))
+
+
 def _parse_timestamp(token: str, offset: int) -> datetime:
     """A token ``_TIMESTAMP_RE`` passed, read by its fixed-width fields."""
     try:
@@ -120,6 +150,8 @@ def parse_entry(line: str) -> LogEntry:
     m = _STATUS_RE.match(last_field)
     if m:
         status = int(m.group(1))
+        if status >= 2**63:  # a DeviceLog holds statuses as int64
+            raise ParseError("status does not fit in 64 bits", last_off)
         fields.pop()
         if not fields:
             raise ParseError("entry holds only a status", last_off)
@@ -219,6 +251,106 @@ def first_hop_delay(entry: LogEntry) -> float:
 
 def hop_count(entry: LogEntry) -> int:
     return len(entry.segments)
+
+
+#: Every node a log can name; a node's code in a ``DeviceLog`` is its index here.
+NODES: tuple[NodeId, ...] = ROSTER
+NODE_CODE = {node: code for code, node in enumerate(NODES)}
+_PAIR_TEXT = np.array([[f"{a}>{b}" for b in NODES] for a in NODES], dtype=object)
+
+
+def _kind(n_segments: int, received: bool) -> EntryKind:
+    """The kind ``parse_entry`` infers from an entry's shape."""
+    if received:
+        return EntryKind.COORDINATOR
+    return EntryKind.EDGE if n_segments == 1 else EntryKind.ROUTER
+
+
+class DeviceLog(Sequence[LogEntry]):
+    """One device's log entries as columns; indexing builds a ``LogEntry``.
+
+    Row ``i`` holds segments ``starts[i]:ends[i]``, each with node codes
+    ``src``/``dst`` (indices into ``NODES``) and ``times`` (sent, received)
+    in ``to_us`` microseconds. Only a row's last segment can lack a receive
+    time (then ``received[i]`` is false and it repeats the send time).
+    ``status[i]`` is -1 for none. Kinds are inferred as ``parse_entry`` does.
+    """
+
+    def __init__(self, n_segs: np.ndarray, received: np.ndarray, status: np.ndarray,
+                 src: np.ndarray, dst: np.ndarray, times: np.ndarray):
+        self.n_segs, self.received, self.status = n_segs, received, status
+        self.src, self.dst, self.times = src, dst, times
+        self.ends = np.cumsum(n_segs)
+        self.starts = self.ends - n_segs
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[LogEntry]) -> DeviceLog:
+        """``entries`` as columns, in one pass; a DeviceLog is returned as is.
+
+        Each entry must have the shape ``parse_entry`` gives its kind, and
+        its status must fit in 64 bits.
+        """
+        if isinstance(entries, DeviceLog):
+            return entries
+        rows: list[int] = []      # per entry: segment count, received, status
+        segments: list[int] = []  # per segment: src, dst, sent, received
+        for e in entries:
+            *inner, last = e.segments
+            got = last.received_at is not None
+            if e.kind is not _kind(len(e.segments), got) or any(
+                    s.received_at is None for s in inner):
+                raise ValueError(f"a {e.kind.value} entry of this shape cannot be logged")
+            rows += (len(e.segments), got, -1 if e.status is None else e.status)
+            for s in e.segments:
+                sent = to_us(s.sent_at)
+                segments += (NODE_CODE[s.src], NODE_CODE[s.dst], sent,
+                             sent if s.received_at is None else to_us(s.received_at))
+        n_segs, received, status = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        src, dst, *times = np.array(segments, dtype=np.int64).reshape(-1, 4).T
+        return cls(n_segs, received.astype(bool), status, src, dst, np.stack(times, axis=1))
+
+    def __len__(self) -> int:
+        return len(self.n_segs)
+
+    def __getitem__(self, i: int) -> LogEntry:
+        i = range(len(self))[i]
+        a, b = int(self.starts[i]), int(self.ends[i])
+        received = bool(self.received[i])
+        segments = tuple(
+            Segment(NODES[s], NODES[d], from_us(sent),
+                    from_us(got) if k < b - 1 or received else None)
+            for k, s, d, (sent, got) in zip(range(a, b), self.src[a:b].tolist(),
+                                            self.dst[a:b].tolist(), self.times[a:b].tolist()))
+        status = int(self.status[i])
+        return LogEntry(_kind(b - a, received), segments, None if status < 0 else status)
+
+    def rows(self, keep: np.ndarray) -> DeviceLog:
+        """The rows a boolean mask or an index array selects, in that order."""
+        index = np.arange(len(self))[keep]
+        n_segs = self.n_segs[index]
+        seg = np.repeat(self.starts[index] - np.cumsum(n_segs) + n_segs, n_segs) + np.arange(
+            n_segs.sum())
+        return DeviceLog(n_segs, self.received[index], self.status[index],
+                         self.src[seg], self.dst[seg], self.times[seg])
+
+    def render(self, stamps: np.ndarray | None = None) -> str:
+        """One ``serialize_entry`` line per row, each ending in a newline.
+
+        ``stamps``, if given, is ``format_us(self.times)``.
+        """
+        if stamps is None:
+            stamps = format_us(self.times)
+        last = self.ends - 1
+        seg_received = np.ones(len(self.src), dtype=bool)
+        seg_received[last] = self.received
+        statuses, which = np.unique(self.status, return_inverse=True)
+        tails = np.full(len(self.src), ", ", dtype=object)
+        tails[last] = np.array([f", S:{c}\n" if c >= 0 else "\n" for c in statuses.tolist()],
+                               dtype=object)[which]
+        return "".join([f"{pair}, {sent}, {got}{tail}" if ok else f"{pair}, {sent}{tail}"
+                        for pair, sent, got, ok, tail in zip(
+                            _PAIR_TEXT[self.src, self.dst].tolist(), stamps[:, 0].tolist(),
+                            stamps[:, 1].tolist(), seg_received.tolist(), tails.tolist())])
 
 
 def parse_log(text: str) -> list[LogEntry]:

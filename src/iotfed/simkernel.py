@@ -3,22 +3,22 @@
 Every edge device emits one packet per second (with a small bounded
 jitter so per-window counts are not perfectly constant). Packets are
 routed along the live destination map at their send instant; per-hop
-transit times are lognormal. Each device's log entries are built as its
-packets are drawn. Identical configs produce byte-identical logs.
+transit times are lognormal. The draw loop records numbers only; each
+device's log is then assembled as columns (a ``DeviceLog``). Identical
+configs produce byte-identical logs.
 """
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
-from operator import itemgetter
+from datetime import datetime
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .attacks import AttackPlan, apply_plan
-from .logfmt import EntryKind, LogEntry, Segment, serialize_entry
+from .logfmt import NODE_CODE, NODES, DeviceLog, LogEntry, format_us, to_us
 from .nodes import (
     EDGES,
     C,
@@ -77,16 +77,35 @@ class PacketTrace:
     status_per_hop: tuple[int, ...]
 
 
-@dataclass
 class SimResult:
-    traces: list[PacketTrace]
-    entries: dict[NodeId, list[LogEntry]]
+    """One run's device logs, a ``DeviceLog`` per logging node, and its packet traces.
+
+    ``entries`` may map nodes to lists of ``LogEntry``; each is converted
+    once. ``traces`` is a list, or a function that builds it on first read.
+    """
+
+    def __init__(self, traces: list[PacketTrace] | Callable[[], list[PacketTrace]],
+                 entries: Mapping[NodeId, Sequence[LogEntry]]):
+        self._traces = traces
+        self.entries = {node: DeviceLog.from_entries(log) for node, log in entries.items()}
+
+    @property
+    def traces(self) -> list[PacketTrace]:
+        if callable(self._traces):
+            self._traces = self._traces()
+        return self._traces
 
     def render_logs(self) -> dict[str, str]:
-        """One newline-delimited document per logging device, ``<node>.log``."""
-        docs = {}
-        for node, entries in self.entries.items():
-            docs[f"{node}.log"] = "".join(serialize_entry(e) + "\n" for e in entries)
+        """One newline-delimited document per logging device, ``<node>.log``.
+
+        A hop's timestamp appears in several logs; each is formatted once.
+        """
+        logs = list(self.entries.values())
+        stamps = format_us(np.concatenate([log.times for log in logs])) if logs else None
+        docs, at = {}, 0
+        for node, log in self.entries.items():
+            docs[f"{node}.log"] = log.render(stamps[at:at + len(log.times)])
+            at += len(log.times)
         return docs
 
 
@@ -96,29 +115,10 @@ def sample_hop_delay(rng: np.random.Generator, model: HopDelayModel) -> float:
     return model.median_ms * float(np.exp(model.sigma * z))
 
 
-def _timestamp(cfg: SimConfig, offset_s: float, clock_of: NodeId) -> datetime:
-    skew = cfg.node_skew.get(clock_of, 0.0)
-    return DEFAULT_START + timedelta(microseconds=round((offset_s + skew) * 1e6))
+_C_CODE = NODE_CODE[C]
+_START_US = to_us(DEFAULT_START)
 
 
-@contextmanager
-def _gc_paused():
-    """Suspend the cyclic garbage collector, then restore the caller's setting.
-
-    A simulation allocates tens of container objects per packet and no
-    reference cycles, so collector passes over them reclaim nothing; with
-    earlier corpora still alive each pass also rescans those.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-@_gc_paused()
 def run_simulation(topology: Topology, cfg: SimConfig,
                    attack_plan: AttackPlan | None = None) -> SimResult:
     """Generate all packet traces and per-device log entries for one run.
@@ -128,18 +128,25 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     sender logs a hop before its fate is drawn: the edge at the first hop,
     a router at a later one. Traffic reaching the attacker is swallowed
     there, and looped or dropped traffic never reaches C, so neither
-    produces a coordinator entry. The cyclic garbage collector is paused
-    while it runs.
+    produces a coordinator entry. The loop appends only numbers to flat
+    lists, which leaves the cyclic garbage collector nothing to scan.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     # The live topology depends only on whether the plan's attack is active,
     # so each edge's route is resolved once per phase.
-    routes: dict[tuple[bool, NodeId], RoutePath] = {}
-    traces: list[PacketTrace] = []
-    # Per device: (log time in seconds, packet number, entry).
-    logs: dict[NodeId, list[tuple[float, int, LogEntry]]] = {}
+    routes: dict[tuple[bool, NodeId], int] = {}
+    paths: list[RoutePath] = []
+    # Per path: each point's node code and clock skew, whether each hop's
+    # sender logs it, and whether the path delivers to C.
+    plans: list[tuple[list[int], list[float], list[bool], bool]] = []
+    # Per packet, three numbers: send time, path, index of its first stamp.
+    # A packet stamps its send and each arrival, in µs from DEFAULT_START.
+    packets: list[float] = []
+    stamps: list[int] = []
+    # Per log entry, five numbers: device, log time, packet, segments, status.
+    rows: list[float] = []
     for tick in range(int(cfg.duration)):
         for edge in EDGES:
             if edge not in topology.nodes:
@@ -147,38 +154,82 @@ def run_simulation(topology: Topology, cfg: SimConfig,
             jitter = float(rng.uniform(0.0, cfg.send_jitter)) if cfg.send_jitter else 0.0
             send_at = tick + jitter
             phase = attack_plan is not None and attack_plan.active_at(send_at)
-            path = routes.get((phase, edge))
-            if path is None:
+            p = routes.get((phase, edge))
+            if p is None:
                 live = (apply_plan(topology, attack_plan, send_at)
                         if attack_plan is not None else topology)
-                path = routes[(phase, edge)] = route_path(live, edge)
-            order = len(traces)
-            segments: list[Segment] = []  # completed hops
-            statuses: list[int] = []
+                path = route_path(live, edge)
+                p = routes[(phase, edge)] = len(paths)
+                paths.append(path)
+                plans.append(([NODE_CODE[n] for n in path.hops],
+                              [cfg.node_skew.get(n, 0.0) for n in path.hops],
+                              [j == 0 or n.role is Role.ROUTER
+                               for j, n in enumerate(path.hops[:-1])],
+                              path.terminal is C and not path.looped))
+            codes, skews, sender_logs, to_c = plans[p]
+            packet = len(packets) // 3
+            packets += (send_at, p, len(stamps))
             clock = send_at
-            sent = _timestamp(cfg, clock, edge)
-            delivered: NodeId | None = None
-            for src, dst in zip(path.hops, path.hops[1:]):
+            stamps.append(round((clock + skews[0]) * 1e6))
+            for j, logs in enumerate(sender_logs):
                 status = 1 if cfg.drop_prob and rng.random() < cfg.drop_prob else 0
-                statuses.append(status)
-                if not segments or src.role is Role.ROUTER:
-                    kind = EntryKind.ROUTER if segments else EntryKind.EDGE
-                    entry = LogEntry(kind, (*segments, Segment(src, dst, sent)), status)
-                    logs.setdefault(src, []).append((clock, order, entry))
+                if logs:
+                    rows += (codes[j], clock, packet, j + 1, status)
                 if status:
                     break
                 clock += sample_hop_delay(rng, cfg.hop_delay_model) / 1000.0
-                # The receiver's clock stamps the arrival and its next send.
-                received = _timestamp(cfg, clock, dst)
-                segments.append(Segment(src, dst, sent, received))
-                sent = received
+                stamps.append(round((clock + skews[j + 1]) * 1e6))
             else:
-                delivered = None if path.looped else path.terminal
-            if delivered is C:
-                entry = LogEntry(EntryKind.COORDINATOR, tuple(segments))
-                logs.setdefault(C, []).append((clock, order, entry))
-            traces.append(PacketTrace(edge, send_at, delivered, tuple(statuses)))
+                if to_c:
+                    rows += (_C_CODE, clock, packet, len(sender_logs), -1)
 
-    entries = {node: [entry for *_, entry in sorted(items, key=itemgetter(0, 1))]
-               for node, items in logs.items()}
-    return SimResult(traces, entries)
+    entries = _device_logs(np.array(rows).reshape(-1, 5), np.array(packets).reshape(-1, 3),
+                           _START_US + np.array(stamps, dtype=np.int64), paths)
+    return SimResult(partial(_traces, packets, len(stamps), paths), entries)
+
+
+def _device_logs(rows: np.ndarray, packets: np.ndarray, stamps: np.ndarray,
+                 paths: list[RoutePath]) -> dict[NodeId, DeviceLog]:
+    """Each device's entries as columns, sorted by (log time, packet number).
+
+    Segment ``j`` of a packet's entry runs from point ``j`` of its path to
+    point ``j + 1``, at those points' stamps; of a last segment, only the
+    coordinator logs the arrival. Devices keep the order they first logged in.
+    """
+    order = np.lexsort((rows[:, 2], rows[:, 1]))
+    node, _, packet, n_segs, status = rows[order].T.astype(np.int64)
+    path, first_stamp = packets[:, 1:].T.astype(np.int64)
+    seg_packet = np.repeat(packet, n_segs)
+    j = np.arange(len(seg_packet)) - np.repeat(np.cumsum(n_segs) - n_segs, n_segs)
+    point = first_stamp[seg_packet] + j
+    received = node == _C_CODE
+    got = np.repeat(received, n_segs) | (j < np.repeat(n_segs, n_segs) - 1)
+    sent = stamps[point]
+    # A segment not received may have no next stamp; it repeats its send time.
+    times = np.stack([sent, np.where(got, stamps[np.minimum(point + 1, len(stamps) - 1)], sent)],
+                     axis=1)
+    codes = np.zeros((len(paths), max((len(p.hops) for p in paths), default=1)), dtype=np.int64)
+    for i, p in enumerate(paths):
+        codes[i, :len(p.hops)] = [NODE_CODE[n] for n in p.hops]
+    seg_path = path[seg_packet]
+    log = DeviceLog(n_segs, received, status, codes[seg_path, j], codes[seg_path, j + 1], times)
+    devices, first_row = np.unique(rows[:, 0].astype(np.int64), return_index=True)
+    return {NODES[d]: log.rows(node == d) for d in devices[np.argsort(first_row)]}
+
+
+def _traces(packets: list[float], n_stamps: int, paths: list[RoutePath]) -> list[PacketTrace]:
+    """Each packet's trace, from what its draw recorded.
+
+    A packet that is not dropped stamps every point of its path, so one
+    with fewer stamps was dropped on the hop after its last stamp.
+    """
+    traces = []
+    firsts = packets[2::3]
+    for send_at, p, a, b in zip(packets[0::3], packets[1::3], firsts, firsts[1:] + [n_stamps]):
+        path = paths[p]
+        n_hops = len(path.hops) - 1
+        dropped = b - a <= n_hops
+        statuses = (0,) * (b - a - 1) + (1,) if dropped else (0,) * n_hops
+        delivered = None if dropped or path.looped else path.terminal
+        traces.append(PacketTrace(path.hops[0], send_at, delivered, statuses))
+    return traces

@@ -39,3 +39,12 @@ def test_window_matrices_on_a_short_corpus():
     matrices = workloads.window_matrices(sim, cfg, cfg.normal_duration)
     assert len(matrices) == len(workloads.harness.MODES) * len(workloads.ROUTERS)
     assert all(m.shape == (2, 31) and np.isfinite(m).all() for m in matrices.values())
+
+
+def test_log_ingest_workload_checks_out(tmp_path):
+    # The only workload that builds a SimResult from parsed entries; its check
+    # requires parsed and simulated features to be equal.
+    workload = workloads.WORKLOADS["log-ingest"]
+    inputs = workload.setup(3, workload.smoke_params)
+    digest = workload.check(inputs, workload.op(inputs, tmp_path))
+    assert digest == workload.check(inputs, workload.op(inputs, tmp_path))

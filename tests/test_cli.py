@@ -141,9 +141,11 @@ class TestCommands:
 
     @pytest.mark.parametrize("text", [
         "ks: 2\n", 'window_len: "60"\n', "seed: [\n", 'epochs: "3"\n', "fed_local_lr: 1e-4\n",
-        "fl_rounds: 2.0\n", 'sigma: "0.5"\n', "seed: true\n"],
+        "fl_rounds: 2.0\n", 'sigma: "0.5"\n', "seed: true\n", 'ks: ["2", true]\n',
+        "ks: [3, 1, 2.5, 1]\n"],
         ids=["ks-scalar", "window_len-string", "unparsable", "epochs-string",
-             "fed_local_lr-yaml-string", "fl_rounds-float", "sigma-string", "seed-bool"])
+             "fed_local_lr-yaml-string", "fl_rounds-float", "sigma-string", "seed-bool",
+             "ks-string-and-bool", "ks-repeated"])
     def test_badly_typed_or_unparsable_config_exit_code(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+from collections import Counter
 from datetime import timedelta
 
 import numpy as np
@@ -17,7 +19,6 @@ from iotfed.features import (
     ScalerMismatch,
     ScalerParams,
     apply_scaler,
-    bucket_entries,
     extract_window,
     fit_scaler,
     make_windows,
@@ -25,8 +26,16 @@ from iotfed.features import (
     shannon_entropy,
     to_csv,
 )
-from iotfed.logfmt import parse_entry
-from iotfed.nodes import C, E1, E2, E3, E4, R1, R2, R3
+from iotfed.logfmt import (
+    EntryKind,
+    LogEntry,
+    Segment,
+    end_to_end_delay,
+    first_hop_delay,
+    hop_count,
+    parse_entry,
+)
+from iotfed.nodes import EDGES, ROUTERS, A, C, E1, E2, E3, E4, R1, R2, R3
 
 SLOT = {name: i for i, name in enumerate(FEATURE_NAMES)}
 WINDOW = (ts(0.0), ts(60.0))
@@ -138,8 +147,8 @@ class TestExtractWindow:
 class TestRouterView:
     def test_keeps_only_entries_the_router_forwarded(self):
         own = parse_entry(ROUTER_LINE)  # R3 forwards E3's packet
-        assert router_view([own], R3) == [own]
-        assert router_view([own], R1) == []
+        assert list(router_view([own], R3)) == [own]
+        assert list(router_view([own], R1)) == []
 
     def test_rejects_non_router(self):
         with pytest.raises(ValueError):
@@ -235,12 +244,95 @@ class TestWindowsAndCsv:
         assert ",attack," in lines[2]
 
 
+# Reference: the per-entry feature code the columnar ``window_matrix`` must
+# equal. Entries are bucketed by bisection over the window starts, and each
+# window's vector is built from its LogEntry objects in stream order.
+_SRC_SLOT = {node: 16 + i for i, node in enumerate(EDGES + ROUTERS)}
+_DST_SLOT = {node: 23 + i for i, node in enumerate(ROUTERS + (C, A))}
+
+
+def _delay_samples(entries):
+    e2e, first = [], []
+    for e in entries:
+        if e.kind is EntryKind.COORDINATOR:
+            e2e.append(end_to_end_delay(e))
+        if e.segments[0].received_at is not None:
+            first.append(first_hop_delay(e))
+    return e2e, first
+
+
+def _stats(samples):
+    if not samples:
+        return 0.0, 0.0, 0.0, 0.0
+    arr = np.asarray(samples)
+    return float(arr.mean()), float(arr.std()), float(arr.min()), float(arr.max())
+
+
+def _quartiles(samples):
+    if not samples:
+        return 0.0, 0.0, 0.0
+    q1, q2, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
+    return float(q1), float(q2), float(q3)
+
+
+def window_vector(selected, start, schema, device=C):
+    values = np.zeros(N_FEATURES)
+    if selected:
+        e2e, first = _delay_samples(selected)
+        values[0:4] = _stats(e2e)
+        values[4:7] = _quartiles(e2e)
+        mean_f, std_f, _, _ = _stats(first)
+        values[7:9] = (mean_f, std_f)
+        values[9:12] = _quartiles(first)
+        values[12] = shannon_entropy(e2e)
+        values[13] = shannon_entropy(first)
+        hops = [hop_count(e) for e in selected]
+        values[14] = len(selected)
+        values[15] = float(np.mean(hops))
+        segments = [seg for e in selected for seg in e.segments]
+        srcs = Counter(seg.src for seg in segments)
+        dsts = Counter(seg.dst for seg in segments)
+        for node, slot in _SRC_SLOT.items():
+            values[slot] = srcs[node]
+        for node, slot in _DST_SLOT.items():
+            values[slot] = dsts[node]
+        for n, count in Counter(hops).items():
+            if 1 <= n <= 3:
+                values[27 + n] = count
+    for slot in schema:
+        values[slot] = 0.0
+    return FeatureVector(start, device, values)
+
+
+def bucket_entries(entries, windows):
+    starts = [start for start, _ in windows]
+    buckets = [[] for _ in windows]
+    for e in entries:
+        sent = e.segments[0].sent_at
+        i = bisect_right(starts, sent) - 1
+        if i >= 0 and sent < windows[i][1]:
+            buckets[i].append(e)
+    return buckets
+
+
+def reference_window_features(entries, windows, schema, device):
+    return [window_vector(bucket, start, schema, device)
+            for (start, _), bucket in zip(windows, bucket_entries(entries, windows))]
+
+
+def logged_by_sender(entry, n_segments, status):
+    """The entry the sender of segment ``n_segments`` logs for the same packet."""
+    *done, last = entry.segments[:n_segments]
+    kind = EntryKind.EDGE if n_segments == 1 else EntryKind.ROUTER
+    return LogEntry(kind, (*done, Segment(last.src, last.dst, last.sent_at)), status)
+
+
 # Paths an edge's packet can take to the coordinator in the test entries.
 PATHS = ([R1, C], [R2, C], [R3, C], [R3, R2, C], [R1, R2, C])
 
 
 class TestWindowFeatures:
-    """harness.window_features (one pass) against extract_window per window."""
+    """harness.window_features and extract_window (columns) against the per-entry reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(),
@@ -267,13 +359,34 @@ class TestWindowFeatures:
                                      data.draw(st.sampled_from(PATHS)), sent,
                                      hop_ms=data.draw(st.floats(min_value=1.0, max_value=500.0)))
                    for sent in sends]
+        # Some entries as the edge or a router logged them: sender-only last segment.
+        for i, cut in enumerate(data.draw(st.lists(st.integers(0, 3), min_size=len(entries),
+                                                   max_size=len(entries)))):
+            if cut and cut <= len(entries[i].segments):
+                entries[i] = logged_by_sender(entries[i], cut, data.draw(st.integers(0, 1)))
 
         got = harness.window_features(entries, start, duration, window_len, schema, R2)
-        want = [extract_window(entries, w, schema, R2) for w in windows]
+        want = reference_window_features(entries, windows, schema, R2)
         assert len(got) == len(want)
-        for g, w in zip(got, want):
+        for g, w, window in zip(got, want, windows):
             assert (g.window_start, g.device) == (w.window_start, w.device)
             assert np.array_equal(g.values, w.values)
+            assert np.array_equal(extract_window(entries, window, schema, R2).values, w.values)
+
+    def test_many_entries_per_window_keep_stream_order(self):
+        # Hundreds of entries per window, sent in shuffled order: an unstable
+        # grouping would reorder the delay samples and change their sums.
+        rng = np.random.default_rng(8)
+        start = ts(0.0)
+        entries = [coordinator_entry(E1, PATHS[int(rng.integers(len(PATHS)))],
+                                     start + timedelta(seconds=float(rng.uniform(0.0, 180.0))),
+                                     hop_ms=float(rng.uniform(1.0, 500.0)))
+                   for _ in range(600)]
+        got = harness.window_features(entries, start, 180.0, 60.0, COORDINATOR_SCHEMA, C)
+        want = reference_window_features(entries, make_windows(start, 180.0, 60.0),
+                                         COORDINATOR_SCHEMA, C)
+        for g, w in zip(got, want, strict=True):
+            assert g.values.tobytes() == w.values.tobytes()
 
     def test_entry_at_a_window_end_lands_in_the_next_window(self):
         windows = make_windows(ts(0), 2.0, 0.7)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from iotfed.harness import (
     overhead_report,
     run_experiment,
     run_simulation,
+    write_attack,
 )
 from iotfed.logfmt import EntryKind
 from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
@@ -248,6 +251,15 @@ class TestBundle:
         assert (models / "centralized.wts").exists()
         assert (models / "federated_pretrained.wts").exists()
         assert (models / f"global_r{cfg.fl_rounds}.wts").exists()
+
+    def test_reports_list_each_k_once_in_sorted_order(self, small_experiment, tmp_path):
+        cfg, result, _ = small_experiment
+        shuffled = replace(cfg, ks=(4.0, 1.0, 3.0, 2.0))
+        write_attack(shuffled, result.outcomes[0], result.pipelines, tmp_path)
+        for mode in cfg.modes:
+            lines = (tmp_path / "attacks" / "E4_to_A" / f"report_{mode}.csv").read_text()
+            ks = [line.split(",")[1] for line in lines.strip().split("\n")[1:]]
+            assert ks == [k for k in ("1", "2", "3", "4") for _ in ROUTERS]
 
     def test_summary_rows(self, small_experiment):
         cfg, _, out = small_experiment

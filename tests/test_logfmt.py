@@ -1,8 +1,9 @@
 import random
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     COORD_E2E_MS,
@@ -13,6 +14,7 @@ from conftest import (
     ROUTER_LINE,
 )
 from iotfed.logfmt import (
+    DeviceLog,
     EntryKind,
     IncompleteTrace,
     LogEntry,
@@ -21,12 +23,14 @@ from iotfed.logfmt import (
     end_to_end_delay,
     first_hop_delay,
     format_timestamp,
+    format_us,
     hop_count,
     parse_entry,
     parse_log,
     serialize_entry,
+    to_us,
 )
-from iotfed.nodes import C, E3, R2, R3
+from iotfed.nodes import EDGES, ROUTERS, A, C, E3, R2, R3
 
 
 class TestReferenceExamples:
@@ -278,8 +282,95 @@ def test_statuses_with_leading_zeros_rejected(status):
         parse_entry(line)
 
 
+def test_statuses_beyond_64_bits_rejected():
+    line = f"E3>R3, 2024-04-26 13:36:10.273312, S:{2**63}"
+    with pytest.raises(ParseError, match="64 bits") as exc_info:
+        parse_entry(line)
+    assert exc_info.value.offset == line.index("S:")
+    widest = parse_log(f"E3>R3, 2024-04-26 13:36:10.273312, S:{2**63 - 1}\n")
+    assert list(DeviceLog.from_entries(widest)) == widest
+
+
 @pytest.mark.parametrize("status", [0, 1, 7, 255, 1024])
 def test_ascii_statuses_round_trip(status):
     line = f"E3>R3, 2024-04-26 13:36:10.273312, S:{status}"
     assert parse_entry(line).status == status
     assert serialize_entry(parse_entry(line)) == line
+
+
+_ANY_TIME = st.datetimes(min_value=datetime(1, 1, 1),
+                         max_value=datetime(9999, 12, 31, 23, 59, 59, 999999))
+
+
+@given(st.lists(_ANY_TIME, max_size=20))
+def test_format_us_matches_format_timestamp_in_every_year(stamps):
+    got = format_us(np.array([to_us(ts) for ts in stamps + stamps], dtype=np.int64))
+    assert got.tolist() == [format_timestamp(ts) for ts in stamps + stamps]
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-5.0, 0.0)), max_size=20))
+def test_format_us_matches_format_timestamp_before_the_start(offsets):
+    # A negative clock skew can put a stamp before the run's start.
+    start = datetime(2024, 4, 26, 13, 0, 0)
+    us = [round((offset + skew) * 1e6) for offset, skew in offsets]
+    got = format_us(to_us(start) + np.array(us, dtype=np.int64).reshape(-1, 1))
+    assert got.shape == (len(us), 1)
+    assert got[:, 0].tolist() == [format_timestamp(start + timedelta(microseconds=u))
+                                  for u in us]
+
+
+@st.composite
+def logged_entries(draw):
+    """Entries of every kind along edge-router-...-C/A paths, at any time."""
+    origin = draw(st.sampled_from(EDGES))
+    routers = draw(st.lists(st.sampled_from(ROUTERS), min_size=1, max_size=3, unique=True))
+    nodes = [origin, *routers, draw(st.sampled_from([C, A]))]
+    n_segments = draw(st.integers(1, len(nodes) - 1))
+    kind = (EntryKind.COORDINATOR if draw(st.booleans())
+            else EntryKind.EDGE if n_segments == 1 else EntryKind.ROUTER)
+    t = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9998, 1, 1)))
+    segments = []
+    for src, dst in list(zip(nodes, nodes[1:]))[:n_segments]:
+        sent = t + timedelta(microseconds=draw(st.integers(0, 10**7)))
+        t = sent + timedelta(microseconds=draw(st.integers(0, 10**7)))
+        segments.append(Segment(src, dst, sent, t))
+    status = None
+    if kind is not EntryKind.COORDINATOR:
+        last = segments[-1]
+        segments[-1] = Segment(last.src, last.dst, last.sent_at)
+        status = draw(st.integers(0, 2**62))
+    elif draw(st.booleans()):
+        status = draw(st.integers(0, 9))  # tolerated on a coordinator entry
+    return LogEntry(kind, tuple(segments), status)
+
+
+class TestDeviceLog:
+    @settings(max_examples=150)
+    @given(st.lists(logged_entries(), max_size=12))
+    def test_round_trips_entries_and_renders_each_as_serialize_entry(self, entries):
+        log = DeviceLog.from_entries(entries)
+        assert len(log) == len(entries)
+        assert list(log) == entries
+        assert [log[i] for i in range(-len(entries), 0)] == entries
+        assert log.render().splitlines() == [serialize_entry(e) for e in entries]
+        assert log.render().count("\n") == len(entries)
+
+    def test_len_reads_the_row_count_and_indexing_infers_kinds(self, monkeypatch):
+        log = DeviceLog.from_entries(parse_log(f"{EDGE_LINE}\n{ROUTER_LINE}\n{COORD_LINE}\n"))
+        assert [e.kind for e in log] == [EntryKind.EDGE, EntryKind.ROUTER,
+                                        EntryKind.COORDINATOR]
+        with pytest.raises(IndexError):
+            log[3]
+        monkeypatch.setattr(DeviceLog, "__getitem__", None)  # len() builds no entry
+        assert len(log) == 3
+
+    @pytest.mark.parametrize("entry", [
+        LogEntry(EntryKind.ROUTER, (Segment(E3, R3, datetime(2024, 1, 1)),), 0),
+        LogEntry(EntryKind.EDGE, (Segment(E3, R3, datetime(2024, 1, 1),
+                                          datetime(2024, 1, 2)),), 0),
+        LogEntry(EntryKind.ROUTER, (Segment(E3, R3, datetime(2024, 1, 1)),
+                                    Segment(R3, C, datetime(2024, 1, 2))), 0),
+    ], ids=["router-kind-one-segment", "edge-kind-received", "incomplete-middle-segment"])
+    def test_entries_the_grammar_cannot_hold_rejected(self, entry):
+        with pytest.raises(ValueError):
+            DeviceLog.from_entries([entry])

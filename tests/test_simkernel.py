@@ -7,7 +7,7 @@ import pytest
 
 from iotfed import simkernel
 from iotfed.attacks import AttackPlan, AttackSpec, apply_plan
-from iotfed.logfmt import EntryKind, LogEntry, Segment, parse_log
+from iotfed.logfmt import EntryKind, LogEntry, Segment, parse_log, serialize_entry
 from iotfed.nodes import (
     A,
     C,
@@ -28,7 +28,6 @@ from iotfed.simkernel import (
     ConfigError,
     HopDelayModel,
     SimConfig,
-    SimResult,
     run_simulation,
     sample_hop_delay,
 )
@@ -206,6 +205,18 @@ class TestCollectorPause:
             gc.enable()
 
 
+class TestCollectorLoad:
+    def test_a_kept_run_leaves_the_collector_little_to_scan(self):
+        topology = build_topology(ScenarioFamily.III)
+        run_simulation(topology, SimConfig(seed=1, duration=2.0))  # warm any caches
+        gc.collect()
+        before = len(gc.get_objects())
+        result = run_simulation(topology, SimConfig(seed=1, duration=10 * MIN))
+        gc.collect()
+        assert len(gc.get_objects()) - before < 200
+        assert len(result.traces) == 2400
+
+
 class TestRoutesPerPhase:
     @pytest.fixture
     def route_calls(self, monkeypatch):
@@ -323,9 +334,11 @@ class TestMatchesTwoPassReference:
         result = run_simulation(topology, cfg, plan)
         traces = _reference_traces(topology, cfg, plan)
         entries = _reference_entries(cfg, traces)
-        assert result.render_logs() == SimResult([], entries).render_logs()
+        assert result.render_logs() == {f"{node}.log": "".join(serialize_entry(e) + "\n"
+                                                               for e in node_entries)
+                                        for node, node_entries in entries.items()}
         assert list(result.entries) == list(entries)
-        assert result.entries == entries
+        assert {node: list(log) for node, log in result.entries.items()} == entries
         assert ([(t.origin, t.send_time, t.delivered_to, t.status_per_hop)
                  for t in result.traces]
                 == [(origin, hops[0].sent_at, delivered, statuses)
