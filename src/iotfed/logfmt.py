@@ -7,11 +7,14 @@ Coordinator entry: ``E3>R3, <sent>, <received>, ..., R2>C, <sent>, <received>``
 Timestamps are ``YYYY-MM-DD HH:MM:SS.ffffff`` at microsecond precision,
 ASCII digits only.
 Canonical serialization puts no spaces around ``>`` and a single space
-after each comma; the parser additionally accepts single spaces around
-``>`` and missing spaces after commas (the two renderings seen in the
-field differ only in that whitespace).
+after each comma. :func:`parse_entry` splits a line at its commas and
+strips any whitespace (``str.strip``) from both ends of every field, so
+it also takes no space, several spaces or tabs around a field, and one
+trailing comma; within a node pair it takes at most one space on each
+side of ``>``.
 
-A device's whole log is held in columns as a :class:`DeviceLog`.
+A device's whole log is held in columns as a :class:`DeviceLog`;
+:func:`parse_log` reads a document straight into one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import enum
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,12 +40,19 @@ _KNOWN_NODES = {str(n): n for n in (C, A) + ROUTERS + EDGES}
 
 
 class ParseError(ValueError):
-    """A malformed log entry; carries the byte offset of the bad field."""
+    """A malformed log entry.
 
-    def __init__(self, reason: str, offset: int = 0):
-        super().__init__(f"at byte {offset}: {reason}")
+    ``offset`` counts characters from the start of the line to the bad
+    field; ``line`` is the line's 1-based number in the document (as
+    ``str.splitlines`` counts lines) when :func:`parse_log` raised it.
+    """
+
+    def __init__(self, reason: str, offset: int = 0, line: int | None = None):
+        where = f"at character {offset}" if line is None else f"line {line}, character {offset}"
+        super().__init__(f"{where}: {reason}")
         self.reason = reason
         self.offset = offset
+        self.line = line
 
 
 class IncompleteTrace(ValueError):
@@ -312,7 +323,14 @@ class DeviceLog(Sequence[LogEntry]):
     def __len__(self) -> int:
         return len(self.n_segs)
 
-    def __getitem__(self, i: int) -> LogEntry:
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The constructor's arguments, in its order."""
+        return self.n_segs, self.received, self.status, self.src, self.dst, self.times
+
+    def __getitem__(self, i: int | slice) -> LogEntry | DeviceLog:
+        if isinstance(i, slice):
+            return self.rows(i)
         i = range(len(self))[i]
         a, b = int(self.starts[i]), int(self.ends[i])
         received = bool(self.received[i])
@@ -324,8 +342,8 @@ class DeviceLog(Sequence[LogEntry]):
         status = int(self.status[i])
         return LogEntry(_kind(b - a, received), segments, None if status < 0 else status)
 
-    def rows(self, keep: np.ndarray) -> DeviceLog:
-        """The rows a boolean mask or an index array selects, in that order."""
+    def rows(self, keep: np.ndarray | slice) -> DeviceLog:
+        """The rows a boolean mask, an index array or a slice selects, in that order."""
         index = np.arange(len(self))[keep]
         n_segs = self.n_segs[index]
         seg = np.repeat(self.starts[index] - np.cumsum(n_segs) + n_segs, n_segs) + np.arange(
@@ -353,6 +371,118 @@ class DeviceLog(Sequence[LogEntry]):
                             stamps[:, 1].tolist(), seg_received.tolist(), tails.tolist())])
 
 
-def parse_log(text: str) -> list[LogEntry]:
-    """Parse a newline-delimited log document, skipping blank lines."""
-    return [parse_entry(line) for line in text.splitlines() if line.strip()]
+#: ``"E3>R3"`` -> ``NODE_CODE[E3] * len(NODES) + NODE_CODE[R3]``, for every pair of nodes.
+_PAIR_CODE = {f"{a}>{b}": i * len(NODES) + j
+              for i, a in enumerate(NODES) for j, b in enumerate(NODES)}
+# The digit fields of a timestamp (year, month, day, hour, minute, second,
+# microsecond) by character position; every other position is a separator.
+_STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 26))
+_STAMP_SEPARATORS = np.frombuffer(b"-- ::.", np.uint8)
+_SEPARATOR_AT = np.array([4, 7, 10, 13, 16, 19])
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+
+
+def _stamps_us(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``to_us`` of each row of an ``(n, 26)`` uint8 array of timestamp
+    characters, and whether ``parse_entry`` accepts the row as a timestamp."""
+    digits = text - np.uint8(ord("0"))  # wraps below "0", so a non-digit reads > 9
+    ok = ((text[:, _SEPARATOR_AT] == _STAMP_SEPARATORS).all(axis=1)
+          & (np.delete(digits, _SEPARATOR_AT, axis=1) <= 9).all(axis=1))
+    year, month, day, hour, minute, second, micro = (
+        digits[:, a:b].astype(np.int64) @ 10 ** np.arange(b - a - 1, -1, -1)
+        for a, b in _STAMP_FIELDS)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    m = np.clip(month, 1, 12) - 1
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+           & (day <= _MONTH_DAYS[m] + (leap & (m == 1)))
+           & (hour <= 23) & (minute <= 59) & (second <= 59))
+    y = year - 1
+    days = (y * 365 + y // 4 - y // 100 + y // 400
+            + _DAYS_BEFORE_MONTH[m] + (leap & (m > 1)) + day - 1)
+    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000 + micro, ok
+
+
+def _status(field: str) -> int:
+    """The status a last field holds: -1 for none, -2 for one beyond int64."""
+    m = _STATUS_RE.match(field)
+    if m is None:
+        return -1
+    status = int(m.group(1))
+    return status if status < 2**63 else -2
+
+
+def _read_canonical(lines: list[str]) -> tuple[DeviceLog, np.ndarray]:
+    """The lines written as ``serialize_entry`` writes them, as columns, and
+    a mask of those lines.
+
+    A line is taken only if ``parse_entry`` accepts it; its row is the one
+    ``parse_entry`` reads. Fields are split at ", " alone, so any other
+    spacing leaves a line out, as does every check it fails.
+    """
+    fields = [line.split(", ") for line in lines]
+    n_fields = np.fromiter(map(len, fields), np.int64, len(lines))
+    tokens = list(chain.from_iterable(fields))
+    line_of = np.repeat(np.arange(len(lines)), n_fields)
+    last = np.cumsum(n_fields) - 1
+    status = np.array([_status(f[-1]) for f in fields], dtype=np.int64)
+    is_status = np.zeros(len(tokens), dtype=bool)
+    is_status[last[status != -1]] = True
+    pair = np.fromiter(map(_PAIR_CODE.get, tokens, repeat(-1)), np.int64, len(tokens))
+    is_pair = pair >= 0
+    is_stamp = ~is_pair & ~is_status & (np.fromiter(map(len, tokens), np.int64, len(tokens)) == 26)
+
+    # A line must start with a pair and hold only pairs, timestamps and a last status.
+    bad = (status == -2) | ~is_pair[last - n_fields + 1]
+    bad[line_of[~(is_pair | is_stamp | is_status)]] = True
+    is_stamp &= ~bad[line_of]  # so every timestamp left follows a pair of its own line
+
+    seg_line = line_of[is_pair]
+    src, dst = np.divmod(pair[is_pair], len(NODES))
+    n_stamps = np.bincount(np.cumsum(is_pair)[is_stamp] - 1, minlength=len(seg_line))
+    text = "".join(compress(tokens, is_stamp.tolist())).encode("ascii", "replace")
+    us, stamp_ok = _stamps_us(np.frombuffer(text, np.uint8).reshape(-1, 26))
+    bad[line_of[is_stamp][~stamp_ok]] = True
+    first = np.cumsum(n_stamps) - n_stamps
+    us = np.append(us, 0)  # read by segments without a timestamp, whose lines are bad
+    sent = us[first]
+    got = np.where(n_stamps == 2, us[np.minimum(first + 1, len(us) - 1)], sent)
+
+    # Each segment has one or two timestamps, only a line's last may lack its
+    # receive time, the path is continuous, and nothing is received before it is sent.
+    seg_last = np.diff(seg_line, append=-1) != 0
+    bad[seg_line[(n_stamps == 0) | (n_stamps > 2) | ((n_stamps == 1) & ~seg_last)
+                 | (got < sent)]] = True
+    bad[seg_line[1:][(seg_line[1:] == seg_line[:-1]) & (dst[:-1] != src[1:])]] = True
+    received = np.zeros(len(lines), dtype=bool)
+    received[seg_line[seg_last]] = n_stamps[seg_last] == 2
+    bad |= ~received & (status < 0)  # edge and router entries carry a status
+
+    ok = ~bad
+    keep = ok[seg_line]
+    log = DeviceLog(np.bincount(seg_line, minlength=len(lines))[ok], received[ok], status[ok],
+                    src[keep], dst[keep], np.stack([sent, got], axis=1)[keep])
+    return log, ok
+
+
+def parse_log(text: str) -> DeviceLog:
+    """Parse a newline-delimited log document into columns, skipping blank lines.
+
+    Canonical lines are read together; every other line goes to
+    :func:`parse_entry`, in document order, so the first bad line raises
+    the ``ParseError`` that ``parse_entry`` gives it, with its line number.
+    """
+    lines = text.splitlines()
+    log, ok = _read_canonical(lines)
+    others = [i for i in np.flatnonzero(~ok).tolist() if lines[i].strip()]
+    if not others:
+        return log
+    entries = []
+    for i in others:
+        try:
+            entries.append(parse_entry(lines[i]))
+        except ParseError as err:
+            raise ParseError(err.reason, err.offset, i + 1) from None
+    rest = DeviceLog.from_entries(entries)
+    merged = DeviceLog(*(np.concatenate(pair) for pair in zip(log.columns, rest.columns)))
+    return merged.rows(np.argsort(np.append(np.flatnonzero(ok), others)))

@@ -90,6 +90,10 @@ class TestSerialization:
         assert parse_entry(serialize_entry(entry)) == entry
 
 
+# Three ordered canonical timestamps.
+T1, T2, T3 = (f"2024-04-26 13:36:10.{us:06d}" for us in (273312, 336880, 369257))
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("line", [
         "",
@@ -123,6 +127,32 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_entry(line)
 
+    @pytest.mark.parametrize("line", [
+        f"E3>R3, {T1}",
+        f"E3>R3, {T1}, {T2}, R3>C, {T3}",
+        f"E3>R3, {T1}, {T2}, {T3}, S:0",
+        f"E3>R3, {T1}, R3>C, {T2}, {T3}",
+        f"E3>R3, {T1}, {T2}, R2>C, {T3}, {T3}",
+        f"E3>R3, {T2}, {T1}, R3>C, {T3}, S:0",
+        f"E3>R3, R3>C, {T1}, {T2}",
+        f"{T1}, E3>R3, {T2}, S:0",
+        f"E3>R3, {T1}, S:0, {T2}",
+        f"E3>R3, {T1}, S:{2**63}",
+        f"E3>R3, {T1}, S:01",
+        f"E3>C4, {T1}, S:0",
+        "S:0",
+    ], ids=["edge-no-status", "router-no-status", "three-stamps", "incomplete-middle",
+            "discontinuous", "received-before-sent", "pair-without-stamp", "stamp-first",
+            "status-not-last", "status-too-wide", "status-leading-zero", "unknown-node",
+            "status-only"])
+    def test_parse_log_raises_what_parse_entry_raises(self, line):
+        with pytest.raises(ParseError) as entry_error:
+            parse_entry(line)
+        with pytest.raises(ParseError) as log_error:
+            parse_log(line)
+        assert (log_error.value.reason, log_error.value.offset, log_error.value.line) == (
+            entry_error.value.reason, entry_error.value.offset, 1)
+
     def test_error_carries_offset(self):
         bad = "E3>R3, 2024-04-26 13:36:10.273312, banana, S:0"
         with pytest.raises(ParseError) as exc_info:
@@ -147,13 +177,26 @@ class TestDelays:
 
 class TestParseLog:
     def test_skips_blank_lines(self):
-        text = f"{EDGE_LINE}\n\n{ROUTER_LINE}\n   \n{COORD_LINE}\n"
-        entries = parse_log(text)
+        canonical = serialize_entry(parse_entry(EDGE_LINE))
+        text = f"{canonical}\n{EDGE_LINE}\n\n{ROUTER_LINE}\n   \n{COORD_LINE}\n {canonical}"
+        entries = list(parse_log(text))
         assert [e.kind for e in entries] == [
-            EntryKind.EDGE, EntryKind.ROUTER, EntryKind.COORDINATOR]
+            EntryKind.EDGE, EntryKind.EDGE, EntryKind.ROUTER, EntryKind.COORDINATOR,
+            EntryKind.EDGE]
+        assert entries == [parse_entry(line) for line in text.splitlines() if line.strip()]
 
     def test_empty_document(self):
-        assert parse_log("") == []
+        assert list(parse_log("")) == []
+
+    def test_names_the_first_bad_line(self):
+        good = "E3>R3, 2024-04-26 13:36:10.273312, S:0"
+        bad_date = "E3>R3, 2024-02-30 13:36:10.273312, S:0"
+        unknown_node = "E9>R3, 2024-04-26 13:36:10.273312, S:0"
+        doc = "\n".join([good, "", bad_date, good, unknown_node]) + "\n"
+        with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
+            parse_log(doc)
+        assert (exc_info.value.line, exc_info.value.offset) == (3, bad_date.index("2024"))
+        assert str(exc_info.value).startswith("line 3, character 7: ")
 
 
 def random_valid_entry(rng: random.Random) -> LogEntry:
@@ -228,11 +271,13 @@ def test_timestamp_tokens_read_as_strptime_reads_them(year, month, day, hour,
     try:
         expected = datetime.strptime(token, _STRFTIME)
     except ValueError:
-        with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
-            parse_entry(line)
-        assert exc_info.value.offset == line.index(token)
+        for parse in (parse_entry, parse_log):
+            with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
+                parse(line)
+            assert exc_info.value.offset == line.index(token)
     else:
         assert parse_entry(line).segments[0].sent_at == expected
+        assert parse_log(line).times[0, 0] == to_us(expected)
 
 
 @pytest.mark.parametrize("token", [
@@ -241,22 +286,40 @@ def test_timestamp_tokens_read_as_strptime_reads_them(year, month, day, hour,
     "2024-04-26 24:00:00.000000",   # hour 24
     "2024-04-26 13:36:60.000000",   # second 60
     "0000-01-01 00:00:00.000000",   # year 0
+    "2023-02-29 00:00:00.000000",   # Feb 29 of a common year
+    "1900-02-29 00:00:00.000000",   # Feb 29 of a century not divisible by 400
+    "2024-04-31 00:00:00.000000",   # April 31
+    "2024-00-10 00:00:00.000000",   # month 0
+    "2024-04-00 00:00:00.000000",   # day 0
+    "2024-04-26 13:60:00.000000",   # minute 60
 ])
 def test_impossible_timestamps_raise_at_their_offset(token):
-    line = f"E3>R3, 2024-04-26 13:36:10.273312, {token}, S:0"
-    with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
-        parse_entry(line)
-    assert exc_info.value.offset == line.index(token)
+    line = f"E3>R3, {T1}, {T2}, R3>C, {token}, S:0"  # a send time, which no check orders
+    for parse in (parse_entry, parse_log):
+        with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
+            parse(line)
+        assert exc_info.value.offset == line.index(token)
 
 
-@pytest.mark.parametrize("position", [0, 6, 9, 12, 15, 18, 25])
+@pytest.mark.parametrize("ts", [
+    datetime(1, 1, 1), datetime(4, 2, 29, 1, 2, 3, 4), datetime(2000, 2, 29, 23, 59, 59),
+    datetime(2000, 3, 1), datetime(2024, 2, 29, 12), datetime(2024, 3, 1), datetime(2100, 3, 1),
+    datetime(9999, 12, 31, 23, 59, 59, 999999),
+])
+def test_parse_log_reads_timestamps_as_to_us(ts):
+    line = f"E3>R3, {format_timestamp(ts)}, S:0"
+    assert parse_log(line).times.tolist() == [[to_us(ts), to_us(ts)]]
+
+
+@pytest.mark.parametrize("position", [0, 4, 6, 9, 10, 12, 15, 18, 19, 25])
 def test_timestamps_with_non_ascii_digits_rejected(position):
     good = "2024-04-26 13:36:10.273312"
     token = good[:position] + "١" + good[position + 1:]  # ARABIC-INDIC DIGIT ONE
     line = f"E3>R3, {token}, S:0"
-    with pytest.raises(ParseError) as exc_info:
-        parse_entry(line)
-    assert exc_info.value.offset == line.index(token)
+    for parse in (parse_entry, parse_log):
+        with pytest.raises(ParseError) as exc_info:
+            parse(line)
+        assert exc_info.value.offset == line.index(token)
 
 
 def test_years_below_1000_round_trip():
@@ -287,7 +350,9 @@ def test_statuses_beyond_64_bits_rejected():
     with pytest.raises(ParseError, match="64 bits") as exc_info:
         parse_entry(line)
     assert exc_info.value.offset == line.index("S:")
-    widest = parse_log(f"E3>R3, 2024-04-26 13:36:10.273312, S:{2**63 - 1}\n")
+    with pytest.raises(ParseError, match="64 bits"):
+        parse_log(line)
+    widest = list(parse_log(f"E3>R3, 2024-04-26 13:36:10.273312, S:{2**63 - 1}\n"))
     assert list(DeviceLog.from_entries(widest)) == widest
 
 
@@ -364,6 +429,14 @@ class TestDeviceLog:
         monkeypatch.setattr(DeviceLog, "__getitem__", None)  # len() builds no entry
         assert len(log) == 3
 
+    @pytest.mark.parametrize("window", [slice(0, 1), slice(1, None), slice(None, None, -1),
+                                        slice(-2, None, 2), slice(5, 9)])
+    def test_slices_are_device_logs_of_those_rows(self, window):
+        log = parse_log(f"{EDGE_LINE}\n{ROUTER_LINE}\n{COORD_LINE}\n")
+        part = log[window]
+        assert isinstance(part, DeviceLog)
+        assert list(part) == list(log)[window]
+
     @pytest.mark.parametrize("entry", [
         LogEntry(EntryKind.ROUTER, (Segment(E3, R3, datetime(2024, 1, 1)),), 0),
         LogEntry(EntryKind.EDGE, (Segment(E3, R3, datetime(2024, 1, 1),
@@ -374,3 +447,63 @@ class TestDeviceLog:
     def test_entries_the_grammar_cannot_hold_rejected(self, entry):
         with pytest.raises(ValueError):
             DeviceLog.from_entries([entry])
+
+
+# Rewrites of a canonical line that parse_entry reads to the same entry.
+_ACCEPTED_SPACINGS = (
+    lambda line: line.replace(">", " > "),
+    lambda line: line.replace(", ", ","),
+    lambda line: line.replace(", ", ",\t"),
+    lambda line: line + ",",
+    lambda line: f"  {line}\t",
+)
+# What a corruption writes over one character ("" deletes it).
+_NOISE = ("", "0", "3", "9", ",", ", ", " ", "\t", ">", "S:", "-", ":", "\u0661", "\xe9")
+
+
+@st.composite
+def edited_documents(draw):
+    """Rendered entries, some respaced, some with one character corrupted, and blank lines."""
+    lines = []
+    for entry in draw(st.lists(logged_entries(), max_size=8)):
+        line = serialize_entry(entry)
+        if draw(st.integers(0, 2)) == 0:
+            line = draw(st.sampled_from(_ACCEPTED_SPACINGS))(line)
+        if draw(st.integers(0, 4)) == 0:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(_NOISE)) + line[at + 1:]
+        lines += [line, *draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=1))]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300)
+@given(edited_documents())
+def test_parse_log_reads_every_line_as_parse_entry_does(doc):
+    entries, error = [], None
+    for number, line in enumerate(doc.splitlines(), 1):
+        if line.strip():
+            try:
+                entries.append(parse_entry(line))
+            except ParseError as err:
+                error = (err.reason, err.offset, number)
+                break
+    if error is not None:
+        with pytest.raises(ParseError) as exc_info:
+            parse_log(doc)
+        assert (exc_info.value.reason, exc_info.value.offset, exc_info.value.line) == error
+    else:
+        for got, want in zip(parse_log(doc).columns, DeviceLog.from_entries(entries).columns):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+_FRAGMENTS = ("E3>R3", "R3>C", ", ", "2024-04-26 13:36:10.273312", "S:0", "\n")
+
+
+@given(st.lists(st.one_of(st.characters(max_codepoint=255), st.sampled_from(_FRAGMENTS)),
+                max_size=60).map("".join))
+def test_parse_log_never_crashes_on_latin1_text(doc):
+    try:
+        parse_log(doc)
+    except ParseError:
+        pass

@@ -109,8 +109,10 @@ class TestDeterminism:
 
     def test_rendered_logs_parse_back(self, small_sim):
         _, _, result = small_sim
-        for doc in result.render_logs().values():
-            parse_log(doc)
+        docs = result.render_logs()
+        for node, log in result.entries.items():
+            for got, want in zip(parse_log(docs[f"{node}.log"]).columns, log.columns):
+                assert np.array_equal(got, want)
 
 
 @pytest.fixture(scope="module")
