@@ -1,20 +1,24 @@
 """From-scratch dense autoencoder: forward, backprop, Adam, training.
 
 Default architecture 31 -> 32 (ReLU) -> 16 (ReLU) -> 32 (sigmoid) ->
-31 (sigmoid), trained with mean squared reconstruction error. Parameters
-live in float32; gradient-check oracles run the same code in float64.
+31 (sigmoid), trained with mean squared reconstruction error. A model's
+parameters are one flat vector, float32 in the pipeline; gradient-check
+oracles run the same code in float64.
 """
 
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_DIMS = (31, 32, 16, 32, 31)
 DEFAULT_ACTIVATIONS = ("relu", "relu", "sigmoid", "sigmoid")
+# Adam's moment decay rates and its guard against division by zero.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 WEIGHT_MAGIC = b"IFW1"
 _ACT_CODES = {"relu": 0, "sigmoid": 1}
@@ -22,42 +26,67 @@ _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
 
 
 class ShapeMismatch(ValueError):
-    """Array shapes disagree with the architecture tag."""
+    """Array shapes disagree with the architecture."""
 
 
 class EmptyDataset(ValueError):
     """Training requested on an empty feature matrix."""
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     weight: np.ndarray    # (out, in), row-major
     bias: np.ndarray      # (out,)
     activation: str       # "relu" | "sigmoid"
 
-    def __post_init__(self) -> None:
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ShapeMismatch("bias length must match weight rows")
-        if self.activation not in _ACT_CODES:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
 
 @dataclass(frozen=True)
 class ModelWeights:
-    layers: tuple[Layer, ...]
-    arch_tag: str
+    """A dense model whose parameters are one 1-D array.
+
+    ``params`` holds W0, b0, W1, b1, ..., each row-major: ``Wi`` is
+    ``(dims[i+1], dims[i])`` and ``bi`` has ``dims[i+1]`` entries. This is
+    also the order of the weight file's data.
+    """
+
+    params: np.ndarray
+    dims: tuple[int, ...]
+    activations: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.activations) != len(self.dims) - 1:
+            raise ShapeMismatch("need one activation per layer")
+        for act in self.activations:
+            if act not in _ACT_CODES:
+                raise ValueError(f"unknown activation {act!r}")
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.dims, self.dims[1:]))
+        if self.params.shape != (size,):
+            raise ShapeMismatch(f"a {self.arch_tag} model holds {size} parameters, "
+                                f"not an array of shape {self.params.shape}")
+
+    @cached_property
+    def layers(self) -> tuple[Layer, ...]:
+        """Each layer's weight and bias, as views into ``params``."""
+        layers, start = [], 0
+        for (fan_in, fan_out), act in zip(zip(self.dims, self.dims[1:]), self.activations):
+            end = start + fan_out * fan_in
+            layers.append(Layer(self.params[start:end].reshape(fan_out, fan_in),
+                                self.params[end:end + fan_out], act))
+            start = end + fan_out
+        return tuple(layers)
+
+    @property
+    def arch_tag(self) -> str:
+        return arch_tag(self.dims)
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.dims[0]
 
-    def astype(self, dtype) -> "ModelWeights":
-        return ModelWeights(tuple(
-            Layer(l.weight.astype(dtype), l.bias.astype(dtype), l.activation)
-            for l in self.layers), self.arch_tag)
+    def astype(self, dtype) -> ModelWeights:
+        return ModelWeights(self.params.astype(dtype), self.dims, self.activations)
 
     def parameter_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+        return self.params.size
 
 
 @dataclass(frozen=True)
@@ -65,11 +94,7 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -82,8 +107,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AdamState:
-    m: tuple[tuple[np.ndarray, np.ndarray], ...]  # per layer (mW, mb)
-    v: tuple[tuple[np.ndarray, np.ndarray], ...]
+    m: np.ndarray  # laid out as ModelWeights.params
+    v: np.ndarray
     t: int = 0
 
 
@@ -94,23 +119,18 @@ def arch_tag(dims: tuple[int, ...]) -> str:
 def init_weights(dims: tuple[int, ...] = DEFAULT_DIMS,
                  activations: tuple[str, ...] = DEFAULT_ACTIVATIONS,
                  seed: int = 0, dtype=np.float32) -> ModelWeights:
-    """Glorot-uniform initialization from a seeded generator."""
-    if len(activations) != len(dims) - 1:
-        raise ShapeMismatch("need one activation per layer")
+    """Glorot-uniform weights and zero biases from a seeded generator."""
     rng = np.random.default_rng(seed)
-    layers = []
-    for (fan_in, fan_out), act in zip(zip(dims, dims[1:]), activations):
+    parts = []
+    for fan_in, fan_out in zip(dims, dims[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-limit, limit, size=(fan_out, fan_in)).astype(dtype)
-        b = np.zeros(fan_out, dtype=dtype)
-        layers.append(Layer(w, b, act))
-    return ModelWeights(tuple(layers), arch_tag(dims))
+        parts += (rng.uniform(-limit, limit, size=fan_out * fan_in).astype(dtype),
+                  np.zeros(fan_out, dtype=dtype))
+    return ModelWeights(np.concatenate(parts), tuple(dims), tuple(activations))
 
 
 def zero_adam_state(weights: ModelWeights) -> AdamState:
-    zeros = tuple((np.zeros_like(l.weight), np.zeros_like(l.bias))
-                  for l in weights.layers)
-    return AdamState(m=zeros, v=zeros, t=0)
+    return AdamState(np.zeros_like(weights.params), np.zeros_like(weights.params), 0)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -177,47 +197,8 @@ def backward(weights: ModelWeights, batch: np.ndarray,
     return grads
 
 
-def _arrays(pairs) -> list[np.ndarray]:
-    """Per-layer ``(weight, bias)`` pairs as one list: W0, b0, W1, b1, ..."""
-    return [a for pair in pairs for a in pair]
-
-
-def _flatten(arrays, dtype) -> np.ndarray:
-    """A fresh contiguous 1-D buffer holding ``arrays`` in order, in ``dtype``."""
-    return np.concatenate([np.ravel(a) for a in arrays], dtype=dtype)
-
-
-def _flat_copies(weights: ModelWeights, state: AdamState | None):
-    """Fresh flat parameter, ``m`` and ``v`` buffers in the weights' dtype.
-
-    The moments are zero when ``state`` is None.
-    """
-    dtype = weights.layers[0].weight.dtype
-    p = _flatten(_arrays((l.weight, l.bias) for l in weights.layers), dtype)
-    if state is None:
-        return p, np.zeros_like(p), np.zeros_like(p)
-    return p, _flatten(_arrays(state.m), dtype), _flatten(_arrays(state.v), dtype)
-
-
-def _unflatten(buf: np.ndarray, like: ModelWeights) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Views into ``buf`` shaped like ``like``'s per-layer (weight, bias) pairs."""
-    pairs, start = [], 0
-    for layer in like.layers:
-        w_end = start + layer.weight.size
-        b_end = w_end + layer.bias.size
-        pairs.append((buf[start:w_end].reshape(layer.weight.shape), buf[w_end:b_end]))
-        start = b_end
-    return tuple(pairs)
-
-
-def _model_view(p: np.ndarray, like: ModelWeights) -> ModelWeights:
-    """A model with ``like``'s architecture whose arrays are views into ``p``."""
-    return ModelWeights(tuple(Layer(w, b, layer.activation) for (w, b), layer
-                              in zip(_unflatten(p, like), like.layers)), like.arch_tag)
-
-
 def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 t: int, cfg: TrainConfig, scratch: np.ndarray) -> None:
+                 t: int, learning_rate: float, scratch: np.ndarray) -> None:
     """Bias-corrected Adam step ``t`` on flat buffers, in place on ``p``, ``m`` and ``v``.
 
     Performs the float operations of ``m = b1*m + (1-b1)*g``,
@@ -227,18 +208,18 @@ def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     ``scratch`` holds two rows of ``p``'s size.
     """
     step, denom = scratch
-    m *= cfg.beta1
-    np.multiply(1 - cfg.beta1, g, out=step)
+    m *= BETA1
+    np.multiply(1 - BETA1, g, out=step)
     m += step
-    v *= cfg.beta2
-    np.multiply(1 - cfg.beta2, g, out=step)
+    v *= BETA2
+    np.multiply(1 - BETA2, g, out=step)
     step *= g
     v += step
-    np.divide(v, 1 - cfg.beta2 ** t, out=denom)
+    np.divide(v, 1 - BETA2 ** t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += cfg.epsilon
-    np.divide(m, 1 - cfg.beta1 ** t, out=step)
-    step *= cfg.learning_rate
+    denom += EPSILON
+    np.divide(m, 1 - BETA1 ** t, out=step)
+    step *= learning_rate
     step /= denom
     p -= step
 
@@ -254,12 +235,11 @@ def adam_step(weights: ModelWeights, grads, state: AdamState,
             gw.shape != layer.weight.shape or gb.shape != layer.bias.shape
             for layer, (gw, gb) in zip(weights.layers, grads)):
         raise ShapeMismatch("gradient shapes do not mirror the weights")
-    p, m, v = _flat_copies(weights, state)
-    t = state.t + 1
-    _adam_update(p, _flatten(_arrays(grads), p.dtype), m, v, t, cfg,
-                 np.empty((2, p.size), p.dtype))
-    return (_model_view(p, weights),
-            AdamState(_unflatten(m, weights), _unflatten(v, weights), t))
+    p = weights.params.copy()
+    m, v, t = state.m.astype(p.dtype), state.v.astype(p.dtype), state.t + 1
+    g = np.concatenate([np.ravel(a) for pair in grads for a in pair], dtype=p.dtype)
+    _adam_update(p, g, m, v, t, cfg.learning_rate, np.empty((2, p.size), p.dtype))
+    return ModelWeights(p, weights.dims, weights.activations), AdamState(m, v, t)
 
 
 @dataclass
@@ -271,70 +251,72 @@ class TrainResult:
 
 def train(weights: ModelWeights, data: np.ndarray, cfg: TrainConfig,
           adam_state: AdamState | None = None) -> TrainResult:
-    """Mini-batch Adam training; deterministic given seed and config.
+    """Mini-batch Adam training, reshuffled each epoch; deterministic given seed and config.
 
     ``loss_history`` holds the per-epoch mean training loss measured on
     each batch before its update. An existing Adam state may be passed to
     continue optimization across federated rounds. Parameters, gradients
-    and moments each live in one flat buffer of the weights' dtype, copied
-    from the arguments, which are never written to; the returned arrays
-    are views into those buffers.
+    and moments each live in one flat buffer of the weights' dtype; the
+    parameters and moments are copied from the arguments, which are never
+    written to, and returned as they stand after the last step.
     """
     cfg.validate()
-    data = np.atleast_2d(np.asarray(data, dtype=weights.layers[0].weight.dtype))
+    data = np.atleast_2d(np.asarray(data, dtype=weights.params.dtype))
     if data.shape[0] == 0:
         raise EmptyDataset("no training vectors")
-    p, m, v = _flat_copies(weights, adam_state)
-    t = adam_state.t if adam_state is not None else 0
-    model = _model_view(p, weights)
+    model = ModelWeights(weights.params.copy(), weights.dims, weights.activations)
+    p = model.params
+    state = adam_state if adam_state is not None else zero_adam_state(model)
+    m, v, t = state.m.astype(p.dtype), state.v.astype(p.dtype), state.t
     g, scratch = np.empty_like(p), np.empty((2, p.size), p.dtype)
     rng = np.random.default_rng(cfg.seed)
     n = data.shape[0]
     history = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = data[order[start:start + cfg.batch_size]]
             x_hat, cache = forward(model, batch)
             total += float(np.sum(np.sum((batch - x_hat) ** 2, axis=1)))
-            np.concatenate([a.ravel() for a in _arrays(backward(model, batch, cache))], out=g)
+            np.concatenate([a.ravel() for pair in backward(model, batch, cache) for a in pair],
+                           out=g)
             t += 1
-            _adam_update(p, g, m, v, t, cfg, scratch)
+            _adam_update(p, g, m, v, t, cfg.learning_rate, scratch)
         history.append(total / n)
-    return TrainResult(model, history,
-                       AdamState(_unflatten(m, weights), _unflatten(v, weights), t))
+    return TrainResult(model, history, AdamState(m, v, t))
 
 
 def save_weights(weights: ModelWeights) -> bytes:
-    """Versioned binary weight file: header plus little-endian float32 data."""
-    buf = io.BytesIO()
+    """Versioned binary weight file: header plus little-endian float32 ``params``."""
     tag = weights.arch_tag.encode()
-    buf.write(WEIGHT_MAGIC)
-    buf.write(struct.pack("<HH", len(tag), len(weights.layers)))
-    buf.write(tag)
-    for layer in weights.layers:
-        buf.write(struct.pack("<IIB", layer.weight.shape[0],
-                              layer.weight.shape[1], _ACT_CODES[layer.activation]))
-    for layer in weights.layers:
-        buf.write(layer.weight.astype("<f4").tobytes(order="C"))
-        buf.write(layer.bias.astype("<f4").tobytes())
-    return buf.getvalue()
+    header = [WEIGHT_MAGIC, struct.pack("<HH", len(tag), len(weights.activations)), tag]
+    header += [struct.pack("<IIB", fan_out, fan_in, _ACT_CODES[act]) for fan_in, fan_out, act
+               in zip(weights.dims, weights.dims[1:], weights.activations)]
+    return b"".join(header) + weights.params.astype("<f4").tobytes()
 
 
 def load_weights(blob: bytes) -> ModelWeights:
-    buf = io.BytesIO(blob)
-    if buf.read(4) != WEIGHT_MAGIC:
+    """The model a ``save_weights`` file holds.
+
+    Raises ``ValueError`` unless ``blob`` is exactly one such file: a
+    truncated file, trailing bytes and a tag that disagrees with the layer
+    shapes are all refused.
+    """
+    if blob[:4] != WEIGHT_MAGIC:
         raise ValueError("not a weight file")
-    tag_len, n_layers = struct.unpack("<HH", buf.read(4))
-    tag = buf.read(tag_len).decode()
-    shapes = []
-    for _ in range(n_layers):
-        out_dim, in_dim, act = struct.unpack("<IIB", buf.read(9))
-        shapes.append((out_dim, in_dim, _ACT_NAMES[act]))
-    layers = []
-    for out_dim, in_dim, act in shapes:
-        w = np.frombuffer(buf.read(4 * out_dim * in_dim), dtype="<f4").reshape(out_dim, in_dim)
-        b = np.frombuffer(buf.read(4 * out_dim), dtype="<f4")
-        layers.append(Layer(w.copy(), b.copy(), act))
-    return ModelWeights(tuple(layers), tag)
+    try:
+        tag_len, n_layers = struct.unpack_from("<HH", blob, 4)
+        at = 8 + tag_len
+        shapes = [struct.unpack_from("<IIB", blob, at + 9 * i) for i in range(n_layers)]
+    except struct.error:
+        raise ValueError("weight file header is truncated") from None
+    tag = blob[8:at].decode()
+    dims = tuple(s[1] for s in shapes[:1]) + tuple(s[0] for s in shapes)
+    if [s[:2] for s in shapes] != list(zip(dims[1:], dims)) or tag != arch_tag(dims):
+        raise ValueError(f"weight file tag {tag!r} disagrees with its layer shapes")
+    at += 9 * n_layers
+    if (len(blob) - at) % 4:
+        raise ValueError(f"weight file data of {len(blob) - at} bytes is not whole float32 values")
+    params = np.frombuffer(blob, dtype="<f4", offset=at).astype(np.float32)
+    return ModelWeights(params, dims, tuple(_ACT_NAMES.get(s[2], str(s[2])) for s in shapes))

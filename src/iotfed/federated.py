@@ -14,15 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autoencoder import (
-    AdamState,
-    Layer,
-    ModelWeights,
-    ShapeMismatch,
-    TrainConfig,
-    save_weights,
-    train,
-)
+from .autoencoder import AdamState, ModelWeights, ShapeMismatch, TrainConfig, save_weights, train
 from .nodes import C, NodeId, Role, Topology
 
 
@@ -32,19 +24,6 @@ class EmptyRoster(ValueError):
 
 class MissingUpdate(KeyError):
     """A roster router supplied no weights for the round."""
-
-
-@dataclass(frozen=True)
-class FLConfig:
-    local_train: TrainConfig
-    rounds: int = 5
-    client_roster: tuple[NodeId, ...] = ()
-
-    def validate(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if not self.client_roster:
-            raise EmptyRoster("client roster is empty")
 
 
 @dataclass(frozen=True)
@@ -61,30 +40,16 @@ def _check_tags(updates: Sequence[ModelWeights]) -> None:
         raise ShapeMismatch(f"mixed architecture tags {sorted(tags)}")
 
 
-def _sum_weights(updates: Sequence[ModelWeights], dtype) -> list[list[np.ndarray]]:
-    acc = [[layer.weight.astype(dtype), layer.bias.astype(dtype)]
-           for layer in updates[0].layers]
-    for update in updates[1:]:
-        for slot, layer in zip(acc, update.layers):
-            slot[0] = slot[0] + layer.weight.astype(dtype)
-            slot[1] = slot[1] + layer.bias.astype(dtype)
-    return acc
-
-
-def _mean_from_sum(template: ModelWeights, acc, count: int, dtype) -> ModelWeights:
-    layers = tuple(
-        Layer((w / count).astype(dtype), (b / count).astype(dtype), layer.activation)
-        for (w, b), layer in zip(acc, template.layers))
-    return ModelWeights(layers, template.arch_tag)
-
-
 def fedavg(updates: Sequence[ModelWeights], dtype=np.float32) -> ModelWeights:
-    """Unweighted element-wise mean of client weights, in client order."""
+    """Unweighted element-wise mean of client weights, summed in client order."""
     if not updates:
         raise EmptyRoster("fedavg needs at least one update")
     _check_tags(updates)
-    acc = _sum_weights(updates, dtype)
-    return _mean_from_sum(updates[0], acc, len(updates), dtype)
+    total = updates[0].params.astype(dtype)
+    for update in updates[1:]:
+        total = total + update.params.astype(dtype)
+    return ModelWeights((total / len(updates)).astype(dtype), updates[0].dims,
+                        updates[0].activations)
 
 
 def router_tree(tree: Topology | Mapping[NodeId, NodeId],
@@ -114,7 +79,7 @@ def hierarchical_round(tree: Topology | Mapping[NodeId, NodeId],
         raise EmptyRoster("no local updates")
     parents = router_tree(tree, roster)
     for router in roster:
-        if router not in locals_ or locals_[router] is None:
+        if locals_[router] is None:
             raise MissingUpdate(str(router))
     _check_tags([locals_[r] for r in roster])
 
@@ -127,37 +92,25 @@ def hierarchical_round(tree: Topology | Mapping[NodeId, NodeId],
         else:
             top_level.append(router)
 
-    def subtree(router: NodeId) -> tuple[list[list[np.ndarray]], int]:
-        acc = _sum_weights([locals_[router]], dtype)
-        count = 1
+    def subtree(router: NodeId) -> tuple[np.ndarray, int]:
+        total, count = locals_[router].params.astype(dtype), 1
         for child in children[router]:
-            child_acc, child_count = subtree(child)
-            for slot, (cw, cb) in zip(acc, child_acc):
-                slot[0] = slot[0] + cw
-                slot[1] = slot[1] + cb
-            count += child_count
-        return acc, count
+            child_total, child_count = subtree(child)
+            total, count = total + child_total, count + child_count
+        return total, count
 
-    total_acc = None
-    total_count = 0
+    total, count = None, 0
     for router in top_level:
-        acc, count = subtree(router)
-        if total_acc is None:
-            total_acc = acc
-        else:
-            for slot, (w, b) in zip(total_acc, acc):
-                slot[0] = slot[0] + w
-                slot[1] = slot[1] + b
-        total_count += count
+        sub_total, sub_count = subtree(router)
+        total = sub_total if total is None else total + sub_total
+        count += sub_count
     template = locals_[roster[0]]
-    return _mean_from_sum(template, total_acc, total_count, dtype)
+    return ModelWeights((total / count).astype(dtype), template.dims, template.activations)
 
 
 def transfer_init(pretrained: ModelWeights) -> ModelWeights:
-    """Deep copy of the pretrained weights for a client's first round."""
-    layers = tuple(Layer(l.weight.copy(), l.bias.copy(), l.activation)
-                   for l in pretrained.layers)
-    return ModelWeights(layers, pretrained.arch_tag)
+    """A copy of the pretrained weights for a client's first round."""
+    return ModelWeights(pretrained.params.copy(), pretrained.dims, pretrained.activations)
 
 
 @dataclass
@@ -167,24 +120,28 @@ class FederatedResult:
     ledger: list[CommsRecord]
 
 
-def run_federated_training(cfg: FLConfig, pretrained: ModelWeights,
+def run_federated_training(local_cfg: TrainConfig, pretrained: ModelWeights,
                            streams: Mapping[NodeId, Sequence[np.ndarray]],
                            tree: Topology | Mapping[NodeId, NodeId]) -> FederatedResult:
     """Round-based federated training over per-router feature streams.
 
+    The clients are the routers ``streams`` names, in its order, and
     ``streams[r][k]`` is the matrix of windows arriving at router ``r``
-    between rounds ``k`` and ``k+1``. Adam state persists locally across
-    rounds; only weights are averaged. The comms ledger accounts weight
-    payload bytes on the coordinator legs (one uplink and one downlink per
-    client per round).
+    between rounds ``k`` and ``k+1``: there are as many rounds as each
+    list has matrices. Adam state persists locally across rounds; only
+    weights are averaged. The comms ledger accounts weight payload bytes on
+    the coordinator legs (one uplink and one downlink per client per round).
     """
-    cfg.validate()
-    roster = list(cfg.client_roster)
+    roster = list(streams)
+    if not roster:
+        raise EmptyRoster("no client streams")
+    rounds = max(len(chunks) for chunks in streams.values())
     for router in roster:
-        if router not in streams:
-            raise MissingUpdate(str(router))
         if router.role is not Role.ROUTER:
             raise ValueError(f"client {router} is not a router")
+        if len(streams[router]) != rounds:
+            raise MissingUpdate(f"{router} has data for {len(streams[router])} "
+                                f"of {rounds} rounds")
     payload = len(save_weights(pretrained))
 
     global_model = transfer_init(pretrained)
@@ -192,17 +149,16 @@ def run_federated_training(cfg: FLConfig, pretrained: ModelWeights,
     per_round: list[ModelWeights] = []
     ledger: list[CommsRecord] = []
 
-    for rnd in range(1, cfg.rounds + 1):
+    for rnd in range(1, rounds + 1):
         locals_: dict[NodeId, ModelWeights] = {}
         for router in roster:
-            data = streams[router][rnd - 1] if rnd - 1 < len(streams[router]) else None
-            if data is not None and len(data) > 0:
-                result = train(transfer_init(global_model), data,
-                               cfg.local_train, adam_state=states[router])
+            data = streams[router][rnd - 1]
+            if len(data) > 0:
+                result = train(global_model, data, local_cfg, adam_state=states[router])
                 states[router] = result.adam_state
                 locals_[router] = result.weights
             else:
-                locals_[router] = transfer_init(global_model)
+                locals_[router] = global_model
         global_model = hierarchical_round(tree, locals_)
         per_round.append(global_model)
         for router in roster:

@@ -51,7 +51,7 @@ from .features import (
     window_count,
     window_matrix,
 )
-from .federated import FLConfig, run_federated_training, transfer_init
+from .federated import run_federated_training, transfer_init
 from .logfmt import NODE_CODE, DeviceLog, LogEntry
 from .nodes import ROUTERS, C, NodeId, ScenarioFamily, Topology, build_topology
 from .simkernel import DEFAULT_START, HopDelayModel, SimConfig, SimResult, run_simulation
@@ -234,9 +234,7 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
         local_cfg = replace(cfg.train, epochs=cfg.fed_local_epochs,
                             learning_rate=cfg.fed_local_lr,
                             seed=derive_seed(cfg.seed, f"{mode}-local"))
-        fl_cfg = FLConfig(local_train=local_cfg, rounds=cfg.fl_rounds,
-                          client_roster=tuple(ROUTERS))
-        fed = run_federated_training(fl_cfg, pretrained, streams, topology)
+        fed = run_federated_training(local_cfg, pretrained, streams, topology)
         model = fed.final_global
         per_round_globals = fed.per_round_globals
         ledger = fed.ledger
@@ -309,34 +307,6 @@ def evaluate_attack(cfg: ExperimentConfig, topology: Topology, spec: AttackSpec,
                          sim=result, raw_features=raw_features)
 
 
-@dataclass(frozen=True)
-class OverheadModel:
-    weight_payload_bytes: float = 12.6e3
-    rounds: int = 5
-    router_count: int = 3
-    centralized_per_router_bytes: float = 1.5e6
-
-    def validate(self) -> None:
-        for value in (self.weight_payload_bytes, self.rounds, self.router_count,
-                      self.centralized_per_router_bytes):
-            if value < 0:
-                raise ValueError("overhead parameters must be nonnegative")
-
-
-def overhead_report(model: OverheadModel) -> dict[str, float]:
-    """Centralized vs federated transfer totals over the training period.
-
-    Federated counts one uplink and one downlink of the weight payload per
-    router per round; centralized counts each router's raw-data total.
-    """
-    model.validate()
-    centralized = model.centralized_per_router_bytes * model.router_count
-    federated = 2.0 * model.weight_payload_bytes * model.rounds * model.router_count
-    ratio = centralized / federated if federated else float("inf")
-    return {"centralized_bytes": centralized, "federated_bytes": federated,
-            "ratio": ratio}
-
-
 def emit_plot_data(truths: Sequence[bool],
                    series: Mapping[str, Sequence[float]],
                    thresholds: Mapping[str, Mapping[float, Threshold]]) -> str:
@@ -390,9 +360,17 @@ def train_pipelines(cfg: ExperimentConfig, topology: Topology, pretrain: SimResu
 
 
 def modelled_overhead(cfg: ExperimentConfig) -> dict[str, float]:
-    """The overhead report for the experiment's rounds and its weight-file size."""
+    """Centralized vs federated transfer totals over the training period.
+
+    Federated counts one uplink and one downlink of the weight file per
+    router per round; centralized counts the paper's modelled 1.5 MB of raw
+    data per router.
+    """
     payload = len(save_weights(init_weights(seed=0)))
-    return overhead_report(OverheadModel(weight_payload_bytes=payload, rounds=cfg.fl_rounds))
+    centralized = 1.5e6 * len(ROUTERS)
+    federated = 2.0 * payload * cfg.fl_rounds * len(ROUTERS)
+    return {"centralized_bytes": centralized, "federated_bytes": federated,
+            "ratio": centralized / federated}
 
 
 def run_experiment(cfg: ExperimentConfig,

@@ -5,7 +5,8 @@ Router entry:      ``E3>R3, <sent>, <received>, R3>R2, <sent>, S:0``
 Coordinator entry: ``E3>R3, <sent>, <received>, ..., R2>C, <sent>, <received>``
 
 Timestamps are ``YYYY-MM-DD HH:MM:SS.ffffff`` at microsecond precision,
-ASCII digits only.
+ASCII digits only. Each is read off its own device's clock, and clocks
+are not synchronised, so a hop may be received before it was sent.
 Canonical serialization puts no spaces around ``>`` and a single space
 after each comma. :func:`parse_entry` splits a line at its commas and
 strips any whitespace (``str.strip``) from both ends of every field, so
@@ -218,10 +219,6 @@ def parse_entry(line: str) -> LogEntry:
         kind = EntryKind.ROUTER
     else:
         raise ParseError("incomplete segment in the middle of an entry", 0)
-
-    for seg in segments:
-        if seg.received_at is not None and seg.received_at < seg.sent_at:
-            raise ParseError(f"segment {seg.src}>{seg.dst} received before sent", 0)
     return LogEntry(kind, tuple(segments), status)
 
 
@@ -449,10 +446,9 @@ def _read_canonical(lines: list[str]) -> tuple[DeviceLog, np.ndarray]:
     got = np.where(n_stamps == 2, us[np.minimum(first + 1, len(us) - 1)], sent)
 
     # Each segment has one or two timestamps, only a line's last may lack its
-    # receive time, the path is continuous, and nothing is received before it is sent.
+    # receive time, and the path is continuous.
     seg_last = np.diff(seg_line, append=-1) != 0
-    bad[seg_line[(n_stamps == 0) | (n_stamps > 2) | ((n_stamps == 1) & ~seg_last)
-                 | (got < sent)]] = True
+    bad[seg_line[(n_stamps == 0) | (n_stamps > 2) | ((n_stamps == 1) & ~seg_last)]] = True
     bad[seg_line[1:][(seg_line[1:] == seg_line[:-1]) & (dst[:-1] != src[1:])]] = True
     received = np.zeros(len(lines), dtype=bool)
     received[seg_line[seg_last]] = n_stamps[seg_last] == 2

@@ -29,8 +29,9 @@ from iotfed.autoencoder import (
     save_weights,
 )
 from iotfed.detect import calibrate_threshold, f1_score
-from iotfed.federated import FLConfig, fedavg, hierarchical_round, run_federated_training
-from iotfed.harness import ExperimentConfig, build_pipeline, evaluate_attack, run_simulation
+from iotfed.federated import fedavg, hierarchical_round, run_federated_training
+from iotfed.harness import (ExperimentConfig, build_pipeline, evaluate_attack, modelled_overhead,
+                            run_simulation)
 from iotfed.logfmt import ParseError, parse_entry, serialize_entry
 from iotfed.nodes import C, NodeId, Role, ROUTERS, ScenarioFamily, build_topology
 
@@ -173,23 +174,21 @@ def test_acceptance_4_reference_thresholds_are_linear_in_k():
 # --- 5. Overhead arithmetic ---------------------------------------------------
 
 def test_acceptance_5_overhead_numbers():
-    from iotfed.harness import OverheadModel, overhead_report
-
     with acceptance(5, "overhead arithmetic and simulated ledger total"):
-        report = overhead_report(OverheadModel())
-        assert report["centralized_bytes"] == 4.5e6
-        assert report["federated_bytes"] == 378e3
-
         payload = len(save_weights(init_weights()))
         assert abs(payload - 12.6e3) <= 0.05 * 12.6e3  # within 5% of 12.6 KB
 
+        report = modelled_overhead(ExperimentConfig())
+        assert report["centralized_bytes"] == 4.5e6
+        assert report["federated_bytes"] == 2 * 5 * 3 * payload
+        assert abs(report["federated_bytes"] - 378e3) <= 12600
+
         data = np.random.default_rng(5).uniform(size=(8, 31)).astype(np.float32)
-        cfg = FLConfig(local_train=TrainConfig(epochs=1, seed=1), rounds=5,
-                       client_roster=ROUTERS)
         result = run_federated_training(
-            cfg, init_weights(seed=0), {r: [data] * 5 for r in ROUTERS},
-            build_topology(ScenarioFamily.III))
+            TrainConfig(epochs=1, seed=1), init_weights(seed=0),
+            {r: [data] * 5 for r in ROUTERS}, build_topology(ScenarioFamily.III))
         total = sum(rec.bytes for rec in result.ledger)
+        assert total == report["federated_bytes"]
         assert abs(total - 378e3) <= 12600
 
 

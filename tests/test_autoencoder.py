@@ -5,17 +5,18 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from iotfed.autoencoder import (
+    BETA1,
+    BETA2,
     DEFAULT_ACTIVATIONS,
     DEFAULT_DIMS,
+    EPSILON,
     WEIGHT_MAGIC,
     AdamState,
     EmptyDataset,
-    Layer,
     ModelWeights,
     ShapeMismatch,
     TrainConfig,
     adam_step,
-    arch_tag,
     backward,
     forward,
     init_weights,
@@ -29,11 +30,8 @@ from iotfed.autoencoder import (
 
 
 def zero_model(dims=DEFAULT_DIMS, activations=DEFAULT_ACTIVATIONS):
-    layers = tuple(
-        Layer(np.zeros((out, inp), dtype=np.float32),
-              np.zeros(out, dtype=np.float32), act)
-        for inp, out, act in zip(dims, dims[1:], activations))
-    return ModelWeights(layers, arch_tag(dims))
+    size = sum((inp + 1) * out for inp, out in zip(dims, dims[1:]))
+    return ModelWeights(np.zeros(size, dtype=np.float32), dims, activations)
 
 
 class TestArchitecture:
@@ -58,12 +56,23 @@ class TestArchitecture:
         assert not np.array_equal(a.layers[0].weight, c.layers[0].weight)
 
     def test_bias_shape_checked(self):
+        # A 4x3 weight followed by five bias values instead of four.
         with pytest.raises(ShapeMismatch):
-            Layer(np.zeros((4, 3)), np.zeros(5), "relu")
+            ModelWeights(np.zeros(4 * 3 + 5), (3, 4), ("relu",))
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError):
-            Layer(np.zeros((4, 3)), np.zeros(4), "tanh")
+            ModelWeights(np.zeros(4 * 3 + 4), (3, 4), ("tanh",))
+
+    def test_layers_are_views_into_params(self):
+        model = init_weights((3, 4, 2), ("relu", "sigmoid"), seed=1)
+        (w0, b0, _), (w1, b1, act) = model.layers
+        assert (w0.shape, b0.shape, w1.shape, b1.shape, act) == ((4, 3), (4,), (2, 4), (2,), "sigmoid")
+        np.testing.assert_array_equal(
+            np.concatenate([w0.ravel(), b0, w1.ravel(), b1]), model.params)
+        w1[1, 2] = 7.0
+        assert model.params[4 * 3 + 4 + 1 * 4 + 2] == 7.0
+        assert model.layers is model.layers
 
 
 class TestForward:
@@ -142,10 +151,9 @@ class TestBackward:
 
 
 def _with_weight(model, layer_index, new_weight):
-    layers = list(model.layers)
-    old = layers[layer_index]
-    layers[layer_index] = Layer(new_weight, old.bias, old.activation)
-    return ModelWeights(tuple(layers), model.arch_tag)
+    changed = ModelWeights(model.params.copy(), model.dims, model.activations)
+    changed.layers[layer_index].weight[...] = new_weight
+    return changed
 
 
 class TestAdam:
@@ -219,7 +227,7 @@ class TestTrain:
 
     def test_adam_state_continues_across_calls(self):
         x = np.random.default_rng(7).uniform(size=(16, 31)).astype(np.float32)
-        cfg = TrainConfig(epochs=1, seed=3, shuffle=False)
+        cfg = TrainConfig(epochs=1, seed=3)
         first = train(init_weights(seed=2), x, cfg)
         second = train(first.weights, x, cfg, adam_state=first.adam_state)
         assert second.adam_state.t == first.adam_state.t + 1
@@ -229,32 +237,34 @@ class TestTrain:
 def _oracle_adam_step(weights, grads, state, cfg):
     """Per-array Adam as first written: the reference for the flat-buffer update."""
     t = state.t + 1
-    layers, ms, vs = [], [], []
-    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(weights.layers, grads, state.m, state.v):
-        new = []
+    # The moments share the parameters' layout, so a model over them gives per-layer views.
+    m_layers, v_layers = (ModelWeights(moment, weights.dims, weights.activations).layers
+                          for moment in (state.m, state.v))
+    params, ms, vs = [], [], []
+    for layer, (gw, gb), (mw, mb, _), (vw, vb, _) in zip(weights.layers, grads,
+                                                         m_layers, v_layers):
         for param, g, m, v in ((layer.weight, gw, mw, vw), (layer.bias, gb, mb, vb)):
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1 ** t)
-            v_hat = v / (1 - cfg.beta2 ** t)
-            p = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-            new.append((p.astype(param.dtype), m, v))
-        (w, mw, vw), (b, mb, vb) = new
-        layers.append(Layer(w, b, layer.activation))
-        ms.append((mw, mb))
-        vs.append((vw, vb))
-    return ModelWeights(tuple(layers), weights.arch_tag), AdamState(tuple(ms), tuple(vs), t)
+            m = BETA1 * m + (1 - BETA1) * g
+            v = BETA2 * v + (1 - BETA2) * g * g
+            m_hat = m / (1 - BETA1 ** t)
+            v_hat = v / (1 - BETA2 ** t)
+            p = param - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
+            params.append(p.astype(param.dtype).ravel())
+            ms.append(m.ravel())
+            vs.append(v.ravel())
+    return (ModelWeights(np.concatenate(params), weights.dims, weights.activations),
+            AdamState(np.concatenate(ms), np.concatenate(vs), t))
 
 
 def _oracle_train(weights, data, cfg, state=None):
     """The training loop as first written, one ``_oracle_adam_step`` per batch."""
-    data = np.atleast_2d(np.asarray(data, dtype=weights.layers[0].weight.dtype))
+    data = np.atleast_2d(np.asarray(data, dtype=weights.params.dtype))
     state = state if state is not None else zero_adam_state(weights)
     rng = np.random.default_rng(cfg.seed)
     n = data.shape[0]
     history = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = data[order[start:start + cfg.batch_size]]
@@ -268,18 +278,14 @@ def _oracle_train(weights, data, cfg, state=None):
 
 def _snapshot(weights, state=None):
     """Every array of a model (and an Adam state) as (dtype, shape, bytes)."""
-    arrays = [a for l in weights.layers for a in (l.weight, l.bias)]
-    if state is not None:
-        arrays += [a for pairs in (state.m, state.v) for pair in pairs for a in pair]
+    arrays = [weights.params] if state is None else [weights.params, state.m, state.v]
     return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 def _assert_state_equal(got, want):
     assert got.t == want.t
-    for got_pairs, want_pairs in ((got.m, want.m), (got.v, want.v)):
-        for got_pair, want_pair in zip(got_pairs, want_pairs, strict=True):
-            for g, w in zip(got_pair, want_pair, strict=True):
-                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+    for g, w in ((got.m, want.m), (got.v, want.v)):
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 class TestTrainMatchesPerArrayAdam:
@@ -288,18 +294,18 @@ class TestTrainMatchesPerArrayAdam:
     @settings(max_examples=40, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(rows=st.integers(1, 200), batch_size=st.integers(1, 64),
-           shuffle=st.booleans(), epochs=st.integers(1, 5),
+           epochs=st.integers(1, 5),
            learning_rate=st.sampled_from([1e-2, 1e-3, 1e-4]),
            dtype=st.sampled_from([np.float32, np.float64]),
            dims=st.sampled_from([DEFAULT_DIMS, (5, 4, 3, 4, 5)]),
            seed=st.integers(0, 2**32 - 1))
-    def test_same_bits_as_the_per_array_loop(self, rows, batch_size, shuffle, epochs,
+    def test_same_bits_as_the_per_array_loop(self, rows, batch_size, epochs,
                                              learning_rate, dtype, dims, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(size=(rows, dims[0]))
         model = init_weights(dims, DEFAULT_ACTIVATIONS, seed=seed % 1000, dtype=dtype)
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
-                          learning_rate=learning_rate, seed=seed, shuffle=shuffle)
+                          learning_rate=learning_rate, seed=seed)
         got = train(model, x, cfg)
         want_weights, want_history, want_state = _oracle_train(model, x, cfg)
         # Continue once through the returned state, as federated rounds do.
@@ -332,8 +338,7 @@ class TestTrainMatchesPerArrayAdam:
         grads = [(np.full(l.weight.shape, 0.25), np.full(l.bias.shape, -0.5))
                  for l in model.layers]
         updated, state = adam_step(model, grads, zero_adam_state(model), TrainConfig())
-        assert all(l.weight.dtype == np.float32 for l in updated.layers)
-        assert all(a.dtype == np.float32 for pair in state.m + state.v for a in pair)
+        assert updated.params.dtype == state.m.dtype == state.v.dtype == np.float32
 
 
 class TestNoAliasing:
@@ -385,7 +390,7 @@ class TestWeightFile:
 
     def test_default_payload_size_matches_budget(self):
         blob = save_weights(init_weights())
-        # 3135 float32 parameters + header; within 5% of 12.6 KB.
+        # 3119 float32 parameters + header; within 5% of 12.6 KB.
         assert abs(len(blob) - 12600) / 12600 < 0.05
 
     def test_magic_checked(self):
@@ -393,3 +398,26 @@ class TestWeightFile:
         with pytest.raises(ValueError):
             load_weights(b"XXXX" + blob[4:])
         assert blob[:4] == WEIGHT_MAGIC
+
+    def test_round_trip_of_another_architecture(self):
+        model = init_weights((5, 4, 3, 4, 5), ("sigmoid", "relu", "relu", "sigmoid"), seed=2)
+        restored = load_weights(save_weights(model))
+        assert (restored.dims, restored.activations) == (model.dims, model.activations)
+        assert restored.params.dtype == np.float32
+        np.testing.assert_array_equal(restored.params, model.params)
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ValueError):
+            load_weights(save_weights(init_weights()) + b"\0")
+
+    @pytest.mark.parametrize("cut", [1, 4, 12400, 12530])
+    def test_truncated_file_rejected(self, cut):
+        blob = save_weights(init_weights())
+        with pytest.raises(ValueError):
+            load_weights(blob[:len(blob) - cut])
+
+    def test_tag_disagreeing_with_layer_shapes_rejected(self):
+        blob = save_weights(init_weights())
+        assert b"31-32-16-32-31" in blob
+        with pytest.raises(ValueError, match="disagrees"):
+            load_weights(blob.replace(b"31-32-16-32-31", b"31-32-16-32-99"))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from iotfed.autoencoder import (
-    Layer,
     ModelWeights,
     ShapeMismatch,
     TrainConfig,
@@ -13,7 +12,6 @@ from iotfed.autoencoder import (
 )
 from iotfed.federated import (
     EmptyRoster,
-    FLConfig,
     MissingUpdate,
     fedavg,
     hierarchical_round,
@@ -25,9 +23,7 @@ from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
 
 
 def scalar_model(value: float) -> ModelWeights:
-    layer = Layer(np.array([[value]], dtype=np.float32),
-                  np.array([value], dtype=np.float32), "sigmoid")
-    return ModelWeights((layer,), "1-1")
+    return ModelWeights(np.array([value, value], dtype=np.float32), (1, 1), ("sigmoid",))
 
 
 def random_models(n, seed=0, dims=(6, 4, 6), acts=("relu", "sigmoid")):
@@ -121,9 +117,7 @@ class TestRunFederatedTraining:
     def test_ledger_accounting(self, tiny_training_setup):
         pretrained, data = tiny_training_setup
         streams = {r: [data[r]] * 5 for r in ROUTERS}
-        cfg = FLConfig(local_train=TrainConfig(epochs=1, seed=1),
-                       rounds=5, client_roster=ROUTERS)
-        result = run_federated_training(cfg, pretrained, streams,
+        result = run_federated_training(TrainConfig(epochs=1, seed=1), pretrained, streams,
                                         build_topology(ScenarioFamily.III))
         payload = len(save_weights(pretrained))
         assert len(result.ledger) == 2 * 5 * 3  # up and down, per client per round
@@ -135,8 +129,7 @@ class TestRunFederatedTraining:
                                                               tiny_training_setup):
         pretrained, data = tiny_training_setup
         local_cfg = TrainConfig(epochs=2, seed=7)
-        cfg = FLConfig(local_train=local_cfg, rounds=1, client_roster=(R1,))
-        result = run_federated_training(cfg, pretrained, {R1: [data[R1]]},
+        result = run_federated_training(local_cfg, pretrained, {R1: [data[R1]]},
                                         {R1: C})
         direct = train(transfer_init(pretrained), data[R1], local_cfg).weights
         for la, lb in zip(result.final_global.layers, direct.layers):
@@ -146,8 +139,7 @@ class TestRunFederatedTraining:
         pretrained, data = tiny_training_setup
         shared = data[R1]
         local_cfg = TrainConfig(epochs=2, seed=9)
-        cfg = FLConfig(local_train=local_cfg, rounds=1, client_roster=ROUTERS)
-        result = run_federated_training(cfg, pretrained,
+        result = run_federated_training(local_cfg, pretrained,
                                         {r: [shared] for r in ROUTERS},
                                         build_topology(ScenarioFamily.III))
         direct = train(transfer_init(pretrained), shared, local_cfg).weights
@@ -157,26 +149,33 @@ class TestRunFederatedTraining:
     def test_per_round_globals_tracked(self, tiny_training_setup):
         pretrained, data = tiny_training_setup
         streams = {r: [data[r]] * 3 for r in ROUTERS}
-        cfg = FLConfig(local_train=TrainConfig(epochs=1, seed=1),
-                       rounds=3, client_roster=ROUTERS)
-        result = run_federated_training(cfg, pretrained, streams,
+        result = run_federated_training(TrainConfig(epochs=1, seed=1), pretrained, streams,
                                         build_topology(ScenarioFamily.III))
         assert len(result.per_round_globals) == 3
         assert result.per_round_globals[-1] is result.final_global
 
     def test_missing_stream_rejected(self, tiny_training_setup):
+        # R2 brings data for one round of the two the others bring.
         pretrained, data = tiny_training_setup
-        cfg = FLConfig(local_train=TrainConfig(epochs=1), rounds=1,
-                       client_roster=ROUTERS)
-        with pytest.raises(MissingUpdate):
-            run_federated_training(cfg, pretrained, {R1: [data[R1]]},
+        streams = {R1: [data[R1]] * 2, R2: [data[R2]], R3: [data[R3]] * 2}
+        with pytest.raises(MissingUpdate, match="R2"):
+            run_federated_training(TrainConfig(epochs=1), pretrained, streams,
                                    build_topology(ScenarioFamily.III))
+
+    def test_roster_and_rounds_come_from_the_streams(self, tiny_training_setup):
+        pretrained, data = tiny_training_setup
+        streams = {R3: [data[R3]] * 2, R1: [data[R1]] * 2}
+        result = run_federated_training(TrainConfig(epochs=1, seed=1), pretrained, streams,
+                                        build_topology(ScenarioFamily.III))
+        assert len(result.per_round_globals) == 2
+        assert [(rec.round, rec.sender, rec.receiver) for rec in result.ledger] == [
+            (rnd, *leg) for rnd in (1, 2)
+            for leg in ((R3, C), (R1, C), (C, R3), (C, R1))]
 
     def test_empty_roster_rejected(self, tiny_training_setup):
         pretrained, _ = tiny_training_setup
-        cfg = FLConfig(local_train=TrainConfig(epochs=1), rounds=1)
         with pytest.raises(EmptyRoster):
-            run_federated_training(cfg, pretrained, {},
+            run_federated_training(TrainConfig(epochs=1), pretrained, {},
                                    build_topology(ScenarioFamily.III))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -5,11 +6,10 @@ import pytest
 
 from iotfed import harness
 from iotfed.attacks import AttackSpec
-from iotfed.autoencoder import TrainConfig
+from iotfed.autoencoder import TrainConfig, save_weights
 from iotfed.detect import DEFAULT_KS, Threshold, calibrate_threshold
 from iotfed.harness import (
     ExperimentConfig,
-    OverheadModel,
     StageError,
     build_pipeline,
     central_stream,
@@ -18,7 +18,7 @@ from iotfed.harness import (
     emit_plot_data,
     evaluate_attack,
     federated_stream,
-    overhead_report,
+    modelled_overhead,
     run_experiment,
     run_simulation,
     write_attack,
@@ -145,6 +145,28 @@ class TestPipelines:
         assert ths[4.0].value - ths[1.0].value == pytest.approx(3 * ths[1.0].std)
 
 
+# sha256 of each weight file of a small federated pipeline: the pretrained
+# model, the five round globals and the final model (the last round's global).
+PINNED_WEIGHT_FILES = (
+    "978a9b73b65d745f513bf5fc76d7941a42a4bc7a6432df23bed47a9d86398ddc",
+    "8416ac84deb0ca4dca4004631a3e887b5aa83a1f311e21e73c2f9d4dfd81eb0f",
+    "f33159aea48540e454611b90898a12a39a3dbf4822f0163f18f59e92742eb496",
+    "18b41a79fdf8df4596004255c10bbd9505afa10d321e5966ddeb0d70b4df4ac2",
+    "c85093f06568ff77e65a7f1deb8225168543ba74b39384732c473b2513fc5286",
+    "98f5508ad6df272bcd0b6e6229bfd19f766d35665129b1606efb3d4d9d93cb8e",
+    "98f5508ad6df272bcd0b6e6229bfd19f766d35665129b1606efb3d4d9d93cb8e",
+)
+
+
+def test_federated_weight_files_are_pinned():
+    cfg = small_config(seed=17, mode="federated", attack_tokens=())
+    topology, pretrain, normal = harness.simulate_phases(cfg)
+    pipe = build_pipeline(cfg, "federated", topology, pretrain, normal)
+    blobs = [save_weights(w) for w in (pipe.pretrained, *pipe.per_round_globals, pipe.model)]
+    assert {len(b) for b in blobs} == {12534}
+    assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == PINNED_WEIGHT_FILES
+
+
 class TestEvaluateAttack:
     def test_outcome_structure(self, small_experiment):
         cfg, result, _ = small_experiment
@@ -199,18 +221,11 @@ class TestDetectionReports:
 
 class TestOverhead:
     def test_reference_totals(self):
-        report = overhead_report(OverheadModel())
+        # Three routers, five rounds, one 12 534-byte weight file up and one down.
+        report = modelled_overhead(ExperimentConfig())
         assert report["centralized_bytes"] == 4.5e6
-        assert report["federated_bytes"] == 378e3
-        assert report["ratio"] == pytest.approx(4.5e6 / 378e3)
-
-    def test_zero_federated_gives_infinite_ratio(self):
-        report = overhead_report(OverheadModel(rounds=0))
-        assert report["ratio"] == float("inf")
-
-    def test_negative_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            overhead_report(OverheadModel(rounds=-1))
+        assert report["federated_bytes"] == 2 * 5 * 3 * 12534 == 376020
+        assert report["ratio"] == 4.5e6 / 376020
 
 
 class TestEmitPlotData:

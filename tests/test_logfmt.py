@@ -115,11 +115,15 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="discontinuous"):
             parse_entry(line)
 
-    def test_received_before_sent_rejected(self):
+    def test_received_before_sent_accepted(self):
+        # Device clocks are not synchronised, so a hop may appear to end before it starts.
         line = ("E3>R3,2024-04-26 13:36:10.336880, 2024-04-26 13:36:10.273312, "
                 "R3>C,2024-04-26 13:36:10.369257, S:0")
-        with pytest.raises(ParseError, match="received before sent"):
-            parse_entry(line)
+        entry = parse_entry(line)
+        assert entry.segments[0].received_at < entry.segments[0].sent_at
+        for got, want in zip(parse_log(serialize_entry(entry)).columns,
+                             DeviceLog.from_entries([entry]).columns):
+            assert np.array_equal(got, want)
 
     def test_three_timestamps_on_one_pair_rejected(self):
         line = ("E3>R3,2024-04-26 13:36:10.273312, 2024-04-26 13:36:10.336880, "
@@ -133,7 +137,6 @@ class TestParseErrors:
         f"E3>R3, {T1}, {T2}, {T3}, S:0",
         f"E3>R3, {T1}, R3>C, {T2}, {T3}",
         f"E3>R3, {T1}, {T2}, R2>C, {T3}, {T3}",
-        f"E3>R3, {T2}, {T1}, R3>C, {T3}, S:0",
         f"E3>R3, R3>C, {T1}, {T2}",
         f"{T1}, E3>R3, {T2}, S:0",
         f"E3>R3, {T1}, S:0, {T2}",
@@ -142,7 +145,7 @@ class TestParseErrors:
         f"E3>C4, {T1}, S:0",
         "S:0",
     ], ids=["edge-no-status", "router-no-status", "three-stamps", "incomplete-middle",
-            "discontinuous", "received-before-sent", "pair-without-stamp", "stamp-first",
+            "discontinuous", "pair-without-stamp", "stamp-first",
             "status-not-last", "status-too-wide", "status-leading-zero", "unknown-node",
             "status-only"])
     def test_parse_log_raises_what_parse_entry_raises(self, line):

@@ -114,6 +114,20 @@ class TestDeterminism:
             for got, want in zip(parse_log(docs[f"{node}.log"]).columns, log.columns):
                 assert np.array_equal(got, want)
 
+    def test_skewed_lossy_logs_parse_back(self):
+        # R3's clock runs 50 ms behind, so some hops into and out of R3 are
+        # logged as received before they were sent.
+        result = run_simulation(build_topology(ScenarioFamily.III),
+                                SimConfig(seed=5, duration=300, node_skew={R3: -0.05},
+                                          drop_prob=0.1))
+        assert (result.entries[R3].times[:, 1] < result.entries[R3].times[:, 0]).any()
+        docs = result.render_logs()
+        for node, log in result.entries.items():
+            for got, want in zip(parse_log(docs[f"{node}.log"]).columns, log.columns,
+                                 strict=True):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
 
 @pytest.fixture(scope="module")
 def attack_run():
