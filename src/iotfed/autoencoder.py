@@ -3,7 +3,8 @@
 Default architecture 31 -> 32 (ReLU) -> 16 (ReLU) -> 32 (sigmoid) ->
 31 (sigmoid), trained with mean squared reconstruction error. A model's
 parameters are one flat vector, float32 in the pipeline; gradient-check
-oracles run the same code in float64.
+oracles run the same code in float64. Training takes a leading client
+axis, so the clients of a federated round step together as one stack.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,13 +67,7 @@ class ModelWeights:
     @cached_property
     def layers(self) -> tuple[Layer, ...]:
         """Each layer's weight and bias, as views into ``params``."""
-        layers, start = [], 0
-        for (fan_in, fan_out), act in zip(zip(self.dims, self.dims[1:]), self.activations):
-            end = start + fan_out * fan_in
-            layers.append(Layer(self.params[start:end].reshape(fan_out, fan_in),
-                                self.params[end:end + fan_out], act))
-            start = end + fan_out
-        return tuple(layers)
+        return _layer_views(self.params, self.dims, self.activations)
 
     @property
     def arch_tag(self) -> str:
@@ -116,6 +111,23 @@ def arch_tag(dims: tuple[int, ...]) -> str:
     return "-".join(str(d) for d in dims)
 
 
+def _layer_views(params: np.ndarray, dims: tuple[int, ...],
+                 activations: tuple[str, ...]) -> tuple[Layer, ...]:
+    """Each layer's weight and bias as views into ``params`` laid out as ``ModelWeights.params``.
+
+    Leading axes of ``params`` carry over: a ``(K, size)`` stack of K models
+    gives ``(K, out, in)`` weights and ``(K, out)`` biases.
+    """
+    lead = params.shape[:-1]
+    layers, start = [], 0
+    for fan_in, fan_out, act in zip(dims, dims[1:], activations):
+        end = start + fan_out * fan_in
+        layers.append(Layer(params[..., start:end].reshape(*lead, fan_out, fan_in),
+                            params[..., end:end + fan_out], act))
+        start = end + fan_out
+    return tuple(layers)
+
+
 def init_weights(dims: tuple[int, ...] = DEFAULT_DIMS,
                  activations: tuple[str, ...] = DEFAULT_ACTIVATIONS,
                  seed: int = 0, dtype=np.float32) -> ModelWeights:
@@ -145,6 +157,40 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return a * (1.0 - a)
 
 
+def _forward(layers: tuple[Layer, ...], batch: np.ndarray) -> list:
+    """Per-layer (pre-activation, activation) pairs, led by ``(None, batch)``.
+
+    ``batch`` is ``(N, in)`` under ``(out, in)`` weights, or ``(K, N, in)``
+    under ``(K, out, in)`` weight stacks, one model per leading index.
+    """
+    a = batch
+    cache = [(None, a)]
+    for layer in layers:
+        z = a @ layer.weight.swapaxes(-1, -2)
+        z += layer.bias[..., None, :]
+        a = _activate(z, layer.activation)
+        cache.append((z, a))
+    return cache
+
+
+def _backward(layers: tuple[Layer, ...], cache: list, residual: np.ndarray,
+              grads: tuple[Layer, ...]) -> None:
+    """Write the batch loss gradients into ``grads``, laid out as ``layers``.
+
+    ``residual`` is the reconstruction minus the batch; the loss is the mean
+    over rows of its squared norm. Shapes follow ``_forward``. The input
+    layer's own input gradient is never needed, so it is not computed.
+    """
+    grad_a = 2.0 * residual / residual.shape[-2]
+    for idx in range(len(layers) - 1, -1, -1):
+        z, a = cache[idx + 1]
+        delta = grad_a * _activate_grad(z, a, layers[idx].activation)
+        np.matmul(delta.swapaxes(-1, -2), cache[idx][1], out=grads[idx].weight)
+        delta.sum(axis=-2, out=grads[idx].bias)
+        if idx:
+            grad_a = delta @ layers[idx].weight
+
+
 def forward(weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Reconstruct a batch (N, 31) or single vector; returns (x_hat, cache).
 
@@ -155,12 +201,8 @@ def forward(weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, list]:
     if batch.shape[1] != weights.input_dim:
         raise ShapeMismatch(
             f"input dim {batch.shape[1]} != model dim {weights.input_dim}")
-    a = batch
-    cache = [(None, a)]
-    for layer in weights.layers:
-        z = a @ layer.weight.T + layer.bias
-        a = _activate(z, layer.activation)
-        cache.append((z, a))
+    cache = _forward(weights.layers, batch)
+    a = cache[-1][1]
     return (a[0] if squeeze else a), cache
 
 
@@ -183,18 +225,11 @@ def backward(weights: ModelWeights, batch: np.ndarray,
              cache: list) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradients of the batch reconstruction loss, shaped like the weights."""
     batch = np.atleast_2d(np.asarray(batch))
-    n = batch.shape[0]
-    _, x_hat = cache[-1]
-    grad_a = 2.0 * (x_hat - batch) / n
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(weights.layers)
-    for idx in range(len(weights.layers) - 1, -1, -1):
-        layer = weights.layers[idx]
-        z, a = cache[idx + 1]
-        a_prev = cache[idx][1]
-        delta = grad_a * _activate_grad(z, a, layer.activation)
-        grads[idx] = (delta.T @ a_prev, delta.sum(axis=0))
-        grad_a = delta @ layer.weight
-    return grads
+    x_hat = cache[-1][1]
+    flat = np.empty(weights.params.size, np.result_type(x_hat, batch))
+    grads = _layer_views(flat, weights.dims, weights.activations)
+    _backward(weights.layers, cache, x_hat - batch, grads)
+    return [(layer.weight, layer.bias) for layer in grads]
 
 
 def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -205,7 +240,7 @@ def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     ``v = b2*v + (1-b2)*g*g``, ``m_hat = m/(1-b1**t)``, ``v_hat = v/(1-b2**t)``
     and ``p = p - lr*m_hat/(sqrt(v_hat) + eps)``, each read left to right, in
     that order, so it gives the same bits as evaluating those expressions.
-    ``scratch`` holds two rows of ``p``'s size.
+    ``scratch`` holds two arrays of ``p``'s shape.
     """
     step, denom = scratch
     m *= BETA1
@@ -249,42 +284,81 @@ class TrainResult:
     adam_state: AdamState
 
 
-def train(weights: ModelWeights, data: np.ndarray, cfg: TrainConfig,
-          adam_state: AdamState | None = None) -> TrainResult:
+def train(weights: ModelWeights, data: np.ndarray | Sequence[np.ndarray], cfg: TrainConfig,
+          adam_state: AdamState | Sequence[AdamState | None] | None = None,
+          ) -> TrainResult | list[TrainResult]:
     """Mini-batch Adam training, reshuffled each epoch; deterministic given seed and config.
+
+    ``data`` is one matrix, or a list of K client matrices of one shape. A
+    list trains K copies of ``weights``, one per matrix, in one stepping loop
+    over stacked ``(K, rows, dim)`` data and ``(K, size)`` parameters and
+    moments. ``adam_state`` is then None or a list of K states (None for a
+    fresh one) at one step count, and the result is one ``TrainResult`` per
+    client, with the same bits as training that client alone. Each client
+    would draw its batches from its own ``default_rng(cfg.seed)``; with one
+    seed and one row count those draws are equal, so one draw serves all.
 
     ``loss_history`` holds the per-epoch mean training loss measured on
     each batch before its update. An existing Adam state may be passed to
     continue optimization across federated rounds. Parameters, gradients
-    and moments each live in one flat buffer of the weights' dtype; the
+    and moments each live in one buffer of the weights' dtype; the
     parameters and moments are copied from the arguments, which are never
     written to, and returned as they stand after the last step.
     """
     cfg.validate()
-    data = np.atleast_2d(np.asarray(data, dtype=weights.params.dtype))
-    if data.shape[0] == 0:
+    dtype = weights.params.dtype
+    stacked = isinstance(data, (list, tuple))
+    if stacked:
+        if not data:
+            raise EmptyDataset("no client matrices")
+        mats = [np.atleast_2d(np.asarray(d, dtype=dtype)) for d in data]
+        if len({mat.shape for mat in mats}) > 1:
+            raise ShapeMismatch(f"client matrices of shapes {[mat.shape for mat in mats]}")
+        x = np.stack(mats)
+        states = [None] * len(mats) if adam_state is None else list(adam_state)
+        if len(states) != len(mats):
+            raise ValueError(f"{len(states)} Adam states for {len(mats)} client matrices")
+    else:
+        x = np.atleast_2d(np.asarray(data, dtype=dtype))
+        states = [adam_state]
+    if x.shape[-1] != weights.input_dim:
+        raise ShapeMismatch(f"input dim {x.shape[-1]} != model dim {weights.input_dim}")
+    n = x.shape[-2]
+    if n == 0:
         raise EmptyDataset("no training vectors")
-    model = ModelWeights(weights.params.copy(), weights.dims, weights.activations)
-    p = model.params
-    state = adam_state if adam_state is not None else zero_adam_state(model)
-    m, v, t = state.m.astype(p.dtype), state.v.astype(p.dtype), state.t
-    g, scratch = np.empty_like(p), np.empty((2, p.size), p.dtype)
+    steps = {0 if state is None else state.t for state in states}
+    if len(steps) > 1:
+        raise ValueError(f"client Adam states at steps {sorted(steps)}, not one")
+    t = steps.pop()
+    lead = x.shape[:-2]
+    p = np.broadcast_to(weights.params, (*lead, weights.params.size)).copy()
+    zero = np.zeros_like(weights.params)
+    m = np.array([zero if state is None else state.m for state in states], dtype).reshape(p.shape)
+    v = np.array([zero if state is None else state.v for state in states], dtype).reshape(p.shape)
+    g, scratch = np.empty_like(p), np.empty((2, *p.shape), dtype)
+    layers = _layer_views(p, weights.dims, weights.activations)
+    grads = _layer_views(g, weights.dims, weights.activations)
     rng = np.random.default_rng(cfg.seed)
-    n = data.shape[0]
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        total = 0.0
+        total = np.zeros(lead)
         for start in range(0, n, cfg.batch_size):
-            batch = data[order[start:start + cfg.batch_size]]
-            x_hat, cache = forward(model, batch)
-            total += float(np.sum(np.sum((batch - x_hat) ** 2, axis=1)))
-            np.concatenate([a.ravel() for pair in backward(model, batch, cache) for a in pair],
-                           out=g)
+            batch = np.take(x, order[start:start + cfg.batch_size], axis=-2)
+            cache = _forward(layers, batch)
+            residual = cache[-1][1] - batch
+            total += np.square(residual).sum(axis=-1).sum(axis=-1)
+            _backward(layers, cache, residual, grads)
             t += 1
             _adam_update(p, g, m, v, t, cfg.learning_rate, scratch)
         history.append(total / n)
-    return TrainResult(model, history, AdamState(m, v, t))
+    size = weights.params.size
+    results = [TrainResult(ModelWeights(pk, weights.dims, weights.activations), hk.tolist(),
+                           AdamState(mk, vk, t))
+               for pk, mk, vk, hk in zip(p.reshape(-1, size), m.reshape(-1, size),
+                                         v.reshape(-1, size),
+                                         np.reshape(history, (cfg.epochs, -1)).T)]
+    return results if stacked else results[0]
 
 
 def save_weights(weights: ModelWeights) -> bytes:

@@ -34,17 +34,17 @@ class CommsRecord:
     bytes: int
 
 
-def _check_tags(updates: Sequence[ModelWeights]) -> None:
-    tags = {u.arch_tag for u in updates}
-    if len(tags) > 1:
-        raise ShapeMismatch(f"mixed architecture tags {sorted(tags)}")
+def _check_one_architecture(updates: Sequence[ModelWeights]) -> None:
+    archs = {(u.dims, u.activations) for u in updates}
+    if len(archs) > 1:
+        raise ShapeMismatch(f"mixed architectures {sorted(archs)}")
 
 
 def fedavg(updates: Sequence[ModelWeights], dtype=np.float32) -> ModelWeights:
     """Unweighted element-wise mean of client weights, summed in client order."""
     if not updates:
         raise EmptyRoster("fedavg needs at least one update")
-    _check_tags(updates)
+    _check_one_architecture(updates)
     total = updates[0].params.astype(dtype)
     for update in updates[1:]:
         total = total + update.params.astype(dtype)
@@ -81,7 +81,7 @@ def hierarchical_round(tree: Topology | Mapping[NodeId, NodeId],
     for router in roster:
         if locals_[router] is None:
             raise MissingUpdate(str(router))
-    _check_tags([locals_[r] for r in roster])
+    _check_one_architecture([locals_[r] for r in roster])
 
     children: dict[NodeId, list[NodeId]] = {r: [] for r in roster}
     top_level: list[NodeId] = []
@@ -129,8 +129,10 @@ def run_federated_training(local_cfg: TrainConfig, pretrained: ModelWeights,
     ``streams[r][k]`` is the matrix of windows arriving at router ``r``
     between rounds ``k`` and ``k+1``: there are as many rounds as each
     list has matrices. Adam state persists locally across rounds; only
-    weights are averaged. The comms ledger accounts weight payload bytes on
-    the coordinator legs (one uplink and one downlink per client per round).
+    weights are averaged. Each round trains its clients with one ``train``
+    call per group of equal row count and Adam step count. The comms ledger
+    accounts weight payload bytes on the coordinator legs (one uplink and
+    one downlink per client per round).
     """
     roster = list(streams)
     if not roster:
@@ -150,15 +152,21 @@ def run_federated_training(local_cfg: TrainConfig, pretrained: ModelWeights,
     ledger: list[CommsRecord] = []
 
     for rnd in range(1, rounds + 1):
-        locals_: dict[NodeId, ModelWeights] = {}
+        # Clients with equal row counts and Adam steps train as one stack; a
+        # client that sat out a round lags in steps and trains apart.
+        groups: dict[tuple[int, int], list[NodeId]] = {}
         for router in roster:
-            data = streams[router][rnd - 1]
-            if len(data) > 0:
-                result = train(global_model, data, local_cfg, adam_state=states[router])
+            rows = len(streams[router][rnd - 1])
+            if rows > 0:
+                steps = states[router].t if states[router] is not None else 0
+                groups.setdefault((rows, steps), []).append(router)
+        locals_: dict[NodeId, ModelWeights] = dict.fromkeys(roster, global_model)
+        for members in groups.values():
+            results = train(global_model, [streams[r][rnd - 1] for r in members], local_cfg,
+                            adam_state=[states[r] for r in members])
+            for router, result in zip(members, results):
                 states[router] = result.adam_state
                 locals_[router] = result.weights
-            else:
-                locals_[router] = global_model
         global_model = hierarchical_round(tree, locals_)
         per_round.append(global_model)
         for router in roster:

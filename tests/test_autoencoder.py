@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from iotfed.autoencoder import (
     BETA1,
@@ -339,6 +339,75 @@ class TestTrainMatchesPerArrayAdam:
                  for l in model.layers]
         updated, state = adam_step(model, grads, zero_adam_state(model), TrainConfig())
         assert updated.params.dtype == state.m.dtype == state.v.dtype == np.float32
+
+
+class TestStackedTrain:
+    """A list of client matrices trains as one stack, with each client's bits."""
+
+    @settings(max_examples=30, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(clients=st.integers(1, 4), rows=st.integers(1, 70),
+           batch_size=st.sampled_from([1, 7, 32]), epochs=st.integers(1, 3),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           dims=st.sampled_from([DEFAULT_DIMS, (5, 4, 3, 4, 5)]),
+           carried=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # Partial last batches: 9 rows in batches of 7, 40 rows in batches of 32.
+    @example(clients=3, rows=9, batch_size=7, epochs=2, dtype=np.float32, dims=DEFAULT_DIMS,
+             carried=True, seed=1)
+    @example(clients=4, rows=40, batch_size=32, epochs=1, dtype=np.float64,
+             dims=(5, 4, 3, 4, 5), carried=False, seed=2)
+    def test_same_bits_as_one_call_per_client(self, clients, rows, batch_size, epochs, dtype,
+                                              dims, carried, seed):
+        rng = np.random.default_rng(seed)
+        model = init_weights(dims, DEFAULT_ACTIVATIONS, seed=seed % 1000, dtype=dtype)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=1e-2, seed=seed)
+        data = [rng.uniform(size=(rows, dims[0])) for _ in range(clients)]
+        states = [None] * clients
+        if carried:
+            # One epoch on each client's own data: equal steps, different moments.
+            states = [train(model, matrix, replace(cfg, epochs=1, seed=seed + 1)).adam_state
+                      for matrix in data]
+        states_before = [None if s is None else _snapshot(model, s) for s in states]
+        stacked = train(model, data, cfg, adam_state=states)
+        assert len(stacked) == clients
+        for matrix, state, got in zip(data, states, stacked):
+            want = train(model, matrix, cfg, adam_state=state)
+            assert _snapshot(got.weights) == _snapshot(want.weights)
+            _assert_state_equal(got.adam_state, want.adam_state)
+            assert got.loss_history == want.loss_history
+        assert [None if s is None else _snapshot(model, s) for s in states] == states_before
+
+    def test_states_default_to_fresh(self):
+        data = [np.random.default_rng(i).uniform(size=(5, 31)) for i in range(2)]
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=4)
+        model = init_weights(seed=1)
+        for got, want in zip(train(model, data, cfg), train(model, data, cfg, [None, None])):
+            assert _snapshot(got.weights, got.adam_state) == _snapshot(want.weights,
+                                                                       want.adam_state)
+
+    def test_unequal_client_matrices_rejected(self):
+        data = [np.zeros((4, 31)), np.zeros((5, 31))]
+        with pytest.raises(ShapeMismatch):
+            train(init_weights(), data, TrainConfig(epochs=1))
+
+    def test_states_at_different_steps_rejected(self):
+        model, x = init_weights(), np.zeros((4, 31))
+        state = train(model, x, TrainConfig(epochs=1)).adam_state
+        with pytest.raises(ValueError, match="steps"):
+            train(model, [x, x], TrainConfig(epochs=1), adam_state=[state, None])
+
+    def test_one_state_per_client(self):
+        model, x = init_weights(), np.zeros((4, 31))
+        with pytest.raises(ValueError, match="2 Adam states for 3"):
+            train(model, [x, x, x], TrainConfig(epochs=1), adam_state=[None, None])
+
+    def test_no_clients_rejected(self):
+        with pytest.raises(EmptyDataset):
+            train(init_weights(), [], TrainConfig(epochs=1))
+
+    def test_input_dim_checked(self):
+        with pytest.raises(ShapeMismatch):
+            train(init_weights(), [np.zeros((4, 30))], TrainConfig(epochs=1))
 
 
 class TestNoAliasing:

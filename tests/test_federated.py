@@ -10,6 +10,7 @@ from iotfed.autoencoder import (
     save_weights,
     train,
 )
+from iotfed import federated
 from iotfed.federated import (
     EmptyRoster,
     MissingUpdate,
@@ -28,6 +29,11 @@ def scalar_model(value: float) -> ModelWeights:
 
 def random_models(n, seed=0, dims=(6, 4, 6), acts=("relu", "sigmoid")):
     return [init_weights(dims, acts, seed=seed + i) for i in range(n)]
+
+
+def same_dims_other_activations():
+    return [init_weights((4, 3, 4), ("relu", "sigmoid")),
+            init_weights((4, 3, 4), ("sigmoid", "relu"))]
 
 
 class TestFedAvg:
@@ -58,6 +64,10 @@ class TestFedAvg:
     def test_mixed_architectures_rejected(self):
         with pytest.raises(ShapeMismatch):
             fedavg([scalar_model(1.0), init_weights(seed=0)])
+
+    def test_mixed_activations_rejected(self):
+        with pytest.raises(ShapeMismatch, match="mixed architectures"):
+            fedavg(same_dims_other_activations())
 
 
 class TestRouterTree:
@@ -98,6 +108,11 @@ class TestHierarchicalRound:
         with pytest.raises(MissingUpdate):
             hierarchical_round({R1: C, R2: C}, {R1: scalar_model(1.0), R2: None})
 
+    def test_mixed_activations_rejected(self):
+        a, b = same_dims_other_activations()
+        with pytest.raises(ShapeMismatch, match="mixed architectures"):
+            hierarchical_round({R1: C, R2: C}, {R1: a, R2: b})
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyRoster):
             hierarchical_round({}, {})
@@ -113,7 +128,67 @@ def tiny_training_setup():
     return pretrained, data
 
 
+def sequential_rounds(local_cfg, pretrained, streams, tree):
+    """The round globals with every client trained alone, by its own ``train`` call."""
+    global_model = transfer_init(pretrained)
+    states = dict.fromkeys(streams)
+    per_round = []
+    for rnd in range(len(next(iter(streams.values())))):
+        locals_ = {}
+        for router, chunks in streams.items():
+            if len(chunks[rnd]) > 0:
+                result = train(global_model, chunks[rnd], local_cfg, adam_state=states[router])
+                states[router], locals_[router] = result.adam_state, result.weights
+            else:
+                locals_[router] = global_model
+        global_model = hierarchical_round(tree, locals_)
+        per_round.append(global_model)
+    return per_round
+
+
+@pytest.fixture(scope="module")
+def uneven_streams(tiny_training_setup):
+    """R2 sits out round 1 and lags R1 in Adam steps from then on, at R1's row
+    count; R3 brings other row counts. Batches of 4 leave partial last batches."""
+    _, data = tiny_training_setup
+    empty = np.zeros((0, 31), dtype=np.float32)
+    return {R1: [data[R1][:6], data[R1][6:12], data[R1][12:18]],
+            R2: [empty, data[R2][:6], data[R2][6:12]],
+            R3: [data[R3][:9], data[R3][9:18], data[R3][18:]]}
+
+
 class TestRunFederatedTraining:
+    def test_rounds_match_training_each_client_alone(self, tiny_training_setup,
+                                                     uneven_streams):
+        pretrained, _ = tiny_training_setup
+        local_cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-2, seed=5)
+        tree = build_topology(ScenarioFamily.III)
+        result = run_federated_training(local_cfg, pretrained, uneven_streams, tree)
+        want = sequential_rounds(local_cfg, pretrained, uneven_streams, tree)
+        assert [save_weights(w) for w in result.per_round_globals] == \
+            [save_weights(w) for w in want]
+
+    @pytest.mark.parametrize("even,stacks", [
+        (True, [[R1, R2, R3]] * 3),
+        (False, [[R1], [R3], [R1], [R2], [R3], [R1], [R2], [R3]]),
+    ], ids=["equal-clients", "lagging-client"])
+    def test_one_train_call_per_group_and_round(self, monkeypatch, tiny_training_setup,
+                                                uneven_streams, even, stacks):
+        pretrained, data = tiny_training_setup
+        streams = ({r: [data[r][:6], data[r][6:12], data[r][12:18]] for r in ROUTERS}
+                   if even else uneven_streams)
+        calls = []
+
+        def counting_train(weights, client_data, cfg, adam_state=None):
+            calls.append([r for r in ROUTERS
+                          if any(m is c for c in client_data for m in streams[r])])
+            return train(weights, client_data, cfg, adam_state)
+
+        monkeypatch.setattr(federated, "train", counting_train)
+        run_federated_training(TrainConfig(epochs=1, batch_size=4, seed=1), pretrained,
+                               streams, build_topology(ScenarioFamily.III))
+        assert calls == stacks
+
     def test_ledger_accounting(self, tiny_training_setup):
         pretrained, data = tiny_training_setup
         streams = {r: [data[r]] * 5 for r in ROUTERS}
