@@ -19,6 +19,7 @@ from .nodes import (
     Role,
     ScenarioFamily,
     Topology,
+    build_topology,
     restore_normal,
     set_destination,
 )
@@ -78,8 +79,7 @@ class AttackPlan:
 def enumerate_attacks(scenario: ScenarioFamily) -> list[AttackSpec]:
     """All attack specs of a scenario: 12 for I, 5 for II, 7 for III."""
     if scenario is ScenarioFamily.I:
-        normal = {EDGES[0]: ROUTERS[0], EDGES[1]: ROUTERS[0],
-                  EDGES[2]: ROUTERS[2], EDGES[3]: ROUTERS[1]}
+        normal = build_topology(scenario).normal_dest
         specs = []
         for edge in EDGES:
             for dest in [r for r in ROUTERS if r != normal[edge]] + [C]:

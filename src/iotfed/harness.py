@@ -122,8 +122,21 @@ class ExperimentConfig:
             raise ValueError("validation_fraction must lie strictly between 0 and 1, "
                              f"not {self.validation_fraction!r}")
         check_window_len(self.window_len)
-        if self.fl_rounds < 1:
-            raise ValueError(f"fl_rounds must be at least 1, not {self.fl_rounds!r}")
+        # Each check names the YAML key that sets the value.
+        for key, value in (("fl_rounds", self.fl_rounds), ("epochs", self.train.epochs),
+                           ("batch_size", self.train.batch_size),
+                           ("pretrain_epochs", self.pretrain_epochs),
+                           ("fed_local_epochs", self.fed_local_epochs)):
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, not {value!r}")
+        for key, value in (("learning_rate", self.train.learning_rate),
+                           ("fed_local_lr", self.fed_local_lr),
+                           ("median_ms", self.hop_delay.median_ms)):
+            if not value > 0:
+                raise ValueError(f"{key} must be positive, not {value!r}")
+        for key, value in (("sigma", self.hop_delay.sigma), ("send_jitter", self.send_jitter)):
+            if not value >= 0:
+                raise ValueError(f"{key} must be nonnegative, not {value!r}")
         if not self.ks:
             raise ValueError("ks must list at least one k")
         if len(set(self.ks)) != len(self.ks):

@@ -371,33 +371,31 @@ class DeviceLog(Sequence[LogEntry]):
 #: ``"E3>R3"`` -> ``NODE_CODE[E3] * len(NODES) + NODE_CODE[R3]``, for every pair of nodes.
 _PAIR_CODE = {f"{a}>{b}": i * len(NODES) + j
               for i, a in enumerate(NODES) for j, b in enumerate(NODES)}
-# The digit fields of a timestamp (year, month, day, hour, minute, second,
-# microsecond) by character position; every other position is a separator.
-_STAMP_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 26))
-_STAMP_SEPARATORS = np.frombuffer(b"-- ::.", np.uint8)
-_SEPARATOR_AT = np.array([4, 7, 10, 13, 16, 19])
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+#: A timestamp's bytes: each "0" stands for an ASCII digit, which may exceed it
+#: by up to 9, and every other byte for itself.
+_STAMP_SHAPE = np.frombuffer(b"0000-00-00 00:00:00.000000", np.uint8)
+_STAMP_SLACK = np.where(_STAMP_SHAPE == ord("0"), 9, 0).astype(np.uint8)
+_EPOCH_US = to_us(datetime(1970, 1, 1))
 
 
 def _stamps_us(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``to_us`` of each row of an ``(n, 26)`` uint8 array of timestamp
-    characters, and whether ``parse_entry`` accepts the row as a timestamp."""
-    digits = text - np.uint8(ord("0"))  # wraps below "0", so a non-digit reads > 9
-    ok = ((text[:, _SEPARATOR_AT] == _STAMP_SEPARATORS).all(axis=1)
-          & (np.delete(digits, _SEPARATOR_AT, axis=1) <= 9).all(axis=1))
-    year, month, day, hour, minute, second, micro = (
-        digits[:, a:b].astype(np.int64) @ 10 ** np.arange(b - a - 1, -1, -1)
-        for a, b in _STAMP_FIELDS)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    m = np.clip(month, 1, 12) - 1
-    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-           & (day <= _MONTH_DAYS[m] + (leap & (m == 1)))
-           & (hour <= 23) & (minute <= 59) & (second <= 59))
-    y = year - 1
-    days = (y * 365 + y // 4 - y // 100 + y // 400
-            + _DAYS_BEFORE_MONTH[m] + (leap & (m > 1)) + day - 1)
-    return (((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000 + micro, ok
+    characters, and whether ``parse_entry`` accepts the row as a timestamp.
+    numpy checks the calendar, and one impossible date refuses every row."""
+    # A byte below its shape's wraps round to above 9. numpy reads year 0000,
+    # which datetime refuses.
+    ok = (((text - _STAMP_SHAPE) <= _STAMP_SLACK).all(axis=1)
+          & (text[:, :4].view("S4").ravel() != b"0000"))
+    stamps = np.where(ok, text.view("S26").ravel(), b"1970-01-01 00:00:00.000000")
+    us = np.empty(len(text), dtype="datetime64[us]")
+    try:
+        # numpy (2.4.6 at least) releases the GIL to cast more than 500 values,
+        # and then crashes instead of raising on an impossible date.
+        for at in range(0, len(text), 500):
+            us[at:at + 500] = stamps[at:at + 500]
+    except ValueError:
+        ok[:] = False
+    return us.view(np.int64) + _EPOCH_US, ok
 
 
 def _status(field: str) -> int:

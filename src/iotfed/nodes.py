@@ -8,7 +8,7 @@ destination that never forwards (black hole).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 HOP_LIMIT = 8
 
@@ -28,54 +28,26 @@ class Role(enum.Enum):
     ATTACKER = "A"
 
 
+@dataclass(frozen=True, slots=True)
 class NodeId:
     """A node identity such as C, R2 or E4.
 
     Coordinator and attacker carry index 0 and render as bare letters.
-    There is one instance per ``(role, index)``: constructing, parsing,
-    copying and unpickling all return it, so equality and hashing are by
-    identity and run in C, and ``str()`` returns text made once.
-    Instances are immutable.
+    Instances are immutable values: equal role and index mean equal nodes.
     """
 
-    __slots__ = ("role", "index", "_text")
-
     role: Role
-    index: int
+    index: int = 0
 
-    def __new__(cls, role: Role, index: int = 0) -> "NodeId":
-        node = _INTERNED.get((role, index))
-        if node is not None:
-            return node
-        if role in (Role.COORDINATOR, Role.ATTACKER):
-            if index != 0:
-                raise ValueError(f"{role.value} carries no index")
-            text = role.value
-        elif index < 1:
+    def __post_init__(self) -> None:
+        if self.role in (Role.COORDINATOR, Role.ATTACKER):
+            if self.index != 0:
+                raise ValueError(f"{self.role.value} carries no index")
+        elif self.index < 1:
             raise ValueError("router/edge index must be >= 1")
-        else:
-            text = f"{role.value}{index}"
-        node = super().__new__(cls)
-        object.__setattr__(node, "role", role)
-        object.__setattr__(node, "index", index)
-        object.__setattr__(node, "_text", text)
-        # setdefault keeps one instance even if two threads intern at once.
-        return _INTERNED.setdefault((role, index), node)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of NodeId")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of NodeId")
-
-    def __reduce__(self):
-        return (NodeId, (self.role, self.index))
-
-    def __repr__(self) -> str:
-        return f"NodeId(role={self.role!r}, index={self.index!r})"
 
     def __str__(self) -> str:
-        return self._text
+        return f"{self.role.value}{self.index or ''}"
 
     def sort_key(self) -> tuple[str, int]:
         return (self.role.value, self.index)
@@ -83,17 +55,13 @@ class NodeId:
     @classmethod
     def parse(cls, token: str) -> "NodeId":
         token = token.strip()
-        if token == "C":
-            return C
-        if token == "A":
-            return A
+        if token in ("C", "A"):
+            return cls(Role(token))
         if len(token) >= 2 and token[0] in ("R", "E") and token[1:].isdigit():
             role = Role.ROUTER if token[0] == "R" else Role.EDGE
             return cls(role, int(token[1:]))
         raise UnknownNode(f"unrecognized node token {token!r}")
 
-
-_INTERNED: dict[tuple[Role, int], NodeId] = {}
 
 C = NodeId(Role.COORDINATOR)
 A = NodeId(Role.ATTACKER)

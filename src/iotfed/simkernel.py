@@ -134,9 +134,10 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
+    edges = [edge for edge in EDGES if edge in topology.nodes]
     # The live topology depends only on whether the plan's attack is active,
-    # so each edge's route is resolved once per phase.
-    routes: dict[tuple[bool, NodeId], int] = {}
+    # so each edge's route is resolved once per phase, keyed by its position.
+    routes: dict[tuple[bool, int], int] = {}
     paths: list[RoutePath] = []
     # Per path: each point's node code and clock skew, whether each hop's
     # sender logs it, and whether the path delivers to C.
@@ -148,24 +149,22 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     # Per log entry, five numbers: device, log time, packet, segments, status.
     rows: list[float] = []
     for tick in range(int(cfg.duration)):
-        for edge in EDGES:
-            if edge not in topology.nodes:
-                continue
+        for e, edge in enumerate(edges):
             jitter = float(rng.uniform(0.0, cfg.send_jitter)) if cfg.send_jitter else 0.0
             send_at = tick + jitter
             phase = attack_plan is not None and attack_plan.active_at(send_at)
-            p = routes.get((phase, edge))
+            p = routes.get((phase, e))
             if p is None:
                 live = (apply_plan(topology, attack_plan, send_at)
                         if attack_plan is not None else topology)
                 path = route_path(live, edge)
-                p = routes[(phase, edge)] = len(paths)
+                p = routes[(phase, e)] = len(paths)
                 paths.append(path)
                 plans.append(([NODE_CODE[n] for n in path.hops],
                               [cfg.node_skew.get(n, 0.0) for n in path.hops],
                               [j == 0 or n.role is Role.ROUTER
                                for j, n in enumerate(path.hops[:-1])],
-                              path.terminal is C and not path.looped))
+                              path.terminal == C and not path.looped))
             codes, skews, sender_logs, to_c = plans[p]
             packet = len(packets) // 3
             packets += (send_at, p, len(stamps))
@@ -184,12 +183,12 @@ def run_simulation(topology: Topology, cfg: SimConfig,
                     rows += (_C_CODE, clock, packet, len(sender_logs), -1)
 
     entries = _device_logs(np.array(rows).reshape(-1, 5), np.array(packets).reshape(-1, 3),
-                           _START_US + np.array(stamps, dtype=np.int64), paths)
+                           _START_US + np.array(stamps, dtype=np.int64), [c for c, *_ in plans])
     return SimResult(partial(_traces, packets, len(stamps), paths), entries)
 
 
 def _device_logs(rows: np.ndarray, packets: np.ndarray, stamps: np.ndarray,
-                 paths: list[RoutePath]) -> dict[NodeId, DeviceLog]:
+                 path_codes: list[list[int]]) -> dict[NodeId, DeviceLog]:
     """Each device's entries as columns, sorted by (log time, packet number).
 
     Segment ``j`` of a packet's entry runs from point ``j`` of its path to
@@ -208,9 +207,9 @@ def _device_logs(rows: np.ndarray, packets: np.ndarray, stamps: np.ndarray,
     # A segment not received may have no next stamp; it repeats its send time.
     times = np.stack([sent, np.where(got, stamps[np.minimum(point + 1, len(stamps) - 1)], sent)],
                      axis=1)
-    codes = np.zeros((len(paths), max((len(p.hops) for p in paths), default=1)), dtype=np.int64)
-    for i, p in enumerate(paths):
-        codes[i, :len(p.hops)] = [NODE_CODE[n] for n in p.hops]
+    codes = np.zeros((len(path_codes), max(map(len, path_codes), default=1)), dtype=np.int64)
+    for i, c in enumerate(path_codes):
+        codes[i, :len(c)] = c
     seg_path = path[seg_packet]
     log = DeviceLog(n_segs, received, status, codes[seg_path, j], codes[seg_path, j + 1], times)
     devices, first_row = np.unique(rows[:, 0].astype(np.int64), return_index=True)

@@ -130,7 +130,9 @@ class TestCommands:
     @pytest.mark.parametrize("key,value", [
         ("validation_fraction", 1.5), ("validation_fraction", -0.1),
         ("ks", []), ("window_len", 0.0), ("window_len", -60.0), ("window_len", 45.0),
-        ("fl_rounds", 0)])
+        ("fl_rounds", 0), ("epochs", 0), ("batch_size", 0), ("learning_rate", 0.0),
+        ("pretrain_epochs", 0), ("fed_local_epochs", 0), ("fed_local_lr", 0.0),
+        ("median_ms", 0.0), ("sigma", -0.1), ("send_jitter", -1.0)])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({**SMALL, key: value}))

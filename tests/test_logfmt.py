@@ -13,6 +13,7 @@ from conftest import (
     EDGE_LINE,
     ROUTER_LINE,
 )
+from iotfed import logfmt
 from iotfed.logfmt import (
     DeviceLog,
     EntryKind,
@@ -302,6 +303,44 @@ def test_impossible_timestamps_raise_at_their_offset(token):
         with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
             parse(line)
         assert exc_info.value.offset == line.index(token)
+
+
+@pytest.mark.parametrize("token", [
+    "2024-04-26T13:36:10.273312",   # numpy reads a "T" separator
+    "+024-04-26 13:36:10.273312",   # numpy reads a signed year
+    "2024-04-26 13:36:10.27331Z",   # numpy reads a "Z" zone
+])
+def test_parse_log_refuses_tokens_numpy_reads_as_parse_entry_does(token):
+    good = f"E3>R3, {T1}, S:0"
+    line = f"E3>R3, {T1}, {T2}, R3>C, {token}, S:0"
+    with pytest.raises(ParseError) as entry_error:
+        parse_entry(line)
+    with pytest.raises(ParseError) as log_error:
+        parse_log(f"{good}\n{line}\n{good}\n")
+    assert (log_error.value.reason, log_error.value.offset, log_error.value.line) == (
+        entry_error.value.reason, entry_error.value.offset, 2)
+
+
+def test_impossible_date_on_the_last_line_of_a_long_document_names_that_line():
+    start = datetime(2024, 4, 26, 13)
+    lines = [f"E3>R3, {format_timestamp(start + timedelta(seconds=i))}, S:0"
+             for i in range(2000)]
+    lines.append("E3>R3, 2023-02-29 13:36:10.273312, S:0")
+    with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
+        parse_log("\n".join(lines) + "\n")
+    assert (exc_info.value.line, exc_info.value.offset) == (2001, 7)
+
+
+def test_canonical_edge_of_calendar_dates_are_read_without_parse_entry(monkeypatch):
+    stamps = [datetime(1, 1, 1), datetime(2024, 2, 29),
+              datetime(9999, 12, 31, 23, 59, 59, 999999)]
+    doc = "".join(f"E3>R3, {format_timestamp(ts)}, S:0\n" for ts in stamps)
+
+    def refuse(line):
+        raise AssertionError(f"parse_entry called on {line!r}")
+
+    monkeypatch.setattr(logfmt, "parse_entry", refuse)
+    assert parse_log(doc).times.tolist() == [[to_us(ts), to_us(ts)] for ts in stamps]
 
 
 @pytest.mark.parametrize("ts", [

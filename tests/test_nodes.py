@@ -58,21 +58,26 @@ class TestNodeId:
         assert ordered[0] == A and ordered[1] == C
         assert ordered[2:5] == list(EDGES[:3])
 
-    def test_construction_and_parse_return_the_interned_instance(self):
-        assert NodeId(Role.ROUTER, 1) is R1
-        assert NodeId(role=Role.COORDINATOR) is C
-        assert NodeId.parse("E12") is NodeId(Role.EDGE, 12)
-        assert NodeId.parse(" R2 ") is R2
+    def test_construction_and_parse_give_an_equal_value(self):
+        table = {R1: "r1", C: "c", NodeId(Role.EDGE, 12): "e12", R2: "r2"}
+        for built, node in ((NodeId(Role.ROUTER, 1), R1), (NodeId(role=Role.COORDINATOR), C),
+                            (NodeId.parse("E12"), NodeId(Role.EDGE, 12)),
+                            (NodeId.parse(" R2 "), R2)):
+            assert built == node and hash(built) == hash(node)
+            assert table[built] == table[node]
 
     @pytest.mark.parametrize("clone", [
         copy.copy,
         copy.deepcopy,
         lambda node: pickle.loads(pickle.dumps(node)),
     ], ids=["copy", "deepcopy", "pickle"])
-    def test_copies_are_the_interned_instance(self, clone):
+    def test_copies_are_equal_values(self, clone):
         for node in ROSTER + (NodeId(Role.EDGE, 12),):
-            assert clone(node) is node
-        assert clone({R1: [E1]})[R1][0] is E1
+            copied = clone(node)
+            assert copied == node and hash(copied) == hash(node)
+            assert {node: 1}[copied] == 1
+        copied = clone({R1: [E1]})
+        assert copied[R1] == [E1] and list(copied) == [R1]
 
     def test_fields_cannot_be_set(self):
         with pytest.raises(AttributeError):

@@ -254,8 +254,8 @@ class TestRoutesPerPhase:
         assert sorted(route_calls, key=str) == sorted(EDGES * 2, key=str)
         start, end = plan.attack_interval
         for trace in result.traces:
-            attacked = trace.origin is E1 and start <= trace.send_time < end
-            assert (trace.delivered_to is A) == attacked
+            attacked = trace.origin == E1 and start <= trace.send_time < end
+            assert (trace.delivered_to == A) == attacked
 
     def test_run_without_plan_routes_each_edge_once(self, route_calls):
         run_simulation(build_topology(ScenarioFamily.I), SimConfig(seed=2, duration=30.0))
