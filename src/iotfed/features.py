@@ -8,6 +8,7 @@ Router-level schemas zero-fill the slots a router cannot observe
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Sequence
@@ -64,33 +65,112 @@ class FeatureVector:
             raise ValueError(f"feature vector must have {N_FEATURES} slots")
 
 
+def segment_entropy(samples: np.ndarray, counts: np.ndarray,
+                    bins: int = ENTROPY_BINS) -> np.ndarray:
+    """Histogram entropy in bits of each segment of ``samples``, one per entry of ``counts``.
+
+    ``samples`` holds the segments back to back, ``counts[i]`` samples in
+    segment i. Each segment is binned over its own [min, max] exactly as
+    ``np.histogram`` bins it: the same ``linspace`` edges, the same
+    ``(x - lo) / (hi - lo) * bins`` index and edge corrections, and a
+    ``ValueError`` for a range that is not finite or cannot hold ``bins``
+    distinct edges. Each segment's ``p * log2(p)`` terms are summed in bin
+    order over its non-zero bins, segments with equal numbers of them
+    stacked together, so each sum groups its terms as ``np.sum`` does for
+    one segment. Empty or constant segments carry no dispersion and yield 0.
+    """
+    bins = operator.index(bins)
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    out = np.zeros(len(counts))
+    full = counts > 0
+    if not full.any():
+        return out
+    starts = np.cumsum(counts) - counts
+    lo, hi = out.copy(), out.copy()
+    lo[full] = np.minimum.reduceat(samples, starts[full])
+    hi[full] = np.maximum.reduceat(samples, starts[full])
+    spread = lo != hi
+    rows = np.flatnonzero(spread)
+    lo, hi = lo[rows], hi[rows]
+    delta = hi - lo
+    if not np.isfinite(delta).all():
+        raise ValueError("the sample range must be finite")
+    # np.linspace(lo, hi, bins + 1) of each row. Its other formula, for a
+    # step that rounds to 0, gives edges too close to be distinct: they raise
+    # below either way.
+    edges = np.arange(bins + 1.0) * (delta / bins)[:, None] + lo[:, None]
+    edges[:, -1] = hi
+    if np.any(edges[:, :-1] >= edges[:, 1:]):
+        raise ValueError(f"Too many bins for data range. Cannot create {bins} "
+                         "finite-sized bins.")
+    x = samples[np.repeat(spread, counts)]
+    seg = np.repeat(np.arange(rows.size), counts[rows])
+    index = ((x - lo[seg]) / delta[seg] * bins).astype(np.intp)
+    index[index == bins] -= 1
+    flat, base = edges.ravel(), seg * (bins + 1)
+    index[x < flat[base + index]] -= 1
+    index[(x >= flat[base + index + 1]) & (index != bins - 1)] += 1
+    hist = np.bincount(seg * bins + index, minlength=rows.size * bins).reshape(-1, bins)
+    occupied = hist > 0
+    n_occupied = occupied.sum(axis=1)
+    p = hist[occupied] / np.repeat(counts[rows], n_occupied)
+    terms = p * np.log2(p)
+    first = np.cumsum(n_occupied) - n_occupied
+    for m in np.unique(n_occupied):
+        group = np.flatnonzero(n_occupied == m)
+        out[rows[group]] = -terms[first[group, None] + np.arange(m)].sum(axis=1)
+    return out
+
+
 def shannon_entropy(samples: Sequence[float], bins: int = ENTROPY_BINS) -> float:
     """Histogram entropy in bits over equal-width bins spanning the sample range.
 
     Empty or constant samples carry no dispersion and yield 0.
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0 or np.min(arr) == np.max(arr):
-        return 0.0
-    counts, _ = np.histogram(arr, bins=bins, range=(float(np.min(arr)), float(np.max(arr))))
-    p = counts[counts > 0] / arr.size
-    return float(-np.sum(p * np.log2(p)))
+    arr = np.asarray(samples, dtype=float).ravel()
+    return float(segment_entropy(arr, np.array([arr.size]), bins)[0])
 
 
-def _stats(samples: np.ndarray) -> tuple[float, float, float, float]:
-    if not len(samples):
-        return 0.0, 0.0, 0.0, 0.0
-    return (float(samples.mean()), float(samples.std()), float(samples.min()),
-            float(samples.max()))
+_QUARTILES = np.array([0.25, 0.5, 0.75])
 
 
-def _quartiles(samples: np.ndarray) -> tuple[float, float, float]:
-    if not len(samples):
-        return 0.0, 0.0, 0.0
-    q1, q2, q3 = np.percentile(samples, [25.0, 50.0, 75.0])
-    return float(q1), float(q2), float(q3)
+def _delay_stats(samples: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Mean, std, min, max, Q1, Q2, Q3 and entropy of each window's delay samples.
+
+    ``samples`` holds the windows' samples back to back, each window's in
+    stream order, ``counts[w]`` of them for window w; an empty window's
+    row is zero. Every value has the bytes the 1-D numpy call on that
+    window's samples gives. Windows of equal count are stacked into one
+    matrix, whose row sums keep stream order for the mean and std, then
+    sorted row by row for the order statistics; the quartiles interpolate
+    as ``np.percentile``'s linear method does.
+    """
+    out = np.zeros((len(counts), 8))
+    starts = np.cumsum(counts) - counts
+    ordered = np.empty_like(samples)
+    for n in np.unique(counts[counts > 0]):
+        rows = counts == n
+        index = starts[rows, None] + np.arange(n)
+        block = samples[index]
+        out[rows, 0] = block.mean(axis=1)
+        out[rows, 1] = block.std(axis=1)
+        block.sort(axis=1)
+        ordered[index] = block
+    full = np.flatnonzero(counts)
+    first, last = starts[full], starts[full] + counts[full] - 1
+    out[full, 2], out[full, 3] = ordered[first], ordered[last]
+    # np.percentile's linear method: the order statistics either side of the
+    # virtual index (n - 1) * q; a lone sample is the upper one, at weight 1.
+    virtual = (counts[full, None] - 1) * _QUARTILES
+    below = np.floor(virtual)
+    at = first[:, None] + below.astype(np.intp)
+    lower, upper = ordered[at], ordered[np.minimum(at + 1, last[:, None])]
+    gamma = np.where(counts[full, None] == 1, 1.0, virtual - below)
+    diff = upper - lower
+    out[full, 4:7] = np.where(gamma >= 0.5, upper - diff * (1 - gamma), lower + diff * gamma)
+    out[:, 7] = segment_entropy(samples, counts)
+    return out
 
 
 def _ms(d_us: np.ndarray) -> np.ndarray:
@@ -138,15 +218,10 @@ def window_matrix(log: DeviceLog, windows: Sequence[tuple[datetime, datetime]],
     has_first = log.received | (hops > 1)
     e2e = _ms(log.times[log.ends - 1, 1] - sent)[log.received]
     first = _ms(log.times[log.starts, 1] - sent)[has_first]
-    splits = [np.split(x, np.searchsorted(win[has], np.arange(1, n)))
-              for x, has in ((e2e, log.received), (first, has_first))]
-    for w, (e, f) in enumerate(zip(*splits)):
-        values[w, 0:4] = _stats(e)
-        values[w, 4:7] = _quartiles(e)
-        values[w, 7:9] = _stats(f)[:2]
-        values[w, 9:12] = _quartiles(f)
-        values[w, 12] = shannon_entropy(e)
-        values[w, 13] = shannon_entropy(f)
+    e2e_stats = _delay_stats(e2e, np.bincount(win[log.received], minlength=n))
+    first_stats = _delay_stats(first, np.bincount(win[has_first], minlength=n))
+    values[:, [0, 1, 2, 3, 4, 5, 6, 12]] = e2e_stats
+    values[:, [7, 8, 9, 10, 11, 13]] = first_stats[:, [0, 1, 4, 5, 6, 7]]
     values[:, sorted(schema)] = 0.0
     return values
 

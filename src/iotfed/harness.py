@@ -52,7 +52,7 @@ from .features import (
     window_matrix,
 )
 from .federated import run_federated_training, transfer_init
-from .logfmt import NODE_CODE, DeviceLog, LogEntry
+from .logfmt import NODE_CODE, DeviceLog
 from .nodes import ROUTERS, C, NodeId, ScenarioFamily, Topology, build_topology
 from .simkernel import DEFAULT_START, HopDelayModel, SimConfig, SimResult, run_simulation
 
@@ -176,11 +176,15 @@ def federated_stream(result: SimResult, router: NodeId) -> DeviceLog:
     return router_view(result.entries.get(router, []), router)
 
 
-def window_features(entries: Sequence[LogEntry], start: datetime, duration: float,
-                    window_len: float, schema, device: NodeId) -> list[FeatureVector]:
-    """Raw feature vector of every ``make_windows`` window of a stream (``window_matrix``)."""
+def window_features(log: DeviceLog, start: datetime, duration: float, window_len: float,
+                    schema: frozenset[int], device: NodeId) -> list[FeatureVector]:
+    """Raw feature vector of every ``make_windows`` window of a device's log.
+
+    ``log`` is a stream as ``central_stream`` or ``federated_stream``
+    returns it; the rows are ``window_matrix``'s, tagged with ``device``.
+    """
     windows = make_windows(start, duration, window_len)
-    values = window_matrix(DeviceLog.from_entries(entries), windows, schema)
+    values = window_matrix(log, windows, schema)
     return [FeatureVector(w_start, device, row) for (w_start, _), row in zip(windows, values)]
 
 

@@ -8,6 +8,7 @@ destination that never forwards (black hole).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, replace
 
 HOP_LIMIT = 8
@@ -26,6 +27,10 @@ class Role(enum.Enum):
     ROUTER = "R"
     EDGE = "E"
     ATTACKER = "A"
+
+
+#: A router or edge token: the role letter, then an ASCII index >= 1.
+_INDEXED_TOKEN = re.compile(r"[RE][1-9][0-9]*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,12 +59,16 @@ class NodeId:
 
     @classmethod
     def parse(cls, token: str) -> "NodeId":
+        """The node a canonical token names: C, A, or R or E with an index >= 1.
+
+        The index is ASCII digits without a leading zero, so every token
+        that parses is the node's ``str``; surrounding whitespace is ignored.
+        """
         token = token.strip()
         if token in ("C", "A"):
             return cls(Role(token))
-        if len(token) >= 2 and token[0] in ("R", "E") and token[1:].isdigit():
-            role = Role.ROUTER if token[0] == "R" else Role.EDGE
-            return cls(role, int(token[1:]))
+        if _INDEXED_TOKEN.fullmatch(token):
+            return cls(Role(token[0]), int(token[1:]))
         raise UnknownNode(f"unrecognized node token {token!r}")
 
 

@@ -23,10 +23,12 @@ from iotfed.features import (
     fit_scaler,
     make_windows,
     router_view,
+    segment_entropy,
     shannon_entropy,
     to_csv,
 )
 from iotfed.logfmt import (
+    DeviceLog,
     EntryKind,
     LogEntry,
     Segment,
@@ -79,6 +81,103 @@ class TestShannonEntropy:
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
             shannon_entropy([1.0], bins=0)
+
+
+def reference_entropy(samples, bins=ENTROPY_BINS):
+    """Entropy of one row's ``np.histogram`` over its own range, as the 1-D code took it."""
+    arr = np.asarray(samples, dtype=float)
+    if arr.size == 0 or np.min(arr) == np.max(arr):
+        return 0.0
+    counts, _ = np.histogram(arr, bins=bins, range=(float(np.min(arr)), float(np.max(arr))))
+    p = counts[counts > 0] / arr.size
+    return float(-np.sum(p * np.log2(p)))
+
+
+# Magnitudes up to 1e300 keep every row's range, and so its bin width, finite.
+MAGNITUDES = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@st.composite
+def entropy_rows(draw, bins):
+    """A few rows of one length, all of one shape np.histogram's binning is sensitive to.
+
+    "edges" rows sit on their own bin edges, "ulps" rows span a few ulps (one
+    ulp cannot hold two bins), "occupied" rows fill 8 to 10 bins, where
+    numpy's pairwise sum starts grouping terms.
+    """
+    kind = draw(st.sampled_from(("any", "edges", "two", "ulps", "occupied")))
+    size, repeat = draw(st.integers(0, 24)), draw(st.integers(1, 4))
+    if kind == "any":
+        return draw(st.lists(st.lists(MAGNITUDES, min_size=size, max_size=size),
+                             min_size=repeat, max_size=repeat))
+    lo = draw(MAGNITUDES)
+    if kind == "ulps":
+        values = [lo]
+        for _ in range(draw(st.integers(1, 2 * bins))):
+            values.append(float(np.nextafter(values[-1], np.inf)))
+        hi = values[-1]
+    else:
+        hi = lo + abs(lo) * draw(st.floats(1e-15, 1e3)) + draw(st.floats(1e-300, 1e3))
+        values = [lo, hi]
+    if kind == "edges":
+        values = [float(v) for v in np.linspace(lo, hi, bins + 1)]
+    if kind == "occupied":
+        interior = draw(st.permutations(range(1, bins - 1)))
+        occupied = min(bins, draw(st.sampled_from([8, 9, 10])))
+        values += [lo + (j + 0.5) * (hi - lo) / bins for j in interior[:occupied - 2]]
+    base = values if kind == "occupied" else [lo, hi]
+    fill = st.lists(st.sampled_from(values), min_size=size, max_size=size)
+    return [draw(st.permutations(base + draw(fill))) for _ in range(repeat)]
+
+
+class TestSegmentEntropy:
+    """segment_entropy, row by row, against the 1-D np.histogram entropy."""
+
+    @staticmethod
+    def assert_equals_reference(rows, bins):
+        samples = np.array([x for row in rows for x in row], dtype=float)
+        counts = np.array([len(row) for row in rows], dtype=np.intp)
+        try:
+            want = np.array([reference_entropy(row, bins) for row in rows], dtype=float)
+        except ValueError:
+            with pytest.raises(ValueError):
+                segment_entropy(samples, counts, bins)
+            return
+        assert segment_entropy(samples, counts, bins).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bins=st.sampled_from([1, 2, 3, ENTROPY_BINS]))
+    def test_equals_np_histogram_bit_for_bit(self, data, bins):
+        rows = [row for rows in data.draw(st.lists(entropy_rows(bins), max_size=6))
+                for row in rows]
+        self.assert_equals_reference(rows, bins)
+
+    @pytest.mark.parametrize("occupied", [8, 9, 10])
+    def test_rows_with_many_occupied_bins(self, occupied):
+        # Six rows of 40 samples each: both extremes, one sample in each other
+        # occupied bin's middle, the rest spread over the occupied bins.
+        rng = np.random.default_rng(occupied)
+        rows = []
+        for _ in range(6):
+            lo, width = rng.uniform(1.0, 500.0), rng.uniform(1e-3, 500.0)
+            middles = 1 + rng.choice(ENTROPY_BINS - 2, occupied - 2, replace=False)
+            extra = rng.choice(np.append(middles, [0, ENTROPY_BINS - 1]), 40 - occupied)
+            where = np.concatenate([middles, extra]) + 0.5
+            row = np.concatenate([[lo, lo + width], lo + where * width / ENTROPY_BINS])
+            rows.append(list(rng.permutation(row)))
+            hist, _ = np.histogram(row, ENTROPY_BINS, (row.min(), row.max()))
+            assert np.count_nonzero(hist) == occupied
+        self.assert_equals_reference(rows, ENTROPY_BINS)
+
+    def test_empty_constant_and_spread_rows_in_one_call(self):
+        got = segment_entropy(np.array([4.0, 4.0, 1.0, 1.0, 9.0, 9.0, 7.0]),
+                              np.array([0, 2, 4, 0, 1]), bins=2)
+        assert got.tobytes() == np.array([0.0, 0.0, 1.0, 0.0, 0.0]).tobytes()
+
+    def test_range_too_narrow_for_the_bins(self):
+        lo = 1.0
+        with pytest.raises(ValueError):
+            segment_entropy(np.array([lo, np.nextafter(lo, 2.0)]), np.array([2]), bins=2)
 
 
 class TestExtractWindow:
@@ -284,8 +383,8 @@ def window_vector(selected, start, schema, device=C):
         mean_f, std_f, _, _ = _stats(first)
         values[7:9] = (mean_f, std_f)
         values[9:12] = _quartiles(first)
-        values[12] = shannon_entropy(e2e)
-        values[13] = shannon_entropy(first)
+        values[12] = reference_entropy(e2e)
+        values[13] = reference_entropy(first)
         hops = [hop_count(e) for e in selected]
         values[14] = len(selected)
         values[15] = float(np.mean(hops))
@@ -365,7 +464,8 @@ class TestWindowFeatures:
             if cut and cut <= len(entries[i].segments):
                 entries[i] = logged_by_sender(entries[i], cut, data.draw(st.integers(0, 1)))
 
-        got = harness.window_features(entries, start, duration, window_len, schema, R2)
+        got = harness.window_features(DeviceLog.from_entries(entries), start, duration,
+                                      window_len, schema, R2)
         want = reference_window_features(entries, windows, schema, R2)
         assert len(got) == len(want)
         for g, w, window in zip(got, want, windows):
@@ -382,15 +482,47 @@ class TestWindowFeatures:
                                      start + timedelta(seconds=float(rng.uniform(0.0, 180.0))),
                                      hop_ms=float(rng.uniform(1.0, 500.0)))
                    for _ in range(600)]
-        got = harness.window_features(entries, start, 180.0, 60.0, COORDINATOR_SCHEMA, C)
+        got = harness.window_features(DeviceLog.from_entries(entries), start, 180.0, 60.0,
+                                      COORDINATOR_SCHEMA, C)
         want = reference_window_features(entries, make_windows(start, 180.0, 60.0),
                                          COORDINATOR_SCHEMA, C)
         for g, w in zip(got, want, strict=True):
             assert g.values.tobytes() == w.values.tobytes()
 
+    def test_seeded_counts_across_numpy_summation_regimes(self):
+        # Per-window entry counts under 8 (numpy sums them one by one), 8 to
+        # 128 (eight accumulators) and over 128 (recursive halving); twelve
+        # windows share one count; single-entry and empty windows sit
+        # between full ones. Windows 3, 9 and 15 hold one path at one delay.
+        counts = [0, 1, 3, 7, 0, 8, 9, 16, 1, 0, 127, 128, 129, 300, *[20] * 12, 0, 1, 5, 1]
+        constant = {3, 9, 15}
+        rng = np.random.default_rng(13)
+        start, window_len = ts(0.0), 60.0
+        entries = []
+        for w, count in enumerate(counts):
+            for _ in range(count):
+                sent = start + timedelta(seconds=w * window_len + rng.uniform(0.0, 59.0))
+                path = PATHS[0] if w in constant else PATHS[rng.integers(len(PATHS))]
+                hop_ms = 42.0 if w in constant else float(rng.uniform(1.0, 500.0))
+                entries.append(coordinator_entry(EDGES[rng.integers(4)], path, sent, hop_ms))
+        rng.shuffle(entries)
+        # A quarter as their sender logged them: fewer end-to-end than first-hop samples.
+        for i in rng.choice(len(entries), len(entries) // 4, replace=False):
+            entries[i] = logged_by_sender(entries[i], rng.integers(1, 3), 0)
+        duration = len(counts) * window_len
+        windows = make_windows(start, duration, window_len)
+        log = DeviceLog.from_entries(entries)
+        for schema in (COORDINATOR_SCHEMA, ROUTER_SCHEMA):
+            got = harness.window_features(log, start, duration, window_len, schema, R2)
+            want = reference_window_features(entries, windows, schema, R2)
+            for g, w in zip(got, want, strict=True):
+                assert g.values.tobytes() == w.values.tobytes()
+            assert [v.values[SLOT["total_count"]] for v in got] == counts
+
     def test_entry_at_a_window_end_lands_in_the_next_window(self):
         windows = make_windows(ts(0), 2.0, 0.7)
         entry = coordinator_entry(E1, [R1, C], windows[0][1])
         assert bucket_entries([entry], windows) == [[], [entry], []]
-        vectors = harness.window_features([entry], ts(0), 2.0, 0.7, COORDINATOR_SCHEMA, C)
+        vectors = harness.window_features(DeviceLog.from_entries([entry]), ts(0), 2.0, 0.7,
+                                          COORDINATOR_SCHEMA, C)
         assert [v.values[SLOT["total_count"]] for v in vectors] == [0.0, 1.0, 0.0]

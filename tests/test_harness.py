@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from iotfed import harness
-from iotfed.attacks import AttackSpec
+from iotfed.attacks import AttackPlan, AttackSpec
 from iotfed.autoencoder import TrainConfig, save_weights
 from iotfed.detect import DEFAULT_KS, Threshold, calibrate_threshold
+from iotfed.features import COORDINATOR_SCHEMA, ROUTER_SCHEMA, make_windows, window_matrix
 from iotfed.harness import (
     ExperimentConfig,
     StageError,
@@ -25,6 +26,7 @@ from iotfed.harness import (
 )
 from iotfed.logfmt import EntryKind
 from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
+from iotfed.simkernel import DEFAULT_START
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -165,6 +167,42 @@ def test_federated_weight_files_are_pinned():
     blobs = [save_weights(w) for w in (pipe.pretrained, *pipe.per_round_globals, pipe.model)]
     assert {len(b) for b in blobs} == {12534}
     assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == PINNED_WEIGHT_FILES
+
+
+# sha256 of the raw window_matrix bytes of a small normal corpus, then of one
+# attack run: centralized streams of R1, R2, R3, then federated streams.
+PINNED_WINDOW_MATRICES = (
+    "bf487075313975efe657d4d5f18c396488d81746c604a989799301c22351f301",
+    "598b683ca485778bda41fffdb453f45ccc4946717b80108e1bb1493d39524a27",
+    "89f3e95f5c227709e274db5b3fe52b5f1d8982c5b2d2d58f06cad204198a01a4",
+    "d7e1d32b8d9728524c31c489803c071d722a2424f015a95af2ddba444c571b14",
+    "cd139f25bd67b4d2e4fdaf764d80bbce0d6ef6de47c75a8036e1a458f3074871",
+    "fd11b6ff30011454d744b0c3a37e33d60e410ced0b4bc8877f919f20d6d6c969",
+    "2b5b775eb679c71b47cce8db95450fed6f64845a6b2c8d87975970aa50d19bf0",
+    "b5be2da5268b0435c12e485869d83ef7f77f86d5925455e7aec158e790b91a09",
+    "e9fd40311481f82b38528659bb2720b4359467d78316fb40e32585fad335939d",
+    "6359ee2634bd6cf09d63f0bf43c5e346db73b9e2a846d4d37339018689aee192",
+    "4648c1897c24d31ede4b3d8cde9bf55d3fb6282e4d1129f3e616c3ce61397e90",
+    "b16bfeaccfa1950e916bac39049dc9047dcf452fc8cafbc5c161323af28cdb60",
+)
+
+
+def test_window_matrices_are_pinned():
+    cfg = small_config(seed=17)
+    topology = build_topology(cfg.scenario)
+    normal = run_simulation(topology, cfg.sim_config("normal", cfg.normal_duration))
+    plan = AttackPlan(cfg.selected_attacks()[0])
+    attack = run_simulation(topology, cfg.sim_config(f"attack-{plan.spec.token()}",
+                                                     plan.total_duration), plan)
+    digests = []
+    for result, duration in ((normal, cfg.normal_duration), (attack, plan.total_duration)):
+        windows = make_windows(DEFAULT_START, duration, cfg.window_len)
+        for stream, schema in ((central_stream, COORDINATOR_SCHEMA),
+                               (federated_stream, ROUTER_SCHEMA)):
+            for router in ROUTERS:
+                values = window_matrix(stream(result, router), windows, schema)
+                digests.append(hashlib.sha256(values.tobytes()).hexdigest())
+    assert tuple(digests) == PINNED_WINDOW_MATRICES
 
 
 class TestEvaluateAttack:

@@ -53,6 +53,12 @@ class TestNodeId:
             with pytest.raises(UnknownNode):
                 NodeId.parse(token)
 
+    def test_only_canonical_indices_parse(self):
+        # Non-ASCII digits, a leading zero, a superscript and index 0.
+        for token in ("R\u0661", "R01", "E\u00b2", "R0"):
+            with pytest.raises(UnknownNode):
+                NodeId.parse(token)
+
     def test_sort_key_orders_roster(self):
         ordered = sorted(ROSTER, key=NodeId.sort_key)
         assert ordered[0] == A and ordered[1] == C
