@@ -211,8 +211,7 @@ def reconstruction_loss(weights: ModelWeights, batch: np.ndarray) -> float:
     batch = np.atleast_2d(np.asarray(batch))
     if batch.shape[0] == 0:
         raise EmptyDataset("loss over an empty batch")
-    x_hat, _ = forward(weights, batch)
-    return float(np.mean(np.sum((batch - x_hat) ** 2, axis=1)))
+    return float(np.mean(per_sample_losses(weights, batch)))
 
 
 def per_sample_losses(weights: ModelWeights, batch: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ pipeline from scratch up to its stage and writes its part of the bundle through
 the same harness writers, byte-identical to a ``run-all`` bundle of the same
 config (``features`` writes normal-corpus feature CSVs, which the bundle lacks).
 Exit codes: 0 success, 1 invalid config (checked before anything is simulated),
-2 a pipeline stage failed.
+2 a pipeline stage failed (writing the output is stage ``emit``).
 """
 
 from __future__ import annotations
@@ -86,40 +86,47 @@ def _print_summary(cfg: ExperimentConfig, outcomes) -> None:
 def simulate(cfg: ExperimentConfig, out: Path) -> None:
     """pretrain and normal corpus logs"""
     _, pretrain, normal = harness.simulate_phases(cfg)
-    harness.write_logs(pretrain, out / "pretrain" / "logs")
-    harness.write_logs(normal, out / "normal" / "logs")
+    with harness.stage("emit"):
+        harness.write_logs(pretrain, out / "pretrain" / "logs")
+        harness.write_logs(normal, out / "normal" / "logs")
 
 
 def features(cfg: ExperimentConfig, out: Path) -> None:
     """per-router feature CSVs of the normal corpus"""
     normal = harness.simulate_phases(cfg)[2]
-    harness.write_features({m: harness.mode_features(cfg, m, normal, cfg.normal_duration)
-                            for m in cfg.modes}, out)
+    raw = {m: harness.mode_features(cfg, m, normal, cfg.normal_duration) for m in cfg.modes}
+    with harness.stage("emit"):
+        harness.write_features(raw, out)
 
 
 def models(cfg: ExperimentConfig, out: Path) -> None:
     """pretrained and trained models, plus the federated comms ledger"""
-    harness.write_models(harness.train_pipelines(cfg, *harness.simulate_phases(cfg)), out)
+    pipelines = harness.train_pipelines(cfg, *harness.simulate_phases(cfg))
+    with harness.stage("emit"):
+        harness.write_models(pipelines, out)
 
 
 def thresholds(cfg: ExperimentConfig, out: Path) -> None:
     """per-router detection thresholds"""
     pipelines = harness.train_pipelines(cfg, *harness.simulate_phases(cfg))
-    harness.write_thresholds(pipelines, out)
+    with harness.stage("emit"):
+        harness.write_thresholds(pipelines, out)
 
 
 def detect(cfg: ExperimentConfig, out: Path) -> None:
     """attack runs: logs, features, reports and plot data"""
     result = harness.run_experiment(cfg)
-    for outcome in result.outcomes:
-        harness.write_attack(cfg, outcome, result.pipelines, out)
+    with harness.stage("emit"):
+        for outcome in result.outcomes:
+            harness.write_attack(cfg, outcome, result.pipelines, out)
     _print_summary(cfg, result.outcomes)
 
 
 def overhead(cfg: ExperimentConfig, out: Path) -> None:
     """bytes-on-the-wire comparison"""
     report = harness.modelled_overhead(cfg)
-    harness.write_overhead(report, out)
+    with harness.stage("emit"):
+        harness.write_overhead(report, out)
     print(f"centralized {report['centralized_bytes']:.0f} B, federated "
           f"{report['federated_bytes']:.0f} B, ratio {report['ratio']:.1f}x")
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .logfmt import NODE_CODE, NODES, DeviceLog, LogEntry, to_us
+from .logfmt import NODE_CODE, NODES, DeviceLog, LogEntry, to_us, us_to_ms
 from .nodes import EDGES, ROUTERS, A, C, NodeId, Role
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -173,11 +173,6 @@ def _delay_stats(samples: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ms(d_us: np.ndarray) -> np.ndarray:
-    """Microsecond differences in milliseconds, rounded as ``timedelta.total_seconds``."""
-    return (d_us / 1_000_000) * 1000.0
-
-
 def window_matrix(log: DeviceLog, windows: Sequence[tuple[datetime, datetime]],
                   schema: frozenset[int]) -> np.ndarray:
     """Raw 31-slot feature vectors of a log, one row per window.
@@ -216,8 +211,8 @@ def window_matrix(log: DeviceLog, windows: Sequence[tuple[datetime, datetime]],
 
     sent = log.times[log.starts, 0]
     has_first = log.received | (hops > 1)
-    e2e = _ms(log.times[log.ends - 1, 1] - sent)[log.received]
-    first = _ms(log.times[log.starts, 1] - sent)[has_first]
+    e2e = us_to_ms(log.times[log.ends - 1, 1] - sent)[log.received]
+    first = us_to_ms(log.times[log.starts, 1] - sent)[has_first]
     e2e_stats = _delay_stats(e2e, np.bincount(win[log.received], minlength=n))
     first_stats = _delay_stats(first, np.bincount(win[has_first], minlength=n))
     values[:, [0, 1, 2, 3, 4, 5, 6, 12]] = e2e_stats
@@ -233,11 +228,10 @@ def extract_window(entries: Sequence[LogEntry], window: tuple[datetime, datetime
     return FeatureVector(window[0], device, values)
 
 
-def router_view(entries: Sequence[LogEntry], router: NodeId) -> DeviceLog:
+def router_view(log: DeviceLog, router: NodeId) -> DeviceLog:
     """The entries a given router logged itself (those it forwarded)."""
     if router.role is not Role.ROUTER:
         raise ValueError(f"{router} is not a router")
-    log = DeviceLog.from_entries(entries)
     forwarded = ~log.received & (log.n_segs > 1)  # router entries, by their shape
     return log.rows(forwarded & (log.src[log.ends - 1] == NODE_CODE[router]))
 

@@ -10,6 +10,7 @@ the experiment seed and config.
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime
@@ -52,7 +53,7 @@ from .features import (
     window_matrix,
 )
 from .federated import run_federated_training, transfer_init
-from .logfmt import NODE_CODE, DeviceLog
+from .logfmt import EMPTY_LOG, NODE_CODE, DeviceLog
 from .nodes import ROUTERS, C, NodeId, ScenarioFamily, Topology, build_topology
 from .simkernel import DEFAULT_START, HopDelayModel, SimConfig, SimResult, run_simulation
 
@@ -71,7 +72,7 @@ class StageError(RuntimeError):
 
 
 @contextmanager
-def _stage(name: str):
+def stage(name: str):
     """Re-raise any failure inside the block as a StageError naming the stage."""
     try:
         yield
@@ -132,13 +133,13 @@ class ExperimentConfig:
         for key, value in (("learning_rate", self.train.learning_rate),
                            ("fed_local_lr", self.fed_local_lr),
                            ("median_ms", self.hop_delay.median_ms)):
-            if not value > 0:
-                raise ValueError(f"{key} must be positive, not {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite, not {value!r}")
         for key, value in (("sigma", self.hop_delay.sigma), ("send_jitter", self.send_jitter)):
-            if not value >= 0:
-                raise ValueError(f"{key} must be nonnegative, not {value!r}")
-        if not self.ks:
-            raise ValueError("ks must list at least one k")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{key} must be nonnegative and finite, not {value!r}")
+        if not self.ks or not all(map(math.isfinite, self.ks)):
+            raise ValueError(f"ks must list at least one k, each finite, not {self.ks!r}")
         if len(set(self.ks)) != len(self.ks):
             raise ValueError(f"ks must not list a k twice: {self.ks!r}")
         self.selected_attacks()
@@ -166,14 +167,14 @@ class ExperimentConfig:
 
 def central_stream(result: SimResult, router: NodeId) -> DeviceLog:
     """Coordinator entries replayed for one router: those whose path crosses it."""
-    log, code = DeviceLog.from_entries(result.entries.get(C, [])), NODE_CODE[router]
+    log, code = result.entries.get(C, EMPTY_LOG), NODE_CODE[router]
     reached = np.logical_or.reduceat(log.dst == code, log.starts)
     return log.rows(reached | (log.src[log.starts] == code))
 
 
 def federated_stream(result: SimResult, router: NodeId) -> DeviceLog:
     """The entries a router logged itself."""
-    return router_view(result.entries.get(router, []), router)
+    return router_view(result.entries.get(router, EMPTY_LOG), router)
 
 
 def window_features(log: DeviceLog, start: datetime, duration: float, window_len: float,
@@ -358,9 +359,9 @@ class ExperimentResult:
 
 def simulate_phases(cfg: ExperimentConfig) -> tuple[Topology, SimResult, SimResult]:
     """Build the topology, then simulate the pretrain corpus and the normal corpus."""
-    with _stage("topology"):
+    with stage("topology"):
         topology = build_topology(cfg.scenario)
-    with _stage("simulate"):
+    with stage("simulate"):
         pretrain = run_simulation(topology, cfg.sim_config("pretrain", cfg.pretrain_duration))
         normal = run_simulation(topology, cfg.sim_config("normal", cfg.normal_duration))
     return topology, pretrain, normal
@@ -371,7 +372,7 @@ def train_pipelines(cfg: ExperimentConfig, topology: Topology, pretrain: SimResu
     """One trained pipeline for each mode in ``cfg.modes``."""
     pipelines = {}
     for mode in cfg.modes:
-        with _stage(f"train-{mode}"):
+        with stage(f"train-{mode}"):
             pipelines[mode] = build_pipeline(cfg, mode, topology, pretrain, normal)
     return pipelines
 
@@ -397,11 +398,11 @@ def run_experiment(cfg: ExperimentConfig,
     pipelines = train_pipelines(cfg, topology, pretrain_result, normal_result)
     outcomes = []
     for spec in cfg.selected_attacks():
-        with _stage(f"attack-{spec.token()}"):
+        with stage(f"attack-{spec.token()}"):
             outcomes.append(evaluate_attack(cfg, topology, spec, pipelines))
     result = ExperimentResult(cfg, topology, pipelines, outcomes, modelled_overhead(cfg))
     if out_dir is not None:
-        with _stage("emit"):
+        with stage("emit"):
             write_bundle(result, Path(out_dir), pretrain_result, normal_result)
     return result
 

@@ -131,11 +131,11 @@ def _parse_timestamp(token: str, offset: int) -> datetime:
         raise ParseError(f"invalid timestamp {token!r}", offset) from None
 
 
-def _parse_node(token: str, offset: int) -> NodeId:
-    try:
-        return _KNOWN_NODES[token]
-    except KeyError:
-        raise ParseError(f"unknown node {token!r}", offset) from None
+def _kind(n_segments: int, received: bool) -> EntryKind:
+    """The kind ``parse_entry`` infers from an entry's shape."""
+    if received:
+        return EntryKind.COORDINATOR
+    return EntryKind.EDGE if n_segments == 1 else EntryKind.ROUTER
 
 
 def parse_entry(line: str) -> LogEntry:
@@ -188,9 +188,10 @@ def parse_entry(line: str) -> LogEntry:
         pm = _PAIR_RE.match(token)
         if pm:
             flush(off)
-            src = _parse_node(pm.group(1), off)
-            dst = _parse_node(pm.group(2), off)
-            pending = (src, dst)
+            try:
+                pending = (_KNOWN_NODES[pm.group(1)], _KNOWN_NODES[pm.group(2)])
+            except KeyError as err:
+                raise ParseError(f"unknown node {err.args[0]!r}", off) from None
         elif _TIMESTAMP_RE.match(token):
             if pending is None:
                 raise ParseError("timestamp before any node pair", off)
@@ -206,19 +207,11 @@ def parse_entry(line: str) -> LogEntry:
             raise ParseError(
                 f"discontinuous path: {prev.dst} followed by {cur.src}", 0)
 
-    complete = [s.received_at is not None for s in segments]
-    if len(segments) == 1 and not complete[0]:
-        if status is None:
-            raise ParseError("edge entry missing status", 0)
-        kind = EntryKind.EDGE
-    elif all(complete):
-        kind = EntryKind.COORDINATOR
-    elif all(complete[:-1]) and not complete[-1]:
-        if status is None:
-            raise ParseError("router entry missing status", 0)
-        kind = EntryKind.ROUTER
-    else:
+    if any(s.received_at is None for s in segments[:-1]):
         raise ParseError("incomplete segment in the middle of an entry", 0)
+    kind = _kind(len(segments), segments[-1].received_at is not None)
+    if kind is not EntryKind.COORDINATOR and status is None:
+        raise ParseError(f"{kind.value} entry missing status", 0)
     return LogEntry(kind, tuple(segments), status)
 
 
@@ -235,8 +228,9 @@ def serialize_entry(entry: LogEntry) -> str:
     return ", ".join(fields)
 
 
-def _ms(start: datetime, end: datetime) -> float:
-    return (end - start).total_seconds() * 1000.0
+def us_to_ms(us: int | np.ndarray) -> float | np.ndarray:
+    """Microseconds in milliseconds, rounded as ``timedelta.total_seconds() * 1000``."""
+    return (us / 1_000_000) * 1000.0
 
 
 def end_to_end_delay(entry: LogEntry) -> float:
@@ -246,7 +240,7 @@ def end_to_end_delay(entry: LogEntry) -> float:
     last = entry.segments[-1]
     if last.received_at is None:
         raise IncompleteTrace("final segment lacks a receive timestamp")
-    return _ms(entry.segments[0].sent_at, last.received_at)
+    return us_to_ms(to_us(last.received_at) - to_us(entry.segments[0].sent_at))
 
 
 def first_hop_delay(entry: LogEntry) -> float:
@@ -254,7 +248,7 @@ def first_hop_delay(entry: LogEntry) -> float:
     first = entry.segments[0]
     if first.received_at is None:
         raise IncompleteTrace("first segment lacks a receive timestamp")
-    return _ms(first.sent_at, first.received_at)
+    return us_to_ms(to_us(first.received_at) - to_us(first.sent_at))
 
 
 def hop_count(entry: LogEntry) -> int:
@@ -265,13 +259,6 @@ def hop_count(entry: LogEntry) -> int:
 NODES: tuple[NodeId, ...] = ROSTER
 NODE_CODE = {node: code for code, node in enumerate(NODES)}
 _PAIR_TEXT = np.array([[f"{a}>{b}" for b in NODES] for a in NODES], dtype=object)
-
-
-def _kind(n_segments: int, received: bool) -> EntryKind:
-    """The kind ``parse_entry`` infers from an entry's shape."""
-    if received:
-        return EntryKind.COORDINATOR
-    return EntryKind.EDGE if n_segments == 1 else EntryKind.ROUTER
 
 
 class DeviceLog(Sequence[LogEntry]):
@@ -293,13 +280,11 @@ class DeviceLog(Sequence[LogEntry]):
 
     @classmethod
     def from_entries(cls, entries: Iterable[LogEntry]) -> DeviceLog:
-        """``entries`` as columns, in one pass; a DeviceLog is returned as is.
+        """``entries`` as columns, in one pass.
 
         Each entry must have the shape ``parse_entry`` gives its kind, and
         its status must fit in 64 bits.
         """
-        if isinstance(entries, DeviceLog):
-            return entries
         rows: list[int] = []      # per entry: segment count, received, status
         segments: list[int] = []  # per segment: src, dst, sent, received
         for e in entries:
@@ -368,9 +353,15 @@ class DeviceLog(Sequence[LogEntry]):
                             stamps[:, 1].tolist(), seg_received.tolist(), tails.tolist())])
 
 
-#: ``"E3>R3"`` -> ``NODE_CODE[E3] * len(NODES) + NODE_CODE[R3]``, for every pair of nodes.
-_PAIR_CODE = {f"{a}>{b}": i * len(NODES) + j
-              for i, a in enumerate(NODES) for j, b in enumerate(NODES)}
+_NONE = np.zeros(0, dtype=np.int64)
+#: The log of a device that logged nothing.
+EMPTY_LOG = DeviceLog(_NONE, _NONE.astype(bool), _NONE, _NONE, _NONE, _NONE.reshape(0, 2))
+
+#: ``"E3>R3"`` -> ``NODE_CODE[E3] * len(NODES) + NODE_CODE[R3]``, for every pair
+#: of nodes in each spacing ``parse_entry`` takes around ``>``.
+_PAIR_CODE = {f"{a}{gap}{b}": i * len(NODES) + j
+              for i, a in enumerate(NODES) for j, b in enumerate(NODES)
+              for gap in (">", " >", "> ", " > ")}
 #: A timestamp's bytes: each "0" stands for an ASCII digit, which may exceed it
 #: by up to 9, and every other byte for itself.
 _STAMP_SHAPE = np.frombuffer(b"0000-00-00 00:00:00.000000", np.uint8)
@@ -407,18 +398,16 @@ def _status(field: str) -> int:
     return status if status < 2**63 else -2
 
 
-def _read_canonical(lines: list[str]) -> tuple[DeviceLog, np.ndarray]:
-    """The lines written as ``serialize_entry`` writes them, as columns, and
-    a mask of those lines.
+def _read_fields(fields: list[list[str]]) -> tuple[DeviceLog, np.ndarray]:
+    """Lines already split into their fields, as columns, and a mask of the
+    lines taken.
 
-    A line is taken only if ``parse_entry`` accepts it; its row is the one
-    ``parse_entry`` reads. Fields are split at ", " alone, so any other
-    spacing leaves a line out, as does every check it fails.
+    A line is taken only if ``parse_entry`` accepts it when it splits the
+    line into these fields; its row is the one ``parse_entry`` reads.
     """
-    fields = [line.split(", ") for line in lines]
-    n_fields = np.fromiter(map(len, fields), np.int64, len(lines))
+    n_fields = np.fromiter(map(len, fields), np.int64, len(fields))
     tokens = list(chain.from_iterable(fields))
-    line_of = np.repeat(np.arange(len(lines)), n_fields)
+    line_of = np.repeat(np.arange(len(fields)), n_fields)
     last = np.cumsum(n_fields) - 1
     status = np.array([_status(f[-1]) for f in fields], dtype=np.int64)
     is_status = np.zeros(len(tokens), dtype=bool)
@@ -448,35 +437,42 @@ def _read_canonical(lines: list[str]) -> tuple[DeviceLog, np.ndarray]:
     seg_last = np.diff(seg_line, append=-1) != 0
     bad[seg_line[(n_stamps == 0) | (n_stamps > 2) | ((n_stamps == 1) & ~seg_last)]] = True
     bad[seg_line[1:][(seg_line[1:] == seg_line[:-1]) & (dst[:-1] != src[1:])]] = True
-    received = np.zeros(len(lines), dtype=bool)
+    received = np.zeros(len(fields), dtype=bool)
     received[seg_line[seg_last]] = n_stamps[seg_last] == 2
     bad |= ~received & (status < 0)  # edge and router entries carry a status
 
     ok = ~bad
     keep = ok[seg_line]
-    log = DeviceLog(np.bincount(seg_line, minlength=len(lines))[ok], received[ok], status[ok],
+    log = DeviceLog(np.bincount(seg_line, minlength=len(fields))[ok], received[ok], status[ok],
                     src[keep], dst[keep], np.stack([sent, got], axis=1)[keep])
     return log, ok
+
+
+def _split(line: str) -> list[str]:
+    """A line's fields as ``parse_entry`` splits them, one trailing empty field dropped."""
+    fields = [field.strip() for field in line.split(",")]
+    return fields[:-1] if len(fields) > 1 and not fields[-1] else fields
 
 
 def parse_log(text: str) -> DeviceLog:
     """Parse a newline-delimited log document into columns, skipping blank lines.
 
-    Canonical lines are read together; every other line goes to
-    :func:`parse_entry`, in document order, so the first bad line raises
-    the ``ParseError`` that ``parse_entry`` gives it, with its line number.
+    Lines are read together, split at ", " as ``serialize_entry`` writes
+    them, and only if that refuses one is the document read again, split
+    as ``parse_entry`` splits it. Lines refused then go to :func:`parse_entry`
+    in document order, so the first bad line raises the ``ParseError`` that
+    ``parse_entry`` gives it, with its line number.
     """
     lines = text.splitlines()
-    log, ok = _read_canonical(lines)
-    others = [i for i in np.flatnonzero(~ok).tolist() if lines[i].strip()]
-    if not others:
-        return log
-    entries = []
-    for i in others:
+    for split in (lambda line: line.split(", "), _split):
+        log, ok = _read_fields([split(line) for line in lines])
+        refused = [i for i in np.flatnonzero(~ok).tolist() if lines[i].strip()]
+        if not refused:
+            return log
+    # One impossible date refuses every row, so good lines may come first.
+    for i in refused:
         try:
-            entries.append(parse_entry(lines[i]))
+            parse_entry(lines[i])
         except ParseError as err:
             raise ParseError(err.reason, err.offset, i + 1) from None
-    rest = DeviceLog.from_entries(entries)
-    merged = DeviceLog(*(np.concatenate(pair) for pair in zip(log.columns, rest.columns)))
-    return merged.rows(np.argsort(np.append(np.flatnonzero(ok), others)))
+    raise RuntimeError(f"parse_log refused line {refused[0] + 1}, which parse_entry reads")

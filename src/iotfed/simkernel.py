@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .attacks import AttackPlan, apply_plan
-from .logfmt import NODE_CODE, NODES, DeviceLog, LogEntry, format_us, to_us
+from .logfmt import NODE_CODE, NODES, DeviceLog, format_us, to_us
 from .nodes import (
     EDGES,
     C,
@@ -80,14 +80,13 @@ class PacketTrace:
 class SimResult:
     """One run's device logs, a ``DeviceLog`` per logging node, and its packet traces.
 
-    ``entries`` may map nodes to lists of ``LogEntry``; each is converted
-    once. ``traces`` is a list, or a function that builds it on first read.
+    ``traces`` is a list, or a function that builds it on first read.
     """
 
     def __init__(self, traces: list[PacketTrace] | Callable[[], list[PacketTrace]],
-                 entries: Mapping[NodeId, Sequence[LogEntry]]):
+                 entries: Mapping[NodeId, DeviceLog]):
         self._traces = traces
-        self.entries = {node: DeviceLog.from_entries(log) for node, log in entries.items()}
+        self.entries = dict(entries)
 
     @property
     def traces(self) -> list[PacketTrace]:

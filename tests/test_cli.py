@@ -132,7 +132,10 @@ class TestCommands:
         ("ks", []), ("window_len", 0.0), ("window_len", -60.0), ("window_len", 45.0),
         ("fl_rounds", 0), ("epochs", 0), ("batch_size", 0), ("learning_rate", 0.0),
         ("pretrain_epochs", 0), ("fed_local_epochs", 0), ("fed_local_lr", 0.0),
-        ("median_ms", 0.0), ("sigma", -0.1), ("send_jitter", -1.0)])
+        ("median_ms", 0.0), ("sigma", -0.1), ("send_jitter", -1.0),
+        ("fed_local_lr", float("inf")), ("learning_rate", float("inf")),
+        ("ks", [float("nan"), 1.0]), ("ks", [1.0, float("inf")]), ("median_ms", float("inf")),
+        ("sigma", float("inf")), ("send_jitter", float("inf"))])
     def test_out_of_range_value_exit_code(self, tmp_path, capsys, key, value):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({**SMALL, key: value}))
@@ -161,6 +164,10 @@ class TestCommands:
         bad.write_text("5\n")
         assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "overhead"]) == 1
 
+    def test_unreadable_config_exit_code(self, tmp_path):
+        missing = tmp_path / "missing.yaml"
+        assert main(["--config", str(missing), "--out", str(tmp_path / "o"), "overhead"]) == 1
+
 
 STAGE_COMMANDS = ("simulate", "pretrain", "train-central", "train-fed",
                   "thresholds", "detect", "sweep-k", "overhead")
@@ -177,3 +184,14 @@ def test_stage_files_match_run_all_bundle(config_file, tmp_path):
         for rel in written:
             assert (bundle / rel).is_file(), f"{command}: {rel} not in the bundle"
             assert (out / rel).read_bytes() == (bundle / rel).read_bytes(), f"{command}: {rel}"
+
+
+@pytest.mark.parametrize("command", ("features", "run-all") + STAGE_COMMANDS)
+def test_write_failures_exit_code(tmp_path, capsys, command):
+    cfg = tmp_path / "tiny.yaml"
+    cfg.write_text(yaml.safe_dump(dict(SMALL, pretrain_duration=120.0, normal_duration=600.0,
+                                       epochs=1, pretrain_epochs=1, fed_local_epochs=1)))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["--config", str(cfg), "--out", str(blocker / "out"), command]) == 2
+    assert "error in stage emit: " in capsys.readouterr().err

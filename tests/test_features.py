@@ -246,12 +246,13 @@ class TestExtractWindow:
 class TestRouterView:
     def test_keeps_only_entries_the_router_forwarded(self):
         own = parse_entry(ROUTER_LINE)  # R3 forwards E3's packet
-        assert list(router_view([own], R3)) == [own]
-        assert list(router_view([own], R1)) == []
+        log = DeviceLog.from_entries([own])
+        assert list(router_view(log, R3)) == [own]
+        assert list(router_view(log, R1)) == []
 
     def test_rejects_non_router(self):
         with pytest.raises(ValueError):
-            router_view([], E3)
+            router_view(DeviceLog.from_entries([]), E3)
 
 
 def vec(values):

@@ -24,9 +24,9 @@ from iotfed.harness import (
     run_simulation,
     write_attack,
 )
-from iotfed.logfmt import EntryKind
+from iotfed.logfmt import DeviceLog, EntryKind
 from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
-from iotfed.simkernel import DEFAULT_START
+from iotfed.simkernel import DEFAULT_START, SimResult
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -117,6 +117,24 @@ class TestStreams:
             assert entries
             assert all(e.kind is EntryKind.ROUTER for e in entries)
             assert all(e.segments[-1].src == router for e in entries)
+
+    def test_streams_of_devices_that_logged_nothing_are_empty(self):
+        result = SimResult([], {})
+        for router in ROUTERS:
+            assert len(central_stream(result, router)) == 0
+            assert len(federated_stream(result, router)) == 0
+
+
+def test_pipeline_keeps_logs_in_columns(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a log was converted to or from LogEntry objects")
+
+    monkeypatch.setattr(DeviceLog, "from_entries", refuse)
+    monkeypatch.setattr(DeviceLog, "__getitem__", refuse)
+    cfg = small_config(pretrain_duration=120.0, normal_duration=600.0,
+                       train=TrainConfig(epochs=1), pretrain_epochs=1, fed_local_epochs=1)
+    run_experiment(cfg, out_dir=tmp_path)
+    assert (tmp_path / "summary.csv").is_file()
 
 
 class TestPipelines:

@@ -157,6 +157,17 @@ class TestParseErrors:
         assert (log_error.value.reason, log_error.value.offset, log_error.value.line) == (
             entry_error.value.reason, entry_error.value.offset, 1)
 
+    @pytest.mark.parametrize("line,reason", [
+        (f"E3>R3, {T1}", "edge entry missing status"),
+        (f"E3>R3, {T1}, {T2}, R3>C, {T3}", "router entry missing status"),
+        (f"E3>R3, {T1}, R3>C, {T2}", "incomplete segment in the middle of an entry"),
+        (f"E3>R3, {T1}, R3>C, {T2}, S:0", "incomplete segment in the middle of an entry"),
+    ])
+    def test_shape_errors_name_the_kind_or_the_middle_segment(self, line, reason):
+        with pytest.raises(ParseError) as exc_info:
+            parse_entry(line)
+        assert (exc_info.value.reason, exc_info.value.offset) == (reason, 0)
+
     def test_error_carries_offset(self):
         bad = "E3>R3, 2024-04-26 13:36:10.273312, banana, S:0"
         with pytest.raises(ParseError) as exc_info:
@@ -331,15 +342,15 @@ def test_impossible_date_on_the_last_line_of_a_long_document_names_that_line():
     assert (exc_info.value.line, exc_info.value.offset) == (2001, 7)
 
 
+def refuse_entry(line):
+    raise AssertionError(f"parse_entry called on {line!r}")
+
+
 def test_canonical_edge_of_calendar_dates_are_read_without_parse_entry(monkeypatch):
     stamps = [datetime(1, 1, 1), datetime(2024, 2, 29),
               datetime(9999, 12, 31, 23, 59, 59, 999999)]
     doc = "".join(f"E3>R3, {format_timestamp(ts)}, S:0\n" for ts in stamps)
-
-    def refuse(line):
-        raise AssertionError(f"parse_entry called on {line!r}")
-
-    monkeypatch.setattr(logfmt, "parse_entry", refuse)
+    monkeypatch.setattr(logfmt, "parse_entry", refuse_entry)
     assert parse_log(doc).times.tolist() == [[to_us(ts), to_us(ts)] for ts in stamps]
 
 
@@ -451,6 +462,19 @@ def logged_entries(draw):
     return LogEntry(kind, tuple(segments), status)
 
 
+def timedelta_ms(start: datetime, end: datetime) -> float:
+    return (end - start).total_seconds() * 1000.0
+
+
+@given(logged_entries())
+def test_delays_are_timedelta_milliseconds_bit_for_bit(entry):
+    first, last = entry.segments[0], entry.segments[-1]
+    if first.received_at is not None:
+        assert first_hop_delay(entry).hex() == timedelta_ms(first.sent_at, first.received_at).hex()
+    if entry.kind is EntryKind.COORDINATOR:
+        assert end_to_end_delay(entry).hex() == timedelta_ms(first.sent_at, last.received_at).hex()
+
+
 class TestDeviceLog:
     @settings(max_examples=150)
     @given(st.lists(logged_entries(), max_size=12))
@@ -463,7 +487,7 @@ class TestDeviceLog:
         assert log.render().count("\n") == len(entries)
 
     def test_len_reads_the_row_count_and_indexing_infers_kinds(self, monkeypatch):
-        log = DeviceLog.from_entries(parse_log(f"{EDGE_LINE}\n{ROUTER_LINE}\n{COORD_LINE}\n"))
+        log = parse_log(f"{EDGE_LINE}\n{ROUTER_LINE}\n{COORD_LINE}\n")
         assert [e.kind for e in log] == [EntryKind.EDGE, EntryKind.ROUTER,
                                         EntryKind.COORDINATOR]
         with pytest.raises(IndexError):
@@ -494,11 +518,19 @@ class TestDeviceLog:
 # Rewrites of a canonical line that parse_entry reads to the same entry.
 _ACCEPTED_SPACINGS = (
     lambda line: line.replace(">", " > "),
-    lambda line: line.replace(", ", ","),
+    lambda line: line.replace(">", " >"),
+    lambda line: line.replace(">", "> "),
+    lambda line: line.replace(", ", ","),  # the spacing of the paper's examples
     lambda line: line.replace(", ", ",\t"),
+    lambda line: line.replace(", ", "\xa0,\u3000"),
     lambda line: line + ",",
+    lambda line: line + ", ",
     lambda line: f"  {line}\t",
+    lambda line: f"\u3000{line}\xa0",
 )
+_SPACING_IDS = ("pair-spaced", "pair-space-before", "pair-space-after", "no-space", "tab",
+                "unicode-spaces", "trailing-comma", "trailing-comma-space", "line-padded",
+                "line-padded-unicode")
 # What a corruption writes over one character ("" deletes it).
 _NOISE = ("", "0", "3", "9", ",", ", ", " ", "\t", ">", "S:", "-", ":", "\u0661", "\xe9")
 
@@ -507,9 +539,10 @@ _NOISE = ("", "0", "3", "9", ",", ", ", " ", "\t", ">", "S:", "-", ":", "\u0661"
 def edited_documents(draw):
     """Rendered entries, some respaced, some with one character corrupted, and blank lines."""
     lines = []
+    respace_all = draw(st.booleans())
     for entry in draw(st.lists(logged_entries(), max_size=8)):
         line = serialize_entry(entry)
-        if draw(st.integers(0, 2)) == 0:
+        if respace_all or draw(st.integers(0, 2)) == 0:
             line = draw(st.sampled_from(_ACCEPTED_SPACINGS))(line)
         if draw(st.integers(0, 4)) == 0:
             at = draw(st.integers(0, len(line)))
@@ -537,6 +570,24 @@ def test_parse_log_reads_every_line_as_parse_entry_does(doc):
         for got, want in zip(parse_log(doc).columns, DeviceLog.from_entries(entries).columns):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+def test_a_line_only_parse_entry_reads_is_a_reader_error(monkeypatch):
+    monkeypatch.setattr(logfmt, "_read_fields",
+                        lambda fields: (logfmt.EMPTY_LOG, np.zeros(len(fields), dtype=bool)))
+    with pytest.raises(RuntimeError, match="line 2"):
+        parse_log(f"\n{EDGE_LINE}\n")
+
+
+@pytest.mark.parametrize("respace", _ACCEPTED_SPACINGS, ids=_SPACING_IDS)
+def test_respaced_documents_are_read_as_columns(small_sim, monkeypatch, respace):
+    canonical = "".join(small_sim[2].render_logs().values())
+    respaced = "\n".join(map(respace, canonical.splitlines()))
+    want = parse_log(canonical)
+    monkeypatch.setattr(logfmt, "parse_entry", refuse_entry)
+    for got, expected in zip(parse_log(respaced).columns, want.columns):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 _FRAGMENTS = ("E3>R3", "R3>C", ", ", "2024-04-26 13:36:10.273312", "S:0", "\n")
