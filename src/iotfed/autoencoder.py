@@ -92,12 +92,13 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        """Refuse an out-of-range value with a message naming its field."""
+        for key, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, not {value!r}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"not {self.learning_rate!r}")
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,7 @@ def simulate(cfg: ExperimentConfig, out: Path) -> None:
     """pretrain and normal corpus logs"""
     _, pretrain, normal = harness.simulate_phases(cfg)
     with harness.stage("emit"):
-        harness.write_logs(pretrain, out / "pretrain" / "logs")
-        harness.write_logs(normal, out / "normal" / "logs")
+        harness.write_corpora(pretrain, normal, out)
 
 
 def features(cfg: ExperimentConfig, out: Path) -> None:

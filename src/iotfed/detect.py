@@ -12,8 +12,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .nodes import NodeId
-
 DEFAULT_KS = (1.0, 2.0, 3.0, 4.0)
 
 
@@ -82,7 +80,7 @@ def score(verdicts: Sequence[bool], truths: Sequence[bool]) -> DetectionReport:
     """Confusion counts and the four metrics for aligned verdict/truth series.
 
     Zero-denominator precision or recall is reported as 0 with the
-    matching degeneracy flag set, keeping reports CSV-safe.
+    matching degeneracy flag set, so every metric is a finite number.
     """
     if len(verdicts) != len(truths):
         raise ValueError("verdicts and truths must align window-for-window")
@@ -108,11 +106,3 @@ def select_optimal_k(reports: Mapping[float, DetectionReport]) -> float:
         raise ValueError("no reports to select from")
     return max(sorted(reports), key=lambda k: (reports[k].f1, k))
 
-
-def report_csv(rows: Sequence[tuple[NodeId, float, DetectionReport]]) -> str:
-    """Reports as CSV rows of (device, k, accuracy, precision, recall, f1)."""
-    lines = ["device,k,accuracy,precision,recall,f1"]
-    for device, k, rep in rows:
-        lines.append(f"{device},{k:g},{rep.accuracy:.4f},{rep.precision:.4f},"
-                     f"{rep.recall:.4f},{rep.f1:.4f}")
-    return "\n".join(lines) + "\n"

@@ -289,13 +289,3 @@ def make_windows(start: datetime, duration: float,
     return [(start + timedelta(seconds=i * window_len),
              start + timedelta(seconds=(i + 1) * window_len)) for i in range(count)]
 
-
-def to_csv(vectors: Sequence[FeatureVector], truths: Sequence[bool] | None = None) -> str:
-    """Feature matrix as CSV: window_start, device, truth, then the 31 slots."""
-    header = "window_start,device,truth," + ",".join(FEATURE_NAMES)
-    rows = [header]
-    for i, v in enumerate(vectors):
-        truth = "" if truths is None else ("attack" if truths[i] else "normal")
-        vals = ",".join(repr(float(x)) for x in v.values)
-        rows.append(f"{v.window_start.isoformat()},{v.device},{truth},{vals}")
-    return "\n".join(rows) + "\n"

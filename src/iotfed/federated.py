@@ -1,9 +1,9 @@
 """Federated averaging over the router tree, plus transfer initialization.
 
 Aggregation follows the hierarchical collection protocol: leaf routers
-push weights to their parent router, parents accumulate (sum, count) for
-their subtree and forward the totals to the coordinator, which divides
-by the total count and redistributes the global model down the tree.
+push weights to their parent router, parents sum the weights of their
+subtree and forward the sum to the coordinator, which divides by the
+number of clients and redistributes the global model down the tree.
 The result equals the flat element-wise mean of all client weights.
 """
 
@@ -71,8 +71,10 @@ def hierarchical_round(tree: Topology | Mapping[NodeId, NodeId],
                        dtype=np.float32) -> ModelWeights:
     """Aggregate one round over the router tree; equals the flat mean.
 
-    ``dtype`` controls accumulation width; child subtrees are summed in
-    router index order for reproducibility.
+    ``dtype`` controls accumulation width. Each router adds its children's
+    subtree sums to its own weights, in router index order, and the
+    coordinator adds the top-level sums in that order. A parent map in
+    which some router never reaches the coordinator raises ValueError.
     """
     roster = sorted(locals_, key=NodeId.sort_key)
     if not roster:
@@ -83,29 +85,21 @@ def hierarchical_round(tree: Topology | Mapping[NodeId, NodeId],
             raise MissingUpdate(str(router))
     _check_one_architecture([locals_[r] for r in roster])
 
-    children: dict[NodeId, list[NodeId]] = {r: [] for r in roster}
-    top_level: list[NodeId] = []
-    for router in roster:
-        parent = parents[router]
-        if parent in children:
-            children[parent].append(router)
-        else:
-            top_level.append(router)
+    children = {r: [c for c in roster if parents[c] == r] for r in roster}
+    top_level = [r for r in roster if parents[r] not in children]
+    reached = list(top_level)
+    for router in reached:  # extended while iterated: breadth first down the tree
+        reached += children[router]
+    stranded = [str(r) for r in roster if r not in reached]
+    if stranded:
+        raise ValueError(f"routers {', '.join(stranded)} never reach the coordinator")
 
-    def subtree(router: NodeId) -> tuple[np.ndarray, int]:
-        total, count = locals_[router].params.astype(dtype), 1
-        for child in children[router]:
-            child_total, child_count = subtree(child)
-            total, count = total + child_total, count + child_count
-        return total, count
+    def subtree(router: NodeId) -> np.ndarray:
+        return sum(map(subtree, children[router]), locals_[router].params.astype(dtype))
 
-    total, count = None, 0
-    for router in top_level:
-        sub_total, sub_count = subtree(router)
-        total = sub_total if total is None else total + sub_total
-        count += sub_count
+    total = sum(map(subtree, top_level[1:]), subtree(top_level[0]))
     template = locals_[roster[0]]
-    return ModelWeights((total / count).astype(dtype), template.dims, template.activations)
+    return ModelWeights((total / len(roster)).astype(dtype), template.dims, template.activations)
 
 
 def transfer_init(pretrained: ModelWeights) -> ModelWeights:

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,12 +35,12 @@ from .detect import (
     Threshold,
     calibrate_threshold,
     classify_window,
-    report_csv,
     score,
     select_optimal_k,
 )
 from .features import (
     COORDINATOR_SCHEMA,
+    FEATURE_NAMES,
     ROUTER_SCHEMA,
     FeatureVector,
     ScalerParams,
@@ -48,7 +48,6 @@ from .features import (
     fit_scaler,
     make_windows,
     router_view,
-    to_csv,
     window_count,
     window_matrix,
 )
@@ -123,21 +122,18 @@ class ExperimentConfig:
             raise ValueError("validation_fraction must lie strictly between 0 and 1, "
                              f"not {self.validation_fraction!r}")
         check_window_len(self.window_len)
-        # Each check names the YAML key that sets the value.
-        for key, value in (("fl_rounds", self.fl_rounds), ("epochs", self.train.epochs),
-                           ("batch_size", self.train.batch_size),
+        # Each check names the YAML key that sets the value. The delay model and jitter
+        # are checked on a stand-in duration: durations fail the stage that simulates.
+        self.train.validate()
+        self.sim_config("check", 1.0).validate()
+        for key, value in (("fl_rounds", self.fl_rounds),
                            ("pretrain_epochs", self.pretrain_epochs),
                            ("fed_local_epochs", self.fed_local_epochs)):
             if value < 1:
                 raise ValueError(f"{key} must be at least 1, not {value!r}")
-        for key, value in (("learning_rate", self.train.learning_rate),
-                           ("fed_local_lr", self.fed_local_lr),
-                           ("median_ms", self.hop_delay.median_ms)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{key} must be positive and finite, not {value!r}")
-        for key, value in (("sigma", self.hop_delay.sigma), ("send_jitter", self.send_jitter)):
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{key} must be nonnegative and finite, not {value!r}")
+        if not 0 < self.fed_local_lr < math.inf:
+            raise ValueError(f"fed_local_lr must be positive and finite, "
+                             f"not {self.fed_local_lr!r}")
         if not self.ks or not all(map(math.isfinite, self.ks)):
             raise ValueError(f"ks must list at least one k, each finite, not {self.ks!r}")
         if len(set(self.ks)) != len(self.ks):
@@ -205,15 +201,14 @@ def mode_features(cfg: ExperimentConfig, mode: str, result: SimResult,
 class TrainedPipeline:
     """Everything detection needs for one mode: model, scalers, thresholds."""
 
-    mode: str
     model: ModelWeights
     pretrained: ModelWeights
     scalers: dict[NodeId, ScalerParams]
     validation_losses: dict[NodeId, np.ndarray]
     # router -> k -> threshold, calibrated once from the validation losses
     thresholds: dict[NodeId, dict[float, Threshold]]
-    per_round_globals: list[ModelWeights] = field(default_factory=list)
-    ledger: list = field(default_factory=list)
+    per_round_globals: list[ModelWeights]
+    ledger: list
 
 
 def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
@@ -261,8 +256,8 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
                          for r in ROUTERS}
     thresholds = {r: {k: calibrate_threshold(validation_losses[r], k) for k in cfg.ks}
                   for r in ROUTERS}
-    return TrainedPipeline(mode, model, pretrained, scalers, validation_losses,
-                           thresholds, per_round_globals, ledger)
+    return TrainedPipeline(model, pretrained, scalers, validation_losses, thresholds,
+                           per_round_globals, ledger)
 
 
 @dataclass
@@ -277,7 +272,7 @@ class AttackOutcome:
     aggregate_reports: dict[str, dict[float, DetectionReport]]
     sim: SimResult
     # mode -> router -> raw per-window feature vectors
-    raw_features: dict[str, dict[NodeId, list[FeatureVector]]] = field(default_factory=dict)
+    raw_features: dict[str, dict[NodeId, list[FeatureVector]]]
 
     def optimal_k(self, mode: str) -> float:
         return select_optimal_k(self.aggregate_reports[mode])
@@ -321,8 +316,8 @@ def evaluate_attack(cfg: ExperimentConfig, topology: Topology, spec: AttackSpec,
             for r in ROUTERS}
         router_reports[mode], aggregate_reports[mode] = detection_reports(
             losses[mode], pipe.thresholds, truths)
-    return AttackOutcome(spec, truths, losses, router_reports, aggregate_reports,
-                         sim=result, raw_features=raw_features)
+    return AttackOutcome(spec, truths, losses, router_reports, aggregate_reports, result,
+                         raw_features)
 
 
 def emit_plot_data(truths: Sequence[bool],
@@ -330,31 +325,21 @@ def emit_plot_data(truths: Sequence[bool],
                    thresholds: Mapping[str, Mapping[float, Threshold]]) -> str:
     """Time-indexed CSV of per-window losses and threshold lines for one device."""
     modes = sorted(series)
-    header = ["window", "truth"]
-    header += [f"{m}_loss" for m in modes]
-    for m in modes:
-        header += [f"{m}_threshold_k{k:g}" for k in sorted(thresholds[m])]
-    lines = [",".join(header)]
-    n = len(truths)
-    for m in modes:
-        if len(series[m]) != n:
-            raise ValueError("loss series and truth labels must align")
-    for i in range(n):
-        row = [str(i), "attack" if truths[i] else "normal"]
-        row += [repr(float(series[m][i])) for m in modes]
-        for m in modes:
-            row += [repr(thresholds[m][k].value) for k in sorted(thresholds[m])]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    if any(len(series[m]) != len(truths) for m in modes):
+        raise ValueError("loss series and truth labels must align")
+    ks = {m: sorted(thresholds[m]) for m in modes}
+    header = ["window", "truth", *(f"{m}_loss" for m in modes),
+              *(f"{m}_threshold_k{k:g}" for m in modes for k in ks[m])]
+    levels = [float(thresholds[m][k].value) for m in modes for k in ks[m]]
+    return _csv(header, ([i, _truth(t), *(float(series[m][i]) for m in modes), *levels]
+                         for i, t in enumerate(truths)))
 
 
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    topology: Topology
     pipelines: dict[str, TrainedPipeline]
     outcomes: list[AttackOutcome]
-    overhead: dict[str, float]
 
 
 def simulate_phases(cfg: ExperimentConfig) -> tuple[Topology, SimResult, SimResult]:
@@ -400,57 +385,100 @@ def run_experiment(cfg: ExperimentConfig,
     for spec in cfg.selected_attacks():
         with stage(f"attack-{spec.token()}"):
             outcomes.append(evaluate_attack(cfg, topology, spec, pipelines))
-    result = ExperimentResult(cfg, topology, pipelines, outcomes, modelled_overhead(cfg))
+    result = ExperimentResult(cfg, pipelines, outcomes)
     if out_dir is not None:
         with stage("emit"):
             write_bundle(result, Path(out_dir), pretrain_result, normal_result)
     return result
 
 
-# One writer per artifact group, shared by the bundle and the CLI stage commands.
+# Every bundle file is written by ``_write`` and every bundle CSV rendered by
+# ``_csv``. The writers below, one per artifact group, are shared by the
+# bundle and the CLI stage commands.
+
+def _write(path: Path, data: str | bytes) -> None:
+    """Write one bundle file, making its directories; text is encoded as UTF-8 here."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The header line, then one comma-joined line per row, each ending in a newline.
+
+    Fields are rendered by ``str``: pass floats as Python floats, whose
+    ``str`` is their ``repr``, never as numpy scalars.
+    """
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _truth(truth: bool) -> str:
+    return "attack" if truth else "normal"
+
+
+_METRICS = ("accuracy", "precision", "recall", "f1")
+
+
+def _metrics(rep: DetectionReport) -> list[str]:
+    """A report's four detection metrics, in ``_METRICS`` order, to four decimals."""
+    return [f"{getattr(rep, name):.4f}" for name in _METRICS]
+
+
+def to_csv(vectors: Sequence[FeatureVector], truths: Sequence[bool] | None = None) -> str:
+    """Feature matrix as CSV: window_start, device, truth, then the 31 slots."""
+    if truths is not None and len(truths) != len(vectors):
+        raise ValueError("feature vectors and truth labels must align")
+    labels = [""] * len(vectors) if truths is None else map(_truth, truths)
+    return _csv(["window_start", "device", "truth", *FEATURE_NAMES],
+                ([v.window_start.isoformat(), v.device, label, *v.values.tolist()]
+                 for v, label in zip(vectors, labels)))
+
+
+def report_csv(rows: Sequence[tuple[NodeId, float, DetectionReport]]) -> str:
+    """Reports as CSV rows of (device, k, accuracy, precision, recall, f1)."""
+    return _csv(["device", "k", *_METRICS],
+                ([device, f"{k:g}", *_metrics(rep)] for device, k, rep in rows))
+
 
 def write_logs(sim: SimResult, log_dir: Path) -> None:
     """Every device log of one simulated run."""
-    log_dir.mkdir(parents=True, exist_ok=True)
     for fname, text in sorted(sim.render_logs().items()):
-        (log_dir / fname).write_text(text)
+        _write(log_dir / fname, text)
+
+
+def write_corpora(pretrain: SimResult, normal: SimResult, out_dir: Path) -> None:
+    """The pretrain and normal corpus logs, under ``pretrain/logs`` and ``normal/logs``."""
+    for name, sim in (("pretrain", pretrain), ("normal", normal)):
+        write_logs(sim, out_dir / name / "logs")
 
 
 def write_features(raw_features: Mapping[str, Mapping[NodeId, Sequence[FeatureVector]]],
                    out_dir: Path, truths: Sequence[bool] | None = None) -> None:
     """``features_<mode>_<router>.csv`` per mode and router, labelled if truths are given."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     for mode, per_router in raw_features.items():
         for router, vectors in per_router.items():
-            (out_dir / f"features_{mode}_{router}.csv").write_text(
-                to_csv(vectors, truths))
+            _write(out_dir / f"features_{mode}_{router}.csv", to_csv(vectors, truths))
 
 
 def write_models(pipelines: Mapping[str, TrainedPipeline], out_dir: Path) -> None:
     """Pretrained and final weights per mode, federated round globals and comms ledger."""
     model_dir = out_dir / "models"
-    model_dir.mkdir(parents=True, exist_ok=True)
     for mode, pipe in sorted(pipelines.items()):
-        (model_dir / f"{mode}_pretrained.wts").write_bytes(save_weights(pipe.pretrained))
-        (model_dir / f"{mode}.wts").write_bytes(save_weights(pipe.model))
+        _write(model_dir / f"{mode}_pretrained.wts", save_weights(pipe.pretrained))
+        _write(model_dir / f"{mode}.wts", save_weights(pipe.model))
         for i, g in enumerate(pipe.per_round_globals, start=1):
-            (model_dir / f"global_r{i}.wts").write_bytes(save_weights(g))
+            _write(model_dir / f"global_r{i}.wts", save_weights(g))
         if pipe.ledger:
-            lines = ["round,sender,receiver,bytes"]
-            lines += [f"{rec.round},{rec.sender},{rec.receiver},{rec.bytes}"
-                      for rec in pipe.ledger]
-            (out_dir / "comms_ledger.csv").write_text("\n".join(lines) + "\n")
+            _write(out_dir / "comms_ledger.csv", _csv(
+                ["round", "sender", "receiver", "bytes"],
+                ([rec.round, rec.sender, rec.receiver, rec.bytes] for rec in pipe.ledger)))
 
 
 def write_thresholds(pipelines: Mapping[str, TrainedPipeline], out_dir: Path) -> None:
     """Every (mode, router, k) detection threshold."""
-    lines = ["mode,device,k,mean,std,value"]
-    for mode, pipe in sorted(pipelines.items()):
-        for router in ROUTERS:
-            for k, t in sorted(pipe.thresholds[router].items()):
-                lines.append(f"{mode},{router},{k:g},{t.mean!r},{t.std!r},{t.value!r}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "thresholds.csv").write_text("\n".join(lines) + "\n")
+    rows = ([mode, router, f"{k:g}", t.mean, t.std, t.value]
+            for mode, pipe in sorted(pipelines.items()) for router in ROUTERS
+            for k, t in sorted(pipe.thresholds[router].items()))
+    _write(out_dir / "thresholds.csv", _csv(["mode", "device", "k", "mean", "std", "value"], rows))
 
 
 def write_attack(cfg: ExperimentConfig, outcome: AttackOutcome,
@@ -462,12 +490,11 @@ def write_attack(cfg: ExperimentConfig, outcome: AttackOutcome,
     for mode in cfg.modes:
         rows = [(r, k, outcome.router_reports[mode][k][r])
                 for k in sorted(cfg.ks) for r in ROUTERS]
-        (attack_dir / f"report_{mode}.csv").write_text(report_csv(rows))
+        _write(attack_dir / f"report_{mode}.csv", report_csv(rows))
     for router in ROUTERS:
         series = {m: outcome.losses[m][router] for m in cfg.modes}
         ths = {m: pipelines[m].thresholds[router] for m in cfg.modes}
-        (attack_dir / f"plot_{router}.csv").write_text(
-            emit_plot_data(outcome.truths, series, ths))
+        _write(attack_dir / f"plot_{router}.csv", emit_plot_data(outcome.truths, series, ths))
 
 
 def summary_rows(cfg: ExperimentConfig, outcomes: Sequence[AttackOutcome],
@@ -485,37 +512,25 @@ def summary_rows(cfg: ExperimentConfig, outcomes: Sequence[AttackOutcome],
 def write_summary(cfg: ExperimentConfig, outcomes: Sequence[AttackOutcome],
                   out_dir: Path) -> None:
     """One row per attack and mode at the mode's optimal k."""
-    rows = [f"{token},{mode},{k_star:g},{rep.accuracy:.4f},"
-            f"{rep.precision:.4f},{rep.recall:.4f},{rep.f1:.4f}"
-            for token, mode, k_star, rep in summary_rows(cfg, outcomes)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.csv").write_text(
-        "attack,mode,optimal_k,accuracy,precision,recall,f1\n"
-        + "\n".join(rows) + ("\n" if rows else ""))
+    rows = ([token, mode, f"{k_star:g}", *_metrics(rep)]
+            for token, mode, k_star, rep in summary_rows(cfg, outcomes))
+    _write(out_dir / "summary.csv", _csv(["attack", "mode", "optimal_k", *_METRICS], rows))
 
 
 def write_overhead(overhead: Mapping[str, float], out_dir: Path) -> None:
-    """Centralized and federated byte totals and their ratio."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "overhead.csv").write_text(
-        "centralized_bytes,federated_bytes,ratio\n"
-        f"{overhead['centralized_bytes']!r},{overhead['federated_bytes']!r},"
-        f"{overhead['ratio']!r}\n")
+    """Centralized and federated byte totals and their ratio, in ``modelled_overhead`` order."""
+    _write(out_dir / "overhead.csv", _csv(list(overhead), [list(overhead.values())]))
 
 
-def write_bundle(result: ExperimentResult, out_dir: Path,
-                 pretrain_result: SimResult | None = None,
-                 normal_result: SimResult | None = None) -> None:
+def write_bundle(result: ExperimentResult, out_dir: Path, pretrain_result: SimResult,
+                 normal_result: SimResult) -> None:
     """Write the versioned artifact bundle for one experiment."""
     cfg = result.config
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "BUNDLE_VERSION").write_text("1\n")
-    for name, sim in (("pretrain", pretrain_result), ("normal", normal_result)):
-        if sim is not None:
-            write_logs(sim, out_dir / name / "logs")
+    _write(out_dir / "BUNDLE_VERSION", "1\n")
+    write_corpora(pretrain_result, normal_result, out_dir)
     write_models(result.pipelines, out_dir)
     write_thresholds(result.pipelines, out_dir)
     for outcome in result.outcomes:
         write_attack(cfg, outcome, result.pipelines, out_dir)
     write_summary(cfg, result.outcomes, out_dir)
-    write_overhead(result.overhead, out_dir)
+    write_overhead(modelled_overhead(cfg), out_dir)

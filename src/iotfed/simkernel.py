@@ -57,14 +57,18 @@ class SimConfig:
     drop_prob: float = 0.0
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
-        if self.hop_delay_model.median_ms <= 0:
-            raise ConfigError("hop delay median must be positive")
-        if self.hop_delay_model.sigma < 0:
-            raise ConfigError("hop delay sigma must be nonnegative")
-        if self.send_jitter < 0:
-            raise ConfigError("send jitter must be nonnegative")
+        """Refuse an out-of-range or non-finite value with a message naming its field."""
+        for key, value in (("duration", self.duration),
+                           ("median_ms", self.hop_delay_model.median_ms)):
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{key} must be positive and finite, not {value!r}")
+        for key, value in (("sigma", self.hop_delay_model.sigma),
+                           ("send_jitter", self.send_jitter)):
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"{key} must be nonnegative and finite, not {value!r}")
+        for node, skew in self.node_skew.items():
+            if not np.isfinite(skew):
+                raise ConfigError(f"node_skew of {node} must be finite, not {skew!r}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ConfigError("drop probability must lie in [0, 1]")
 

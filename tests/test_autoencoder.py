@@ -198,7 +198,8 @@ class TestAdam:
 class TestTrain:
     def test_config_validation(self):
         for bad in (TrainConfig(epochs=0), TrainConfig(batch_size=0),
-                    TrainConfig(learning_rate=0.0)):
+                    TrainConfig(learning_rate=0.0), TrainConfig(learning_rate=float("nan")),
+                    TrainConfig(learning_rate=float("inf"))):
             with pytest.raises(ValueError):
                 bad.validate()
 

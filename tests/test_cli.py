@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 import yaml
 
-from iotfed.cli import build_parser, load_config, main
+from iotfed.cli import _YAML_KEYS, build_parser, load_config, main
 from iotfed.nodes import ScenarioFamily
 
 SMALL = dict(
@@ -104,6 +107,13 @@ class TestCommands:
         assert main(["--config", str(bad), "--out", str(tmp_path / "o"),
                      "run-all"]) == 2
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_duration_fails_stage_simulate(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(dict(SMALL, normal_duration=value)))
+        assert main(["--config", str(bad), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert "error in stage simulate: duration must be" in capsys.readouterr().err
+
     def test_value_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(dict(attacks=["E1>R2"])))
@@ -195,3 +205,10 @@ def test_write_failures_exit_code(tmp_path, capsys, command):
     blocker.write_text("")
     assert main(["--config", str(cfg), "--out", str(blocker / "out"), command]) == 2
     assert "error in stage emit: " in capsys.readouterr().err
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    key_cells = re.findall(r"^\| (.+?) \| ", section, flags=re.M)
+    assert set(re.findall(r"`(\w+)`", " ".join(key_cells))) == _YAML_KEYS

@@ -9,10 +9,10 @@ from iotfed.detect import (
     calibrate_threshold,
     classify_window,
     f1_score,
-    report_csv,
     score,
     select_optimal_k,
 )
+from iotfed.harness import report_csv
 from iotfed.nodes import R1
 
 

@@ -25,8 +25,8 @@ from iotfed.features import (
     router_view,
     segment_entropy,
     shannon_entropy,
-    to_csv,
 )
+from iotfed.harness import to_csv
 from iotfed.logfmt import (
     DeviceLog,
     EntryKind,

@@ -117,6 +117,16 @@ class TestHierarchicalRound:
         with pytest.raises(EmptyRoster):
             hierarchical_round({}, {})
 
+    @pytest.mark.parametrize("parents,stranded", [
+        ({R1: R3, R3: R1, R2: C}, "R1, R3"),  # the flat mean is 3.0; R2 alone is 5.0
+        ({R1: R2, R2: R3, R3: R1}, "R1, R2, R3"),
+        ({R1: C, R2: R2, R3: R2}, "R2, R3"),
+    ])
+    def test_routers_that_never_reach_the_coordinator_rejected(self, parents, stranded):
+        locals_ = {R1: scalar_model(1.0), R2: scalar_model(5.0), R3: scalar_model(3.0)}
+        with pytest.raises(ValueError, match=f"routers {stranded} never reach the coordinator"):
+            hierarchical_round(parents, locals_)
+
 
 @pytest.fixture(scope="module")
 def tiny_training_setup():

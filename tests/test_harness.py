@@ -22,9 +22,10 @@ from iotfed.harness import (
     modelled_overhead,
     run_experiment,
     run_simulation,
+    to_csv,
     write_attack,
 )
-from iotfed.logfmt import DeviceLog, EntryKind
+from iotfed.logfmt import EMPTY_LOG, DeviceLog, EntryKind
 from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
 from iotfed.simkernel import DEFAULT_START, SimResult
 
@@ -135,6 +136,22 @@ def test_pipeline_keeps_logs_in_columns(tmp_path, monkeypatch):
                        train=TrainConfig(epochs=1), pretrain_epochs=1, fed_local_epochs=1)
     run_experiment(cfg, out_dir=tmp_path)
     assert (tmp_path / "summary.csv").is_file()
+
+
+def test_every_bundle_file_goes_through_the_one_writer(tmp_path, monkeypatch):
+    written = []
+    write = harness._write
+
+    def recorded(path, data):
+        written.append(path)
+        write(path, data)
+
+    monkeypatch.setattr(harness, "_write", recorded)
+    cfg = small_config(pretrain_duration=120.0, normal_duration=600.0,
+                       train=TrainConfig(epochs=1), pretrain_epochs=1, fed_local_epochs=1)
+    run_experiment(cfg, out_dir=tmp_path)
+    assert len(written) == len(set(written))
+    assert set(written) == {p for p in tmp_path.rglob("*") if p.is_file()}
 
 
 class TestPipelines:
@@ -300,6 +317,15 @@ class TestEmitPlotData:
         with pytest.raises(ValueError):
             emit_plot_data([False], {"centralized": [0.1, 0.2]},
                            {"centralized": {}})
+
+
+class TestToCsv:
+    @pytest.mark.parametrize("truths", [[False, True, False], [True]])
+    def test_misaligned_truths_rejected(self, truths):
+        vectors = harness.window_features(EMPTY_LOG, DEFAULT_START, 120.0, 60.0,
+                                          COORDINATOR_SCHEMA, R1)
+        with pytest.raises(ValueError, match="align"):
+            to_csv(vectors, truths)
 
 
 class TestBundle:

@@ -43,10 +43,32 @@ class TestConfigValidation:
         dict(seed=1, duration=60.0, drop_prob=1.5),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(median_ms=0.0)),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(sigma=-0.1)),
+        dict(seed=1, duration=float("nan")),
+        dict(seed=1, duration=float("inf")),
+        dict(seed=1, duration=60.0, send_jitter=float("nan")),
+        dict(seed=1, duration=60.0, send_jitter=float("inf")),
+        dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(median_ms=float("nan"))),
+        dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(median_ms=float("inf"))),
+        dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(sigma=float("nan"))),
+        dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(sigma=float("inf"))),
+        dict(seed=1, duration=60.0, node_skew={E1: float("nan")}),
+        dict(seed=1, duration=60.0, node_skew={E1: float("-inf")}),
+        dict(seed=1, duration=60.0, drop_prob=float("nan")),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("key,kwargs", [
+        ("duration", dict(duration=float("nan"))),
+        ("send_jitter", dict(send_jitter=float("inf"))),
+        ("median_ms", dict(hop_delay_model=HopDelayModel(median_ms=float("nan")))),
+        ("sigma", dict(hop_delay_model=HopDelayModel(sigma=float("inf")))),
+        ("node_skew", dict(node_skew={E1: float("nan")})),
+    ])
+    def test_non_finite_values_name_their_field(self, key, kwargs):
+        with pytest.raises(ConfigError, match=key):
+            SimConfig(**{"seed": 1, "duration": 60.0, **kwargs}).validate()
 
 
 class TestHopDelay:
