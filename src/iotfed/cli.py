@@ -63,6 +63,9 @@ def load_config(path: str | Path | None, seed: int | None = None) -> ExperimentC
     if "ks" in raw and not (isinstance(raw["ks"], list)
                             and all(_is_a(k, float) for k in raw["ks"])):
         raise ValueError(f"ks must be a list of numbers, not {raw['ks']!r}")
+    if "attacks" in raw and not (isinstance(raw["attacks"], list)
+                                 and all(isinstance(t, str) for t in raw["attacks"])):
+        raise ValueError(f"attacks must be a list of tokens, not {raw['attacks']!r}")
     train_keys = {k: raw.pop(k) for k in _TRAIN_KEYS if k in raw}
     hop_keys = {k: raw.pop(k) for k in _HOP_KEYS if k in raw}
     try:

@@ -138,6 +138,8 @@ class ExperimentConfig:
             raise ValueError(f"ks must list at least one k, each finite, not {self.ks!r}")
         if len(set(self.ks)) != len(self.ks):
             raise ValueError(f"ks must not list a k twice: {self.ks!r}")
+        if len(set(self.attack_tokens)) != len(self.attack_tokens):
+            raise ValueError(f"attacks must not list a token twice: {self.attack_tokens!r}")
         self.selected_attacks()
 
     @property

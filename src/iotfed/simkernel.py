@@ -3,9 +3,10 @@
 Every edge device emits one packet per second (with a small bounded
 jitter so per-window counts are not perfectly constant). Packets are
 routed along the live destination map at their send instant; per-hop
-transit times are lognormal. The draw loop records numbers only; each
-device's log is then assembled as columns (a ``DeviceLog``). Identical
-configs produce byte-identical logs.
+transit times are lognormal. The draw loop only routes packets and makes
+their random draws; clocks, stamps and each device's log (a ``DeviceLog``)
+are then assembled as arrays. Identical configs produce byte-identical
+logs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .attacks import AttackPlan, apply_plan
 from .logfmt import NODE_CODE, NODES, DeviceLog, format_us, to_us
 from .nodes import (
     EDGES,
+    HOP_LIMIT,
     C,
     NodeId,
     Role,
@@ -112,10 +114,17 @@ class SimResult:
         return docs
 
 
+def hop_delays_ms(z: np.ndarray, model: HopDelayModel) -> np.ndarray:
+    """Lognormal transit times in milliseconds from standard normals ``z``.
+
+    Sigma 0 degenerates to the median.
+    """
+    return model.median_ms * np.exp(model.sigma * z)
+
+
 def sample_hop_delay(rng: np.random.Generator, model: HopDelayModel) -> float:
-    """One lognormal transit time in milliseconds; sigma 0 degenerates to the median."""
-    z = rng.standard_normal()
-    return model.median_ms * float(np.exp(model.sigma * z))
+    """One lognormal transit time in milliseconds: ``hop_delays_ms`` of one draw."""
+    return float(hop_delays_ms(rng.standard_normal(), model))
 
 
 _C_CODE = NODE_CODE[C]
@@ -131,76 +140,111 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     sender logs a hop before its fate is drawn: the edge at the first hop,
     a router at a later one. Traffic reaching the attacker is swallowed
     there, and looped or dropped traffic never reaches C, so neither
-    produces a coordinator entry. The loop appends only numbers to flat
-    lists, which leaves the cyclic garbage collector nothing to scan.
+    produces a coordinator entry.
+
+    The draw loop only routes each packet and makes its draws: one call
+    for its send jitter and one that writes all its hops' normals into a
+    shared buffer, or with drops, a drop draw and a normal per hop. Hop
+    delays, running clocks, stamps and log rows are then computed for all
+    packets at once, with the same float operations in the same order.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
+    uniform, normals = rng.random, rng.standard_normal
+    jitter, drop_prob = cfg.send_jitter, cfg.drop_prob
+    start, end = attack_plan.attack_interval if attack_plan is not None else (0.0, 0.0)
 
     edges = [edge for edge in EDGES if edge in topology.nodes]
     # The live topology depends only on whether the plan's attack is active,
-    # so each edge's route is resolved once per phase, keyed by its position.
-    routes: dict[tuple[bool, int], int] = {}
+    # so each edge's route is resolved once per phase: routes[phase][e].
+    routes: list[list[int | None]] = [[None] * len(edges), [None] * len(edges)]
     paths: list[RoutePath] = []
-    # Per path: each point's node code and clock skew, whether each hop's
-    # sender logs it, and whether the path delivers to C.
-    plans: list[tuple[list[int], list[float], list[bool], bool]] = []
-    # Per packet, three numbers: send time, path, index of its first stamp.
-    # A packet stamps its send and each arrival, in µs from DEFAULT_START.
-    packets: list[float] = []
-    stamps: list[int] = []
-    # Per log entry, five numbers: device, log time, packet, segments, status.
-    rows: list[float] = []
+    path_hops: list[int] = []
+    sends: list[float] = []  # per packet: send time
+    routed: list[int] = []   # per packet: its route's index in paths
+    kept: list[int] = []     # per packet, with drops: hops it was not dropped on
+    # Every hop normal, in draw order; a path has at most HOP_LIMIT hops.
+    z = np.empty(int(cfg.duration) * len(edges) * HOP_LIMIT)
+    n = 0
     for tick in range(int(cfg.duration)):
-        for e, edge in enumerate(edges):
-            jitter = float(rng.uniform(0.0, cfg.send_jitter)) if cfg.send_jitter else 0.0
-            send_at = tick + jitter
-            phase = attack_plan is not None and attack_plan.active_at(send_at)
-            p = routes.get((phase, e))
+        for e in range(len(edges)):
+            send_at = tick + jitter * uniform() if jitter else float(tick)
+            route = routes[start <= send_at < end]
+            p = route[e]
             if p is None:
                 live = (apply_plan(topology, attack_plan, send_at)
                         if attack_plan is not None else topology)
-                path = route_path(live, edge)
-                p = routes[(phase, e)] = len(paths)
-                paths.append(path)
-                plans.append(([NODE_CODE[n] for n in path.hops],
-                              [cfg.node_skew.get(n, 0.0) for n in path.hops],
-                              [j == 0 or n.role is Role.ROUTER
-                               for j, n in enumerate(path.hops[:-1])],
-                              path.terminal == C and not path.looped))
-            codes, skews, sender_logs, to_c = plans[p]
-            packet = len(packets) // 3
-            packets += (send_at, p, len(stamps))
-            clock = send_at
-            stamps.append(round((clock + skews[0]) * 1e6))
-            for j, logs in enumerate(sender_logs):
-                status = 1 if cfg.drop_prob and rng.random() < cfg.drop_prob else 0
-                if logs:
-                    rows += (codes[j], clock, packet, j + 1, status)
-                if status:
-                    break
-                clock += sample_hop_delay(rng, cfg.hop_delay_model) / 1000.0
-                stamps.append(round((clock + skews[j + 1]) * 1e6))
+                p = route[e] = len(paths)
+                paths.append(route_path(live, edges[e]))
+                path_hops.append(len(paths[p].hops) - 1)
+            sends.append(send_at)
+            routed.append(p)
+            h = path_hops[p]
+            if drop_prob:
+                for k in range(h):
+                    if uniform() < drop_prob:
+                        break
+                    z[n] = normals()
+                    n += 1
+                else:
+                    k = h
+                kept.append(k)
             else:
-                if to_c:
-                    rows += (_C_CODE, clock, packet, len(sender_logs), -1)
+                normals(out=z[n:n + h])
+                n += h
 
-    entries = _device_logs(np.array(rows).reshape(-1, 5), np.array(packets).reshape(-1, 3),
-                           _START_US + np.array(stamps, dtype=np.int64), [c for c, *_ in plans])
-    return SimResult(partial(_traces, packets, len(stamps), paths), entries)
+    # Per route and point: node code, clock skew, and whether the point logs.
+    # The first point (an edge) and each router log the hop they send; C
+    # logs the arrival when it is the last point of a route that delivers.
+    width = max(path_hops, default=0) + 1
+    codes = np.zeros((len(paths), width), dtype=np.int64)
+    skews = np.zeros((len(paths), width))
+    logs = np.zeros((len(paths), width), dtype=bool)
+    for q, path in enumerate(paths):
+        h = path_hops[q]
+        codes[q, :h + 1] = [NODE_CODE[node] for node in path.hops]
+        skews[q, :h + 1] = [cfg.node_skew.get(node, 0.0) for node in path.hops]
+        logs[q, :h + 1] = [j == 0 or node.role is Role.ROUTER for j, node in enumerate(path.hops)]
+        logs[q, h] = path.terminal == C and not path.looped
+
+    send_time, path_of = np.array(sends), np.array(routed, dtype=np.int64)
+    hops = np.array(path_hops, dtype=np.int64)[path_of]
+    taken = np.array(kept, dtype=np.int64) if drop_prob else hops
+    reached = np.arange(width) <= taken[:, None]  # the points each packet reached
+    # Row i is packet i's send time then its hop delays, zero padded, so the
+    # running sum along it is the clock at each point it reached.
+    clocks = np.zeros((len(path_of), width))
+    clocks[:, 0] = send_time
+    clocks[:, 1:][reached[:, 1:]] = hop_delays_ms(z[:n], cfg.hop_delay_model) / 1000.0
+    np.cumsum(clocks, axis=1, out=clocks)
+
+    # A packet stamps its send and each arrival, in µs from DEFAULT_START.
+    stamps = _START_US + np.rint((clocks + skews[path_of]) * 1e6)[reached].astype(np.int64)
+    first_stamp = np.cumsum(taken + 1) - (taken + 1)
+    # Log rows packet by packet, each packet's hop rows then its C row: the
+    # order that decides which device logged first.
+    packet, j = np.nonzero(reached & logs[path_of])
+    arrived = j == hops[packet]
+    rows = np.stack([codes[path_of[packet], j], clocks[packet, j], packet,
+                     np.where(arrived, j, j + 1), np.where(arrived, -1, j == taken[packet])],
+                    axis=1)
+    entries = _device_logs(rows, path_of, first_stamp, stamps, codes)
+    return SimResult(partial(_traces, send_time, path_of, taken, paths), entries)
 
 
-def _device_logs(rows: np.ndarray, packets: np.ndarray, stamps: np.ndarray,
-                 path_codes: list[list[int]]) -> dict[NodeId, DeviceLog]:
+def _device_logs(rows: np.ndarray, path: np.ndarray, first_stamp: np.ndarray,
+                 stamps: np.ndarray, codes: np.ndarray) -> dict[NodeId, DeviceLog]:
     """Each device's entries as columns, sorted by (log time, packet number).
 
-    Segment ``j`` of a packet's entry runs from point ``j`` of its path to
-    point ``j + 1``, at those points' stamps; of a last segment, only the
-    coordinator logs the arrival. Devices keep the order they first logged in.
+    ``rows`` holds one log entry per row: device, log time, packet, segments
+    and status. Each packet has a path (a row of ``codes``, the node code
+    of each point) and the index of its first stamp. Segment ``j`` of a
+    packet's entry runs from point ``j`` of its path to point ``j + 1``, at
+    those points' stamps; of a last segment, only the coordinator logs the
+    arrival. Devices keep the order they first logged in.
     """
     order = np.lexsort((rows[:, 2], rows[:, 1]))
     node, _, packet, n_segs, status = rows[order].T.astype(np.int64)
-    path, first_stamp = packets[:, 1:].T.astype(np.int64)
     seg_packet = np.repeat(packet, n_segs)
     j = np.arange(len(seg_packet)) - np.repeat(np.cumsum(n_segs) - n_segs, n_segs)
     point = first_stamp[seg_packet] + j
@@ -210,28 +254,24 @@ def _device_logs(rows: np.ndarray, packets: np.ndarray, stamps: np.ndarray,
     # A segment not received may have no next stamp; it repeats its send time.
     times = np.stack([sent, np.where(got, stamps[np.minimum(point + 1, len(stamps) - 1)], sent)],
                      axis=1)
-    codes = np.zeros((len(path_codes), max(map(len, path_codes), default=1)), dtype=np.int64)
-    for i, c in enumerate(path_codes):
-        codes[i, :len(c)] = c
     seg_path = path[seg_packet]
     log = DeviceLog(n_segs, received, status, codes[seg_path, j], codes[seg_path, j + 1], times)
     devices, first_row = np.unique(rows[:, 0].astype(np.int64), return_index=True)
     return {NODES[d]: log.rows(node == d) for d in devices[np.argsort(first_row)]}
 
 
-def _traces(packets: list[float], n_stamps: int, paths: list[RoutePath]) -> list[PacketTrace]:
-    """Each packet's trace, from what its draw recorded.
+def _traces(send_time: np.ndarray, path_of: np.ndarray, taken: np.ndarray,
+            paths: list[RoutePath]) -> list[PacketTrace]:
+    """Each packet's trace, from its send time, route and hops taken.
 
-    A packet that is not dropped stamps every point of its path, so one
-    with fewer stamps was dropped on the hop after its last stamp.
+    A packet that took fewer hops than its path has was dropped on the next.
     """
     traces = []
-    firsts = packets[2::3]
-    for send_at, p, a, b in zip(packets[0::3], packets[1::3], firsts, firsts[1:] + [n_stamps]):
+    for send_at, p, k in zip(send_time.tolist(), path_of.tolist(), taken.tolist()):
         path = paths[p]
         n_hops = len(path.hops) - 1
-        dropped = b - a <= n_hops
-        statuses = (0,) * (b - a - 1) + (1,) if dropped else (0,) * n_hops
+        dropped = k < n_hops
+        statuses = (0,) * k + (1,) if dropped else (0,) * n_hops
         delivered = None if dropped or path.looped else path.terminal
         traces.append(PacketTrace(path.hops[0], send_at, delivered, statuses))
     return traces

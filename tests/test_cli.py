@@ -169,6 +169,20 @@ class TestCommands:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,message", [
+        ('attacks: "E1>A"\n', "attacks must be a list of tokens"),
+        ("attacks: [E1>A, 3]\n", "attacks must be a list of tokens"),
+        ("attacks: [E1>A, E1>A]\n", "attacks must not list a token twice")],
+        ids=["scalar", "not-a-string", "repeated"])
+    def test_attacks_that_are_not_a_list_of_distinct_tokens(self, tmp_path, capsys, text,
+                                                           message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        assert main(["--config", str(bad), "--out", str(out), "overhead"]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_mapping_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("5\n")

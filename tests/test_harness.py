@@ -77,6 +77,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(attack_tokens=("E1>R2",)).selected_attacks()
 
+    def test_repeated_attack_token_rejected(self):
+        with pytest.raises(ValueError, match=r"attacks must not list a token twice: "
+                                             r"\('E1>A', 'R2>A', 'E1>A'\)"):
+            ExperimentConfig(attack_tokens=("E1>A", "R2>A", "E1>A"))
+
     def test_invalid_config_rejected_when_built(self):
         with pytest.raises(ValueError, match="E1>R2"):
             ExperimentConfig(attack_tokens=("E1>R2",))

@@ -1,12 +1,14 @@
 import gc
+import hashlib
 from dataclasses import dataclass
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iotfed import simkernel
-from iotfed.attacks import AttackPlan, AttackSpec, apply_plan
+from iotfed.attacks import AttackPlan, AttackSpec, apply_plan, enumerate_attacks
 from iotfed.logfmt import EntryKind, LogEntry, Segment, parse_log, serialize_entry
 from iotfed.nodes import (
     A,
@@ -17,6 +19,7 @@ from iotfed.nodes import (
     R1,
     R2,
     R3,
+    ROSTER,
     NodeId,
     Role,
     ScenarioFamily,
@@ -28,6 +31,7 @@ from iotfed.simkernel import (
     ConfigError,
     HopDelayModel,
     SimConfig,
+    hop_delays_ms,
     run_simulation,
     sample_hop_delay,
 )
@@ -87,6 +91,15 @@ class TestHopDelay:
         rng = np.random.default_rng(2)
         model = HopDelayModel(sigma=2.0)
         assert all(sample_hop_delay(rng, model) > 0 for _ in range(1000))
+
+    @pytest.mark.parametrize("model", [HopDelayModel(), HopDelayModel(median_ms=37.5, sigma=1.7),
+                                       HopDelayModel(sigma=0.0)])
+    def test_vector_form_equals_one_draw_form(self, model):
+        n = 100_000
+        one_by_one = np.random.default_rng(3)
+        want = np.array([sample_hop_delay(one_by_one, model) for _ in range(n)])
+        got = hop_delays_ms(np.random.default_rng(3).standard_normal(n), model)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTraceGeneration:
@@ -205,6 +218,14 @@ class TestDropsAndSkew:
         t_base = run_simulation(topology, base).entries[E1][0].segments[0].sent_at
         t_skew = run_simulation(topology, skewed).entries[E1][0].segments[0].sent_at
         assert (t_skew - t_base).total_seconds() == pytest.approx(2.0)
+
+    def test_half_microsecond_stamps_round_to_even(self):
+        # 1/128 s and 3/128 s are 7 812.5 and 23 437.5 µs, exactly.
+        result = run_simulation(build_topology(ScenarioFamily.III),
+                                SimConfig(seed=6, duration=3.0, send_jitter=0.0,
+                                          node_skew={E1: 1 / 128, E3: 3 / 128}))
+        assert {e.segments[0].sent_at.microsecond for e in result.entries[E1]} == {7812}
+        assert {e.segments[0].sent_at.microsecond for e in result.entries[E3]} == {23438}
 
     def test_jitter_zero_sends_exactly_on_ticks(self):
         topology = build_topology(ScenarioFamily.III)
@@ -381,3 +402,70 @@ class TestMatchesTwoPassReference:
                  for t in result.traces]
                 == [(origin, hops[0].sent_at, delivered, statuses)
                     for origin, hops, delivered, statuses in traces])
+
+
+def _assert_matches_reference(topology, cfg, plan):
+    result = run_simulation(topology, cfg, plan)
+    traces = _reference_traces(topology, cfg, plan)
+    entries = _reference_entries(cfg, traces)
+    assert result.render_logs() == {f"{node}.log": "".join(serialize_entry(e) + "\n"
+                                                           for e in node_entries)
+                                    for node, node_entries in entries.items()}
+    assert list(result.entries) == list(entries)
+    assert {node: list(log) for node, log in result.entries.items()} == entries
+    assert ([(t.origin, t.send_time, t.delivered_to, t.status_per_hop) for t in result.traces]
+            == [(origin, hops[0].sent_at, delivered, statuses)
+                for origin, hops, delivered, statuses in traces])
+
+
+@st.composite
+def _runs(draw):
+    family = draw(st.sampled_from(ScenarioFamily))
+    plan = None
+    if draw(st.booleans()):
+        # Scenario II's R2 -> R3 is not in the catalogue but makes a loop.
+        specs = enumerate_attacks(family) + ([AttackSpec(family, R2, R3)]
+                                             if family is ScenarioFamily.II else [])
+        plan = AttackPlan(draw(st.sampled_from(specs)),
+                          normal_before=draw(st.integers(0, 60)),
+                          attack_window=draw(st.integers(1, 60)), normal_after=MIN)
+    cfg = SimConfig(seed=draw(st.integers(0, 2**32 - 1)), duration=draw(st.integers(5, 120)),
+                    drop_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                    send_jitter=draw(st.sampled_from([0.0, 6.0])),
+                    node_skew=draw(st.dictionaries(st.sampled_from(ROSTER),
+                                                   st.floats(-5.0, 5.0, allow_nan=False))))
+    return build_topology(family), cfg, plan
+
+
+class TestMatchesReferenceOnRandomRuns:
+    @settings(max_examples=25, deadline=None)
+    @given(_runs())
+    def test_same_logs_and_traces(self, run):
+        _assert_matches_reference(*run)
+
+
+def _digest(docs):
+    sha = hashlib.sha256()
+    for name, text in docs.items():
+        sha.update(name.encode() + b"\0" + text.encode() + b"\0")
+    return sha.hexdigest()
+
+
+class TestPinnedLogs:
+    """Rendered logs of runs long enough that many normal draws leave the
+    ziggurat's fast path; the digests are those of a simulator that drew and
+    summed one hop at a time."""
+
+    def test_hour_of_scenario_iii(self):
+        result = run_simulation(build_topology(ScenarioFamily.III),
+                                SimConfig(seed=23, duration=3600.0))
+        assert _digest(result.render_logs()) == (
+            "49a5649f7f675a49eb705c971e20dcc7bedf7aa8af4e70fc82b39185a6b538fa")
+
+    def test_lossy_skewed_attack_run(self):
+        plan = AttackPlan(AttackSpec(ScenarioFamily.I, E3, C))
+        result = run_simulation(build_topology(ScenarioFamily.I),
+                                SimConfig(seed=29, duration=plan.total_duration, drop_prob=0.02,
+                                          node_skew={R1: 0.0125}), plan)
+        assert _digest(result.render_logs()) == (
+            "2001f76a923a4972555b8807245eede762d3bbe502f2c9826597aad1466b2bf1")
