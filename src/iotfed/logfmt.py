@@ -109,16 +109,58 @@ def from_us(us: int) -> datetime:
     return datetime.min + timedelta(microseconds=us)
 
 
-def format_us(stamps: np.ndarray) -> np.ndarray:
-    """``format_timestamp`` of each ``to_us`` value, as a same-shaped object array.
+_DAY_US = 86_400_000_000
+_EPOCH_US = to_us(datetime(1970, 1, 1))
+_MAX_US = to_us(datetime.max)
 
-    Each distinct value is formatted once, its whole second from a cache.
+
+def _digit_table(width: int) -> np.ndarray:
+    """The ASCII digits of ``0 .. 10**width - 1`` with leading zeros, one ``width``-byte
+    value each."""
+    n = np.arange(10 ** width, dtype=np.uint16)[:, None]  # small temporaries: a leaner import
+    digits = n // 10 ** np.arange(width - 1, -1, -1, dtype=np.uint16) % 10 + ord("0")
+    return digits.astype(np.uint8).view(f"u{width}").ravel()
+
+
+_DIGITS2, _DIGITS4 = _digit_table(2), _digit_table(4)
+#: A timestamp's bytes: each "0" stands for an ASCII digit, every other byte for itself.
+_STAMP_SHAPE = np.frombuffer(b"0000-00-00 00:00:00.000000", np.uint8)
+
+
+def format_us(stamps: np.ndarray) -> np.ndarray:
+    """``format_timestamp`` of each ``to_us`` value as a row of 26 ASCII bytes.
+
+    The result has shape ``(*stamps.shape, 26)`` and dtype uint8. Fields come
+    from integer arithmetic, the calendar from numpy's ``datetime64`` casts,
+    and digits from tables. A value outside ``from_us``'s range raises
+    ``OverflowError``, as ``from_us`` does.
     """
-    distinct, inverse = np.unique(stamps, return_inverse=True)
-    seconds, fractions = np.divmod(distinct, 1_000_000)
-    prefix = {s: from_us(s * 1_000_000).isoformat(" ") for s in np.unique(seconds).tolist()}
-    text = [f"{prefix[s]}.{f:06d}" for s, f in zip(seconds.tolist(), fractions.tolist())]
-    return np.array(text, dtype=object)[inverse].reshape(np.shape(stamps))
+    us = np.asarray(stamps, dtype=np.int64)
+    if us.size and (us.min() < 0 or us.max() > _MAX_US):
+        raise OverflowError("date value out of range")
+    days, us_of_day = np.divmod(us, _DAY_US)
+    day = (days - _EPOCH_US // _DAY_US).astype("datetime64[D]")
+    month = day.astype("datetime64[M]")
+    months = month.astype(np.int64)  # since 1970-01
+    seconds, micro = np.divmod(us_of_day, 1_000_000)
+    minutes, second = np.divmod(seconds, 60)
+    hour, minute = np.divmod(minutes, 60)
+    text = np.empty(us.shape + (26,), dtype=np.uint8)
+    text[...] = _STAMP_SHAPE
+    for at, digits, value in ((0, _DIGITS4, months // 12 + 1970), (5, _DIGITS2, months % 12 + 1),
+                              (8, _DIGITS2, (day - month).astype(np.int64) + 1),
+                              (11, _DIGITS2, hour), (14, _DIGITS2, minute),
+                              (17, _DIGITS2, second), (20, _DIGITS2, micro // 10_000),
+                              (22, _DIGITS4, micro % 10_000)):
+        text[..., at:at + digits.itemsize].view(digits.dtype)[..., 0] = digits[value]
+    return text
+
+
+def format_distinct(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``format_us`` of each distinct value of ``stamps``, and the row of each
+    value in it, shaped like ``stamps``: each distinct value is formatted once."""
+    distinct, index = np.unique(stamps, return_inverse=True)
+    return format_us(distinct), index.reshape(np.shape(stamps))
 
 
 def _parse_timestamp(token: str, offset: int) -> datetime:
@@ -258,7 +300,9 @@ def hop_count(entry: LogEntry) -> int:
 #: Every node a log can name; a node's code in a ``DeviceLog`` is its index here.
 NODES: tuple[NodeId, ...] = ROSTER
 NODE_CODE = {node: code for code, node in enumerate(NODES)}
-_PAIR_TEXT = np.array([[f"{a}>{b}" for b in NODES] for a in NODES], dtype=object)
+#: ``"E3>R3, "`` at ``[NODE_CODE[E3], NODE_CODE[R3]]``, zero padded.
+_PAIR_TEXT = np.array([[f"{a}>{b}, ".encode() for b in NODES] for a in NODES])
+_COMMA = np.array(b", ")
 
 
 class DeviceLog(Sequence[LogEntry]):
@@ -333,24 +377,40 @@ class DeviceLog(Sequence[LogEntry]):
         return DeviceLog(n_segs, self.received[index], self.status[index],
                          self.src[seg], self.dst[seg], self.times[seg])
 
-    def render(self, stamps: np.ndarray | None = None) -> str:
+    def render(self, stamps: np.ndarray | None = None, index: np.ndarray | None = None) -> str:
         """One ``serialize_entry`` line per row, each ending in a newline.
 
-        ``stamps``, if given, is ``format_us(self.times)``.
+        ``stamps`` and ``index``, if given, are ``format_distinct`` of times
+        that include ``self.times``, and the row of each of ``self.times``
+        in ``stamps``. A time outside ``from_us``'s range raises
+        ``OverflowError``.
+
+        Each segment is one row of bytes in fixed blocks: its pair and
+        ``", "``, its sent stamp, ``", "`` and its received stamp, and its
+        tail (``", "`` inside an entry, ``", S:<n>\\n"`` or ``"\\n"`` at its
+        end). Texts are padded with zero bytes, which no line holds, and the
+        received block of a segment not received is zeroed, so the document
+        is the rows' nonzero bytes in order.
         """
         if stamps is None:
-            stamps = format_us(self.times)
+            stamps, index = format_distinct(self.times)
+        stamp = stamps.view("V26")[:, 0]
         last = self.ends - 1
-        seg_received = np.ones(len(self.src), dtype=bool)
-        seg_received[last] = self.received
+        received = np.ones(len(self.src), dtype=bool)
+        received[last] = self.received
         statuses, which = np.unique(self.status, return_inverse=True)
-        tails = np.full(len(self.src), ", ", dtype=object)
-        tails[last] = np.array([f", S:{c}\n" if c >= 0 else "\n" for c in statuses.tolist()],
-                               dtype=object)[which]
-        return "".join([f"{pair}, {sent}, {got}{tail}" if ok else f"{pair}, {sent}{tail}"
-                        for pair, sent, got, ok, tail in zip(
-                            _PAIR_TEXT[self.src, self.dst].tolist(), stamps[:, 0].tolist(),
-                            stamps[:, 1].tolist(), seg_received.tolist(), tails.tolist())])
+        tails = np.array([b", "] + [f", S:{c}\n".encode() if c >= 0 else b"\n"
+                                    for c in statuses.tolist()])
+        tail = np.zeros(len(self.src), dtype=np.int64)
+        tail[last] = which + 1
+        blocks = (_PAIR_TEXT[self.src, self.dst], stamp[index[:, 0]], _COMMA,
+                  stamp[index[:, 1]], tails[tail])
+        at = np.cumsum([0] + [items.itemsize for items in blocks])
+        text = np.zeros((len(self.src), at[-1]), dtype=np.uint8)
+        for start, items in zip(at, blocks):
+            text[:, start:start + items.itemsize].view(items.dtype)[:, 0] = items
+        text[~received, at[2]:at[4]] = 0
+        return text[text != 0].tobytes().decode("ascii")
 
 
 _NONE = np.zeros(0, dtype=np.int64)
@@ -362,11 +422,8 @@ EMPTY_LOG = DeviceLog(_NONE, _NONE.astype(bool), _NONE, _NONE, _NONE, _NONE.resh
 _PAIR_CODE = {f"{a}{gap}{b}": i * len(NODES) + j
               for i, a in enumerate(NODES) for j, b in enumerate(NODES)
               for gap in (">", " >", "> ", " > ")}
-#: A timestamp's bytes: each "0" stands for an ASCII digit, which may exceed it
-#: by up to 9, and every other byte for itself.
-_STAMP_SHAPE = np.frombuffer(b"0000-00-00 00:00:00.000000", np.uint8)
+#: How far each byte of a timestamp may exceed ``_STAMP_SHAPE``: a digit by 9.
 _STAMP_SLACK = np.where(_STAMP_SHAPE == ord("0"), 9, 0).astype(np.uint8)
-_EPOCH_US = to_us(datetime(1970, 1, 1))
 
 
 def _stamps_us(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

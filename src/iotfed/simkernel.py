@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .attacks import AttackPlan, apply_plan
-from .logfmt import NODE_CODE, NODES, DeviceLog, format_us, to_us
+from .logfmt import NODE_CODE, NODES, DeviceLog, format_distinct, to_us
 from .nodes import (
     EDGES,
     HOP_LIMIT,
@@ -103,13 +103,16 @@ class SimResult:
     def render_logs(self) -> dict[str, str]:
         """One newline-delimited document per logging device, ``<node>.log``.
 
-        A hop's timestamp appears in several logs; each is formatted once.
+        A hop's timestamp appears in several logs. One ``format_distinct``
+        over every log's times formats each distinct stamp once, and each log
+        reads its rows through its own slice of the indices.
         """
-        logs = list(self.entries.values())
-        stamps = format_us(np.concatenate([log.times for log in logs])) if logs else None
+        if not self.entries:
+            return {}
+        stamps, index = format_distinct(np.concatenate([log.times for log in self.entries.values()]))
         docs, at = {}, 0
         for node, log in self.entries.items():
-            docs[f"{node}.log"] = log.render(stamps[at:at + len(log.times)])
+            docs[f"{node}.log"] = log.render(stamps, index[at:at + len(log.times)])
             at += len(log.times)
         return docs
 
@@ -236,17 +239,23 @@ def _device_logs(rows: np.ndarray, path: np.ndarray, first_stamp: np.ndarray,
                  stamps: np.ndarray, codes: np.ndarray) -> dict[NodeId, DeviceLog]:
     """Each device's entries as columns, sorted by (log time, packet number).
 
-    ``rows`` holds one log entry per row: device, log time, packet, segments
-    and status. Each packet has a path (a row of ``codes``, the node code
-    of each point) and the index of its first stamp. Segment ``j`` of a
-    packet's entry runs from point ``j`` of its path to point ``j + 1``, at
-    those points' stamps; of a last segment, only the coordinator logs the
-    arrival. Devices keep the order they first logged in.
+    ``rows`` holds one log entry per row, in packet order: device, log time,
+    packet, segments and status. Each packet has a path (a row of ``codes``,
+    the node code of each point) and the index of its first stamp. Segment
+    ``j`` of a packet's entry runs from point ``j`` of its path to point
+    ``j + 1``, at those points' stamps; of a last segment, only the
+    coordinator logs the arrival. Devices keep the order they first logged in.
     """
-    order = np.lexsort((rows[:, 2], rows[:, 1]))
-    node, _, packet, n_segs, status = rows[order].T.astype(np.int64)
+    # Stable sorts: by time, ties in packet order, then grouped by device.
+    device = rows[:, 0].astype(np.uint8)  # node codes; a radix sort groups them
+    order = np.argsort(rows[:, 1], kind="stable")
+    order = order[np.argsort(device[order], kind="stable")]
+    node = device[order]
+    # One array each: the device logs keep slices of n_segs and status alive.
+    packet, n_segs, status = (rows[order, k].astype(np.int64) for k in (2, 3, 4))
     seg_packet = np.repeat(packet, n_segs)
-    j = np.arange(len(seg_packet)) - np.repeat(np.cumsum(n_segs) - n_segs, n_segs)
+    seg_start = np.cumsum(n_segs) - n_segs
+    j = np.arange(len(seg_packet)) - np.repeat(seg_start, n_segs)
     point = first_stamp[seg_packet] + j
     received = node == _C_CODE
     got = np.repeat(received, n_segs) | (j < np.repeat(n_segs, n_segs) - 1)
@@ -255,9 +264,18 @@ def _device_logs(rows: np.ndarray, path: np.ndarray, first_stamp: np.ndarray,
     times = np.stack([sent, np.where(got, stamps[np.minimum(point + 1, len(stamps) - 1)], sent)],
                      axis=1)
     seg_path = path[seg_packet]
-    log = DeviceLog(n_segs, received, status, codes[seg_path, j], codes[seg_path, j + 1], times)
-    devices, first_row = np.unique(rows[:, 0].astype(np.int64), return_index=True)
-    return {NODES[d]: log.rows(node == d) for d in devices[np.argsort(first_row)]}
+    src, dst = codes[seg_path, j], codes[seg_path, j + 1]
+    # Device d's rows are bounds[d]:bounds[d + 1] of the grouped columns.
+    bounds = np.append(0, np.cumsum(np.bincount(node, minlength=len(NODES))))
+    seg_at = np.append(seg_start, len(seg_packet))
+    devices, first_row = np.unique(device, return_index=True)
+    logs = {}
+    for d in devices[np.argsort(first_row)].tolist():
+        a, b = bounds[d], bounds[d + 1]
+        s, e = seg_at[a], seg_at[b]
+        logs[NODES[d]] = DeviceLog(n_segs[a:b], received[a:b], status[a:b],
+                                   src[s:e], dst[s:e], times[s:e])
+    return logs
 
 
 def _traces(send_time: np.ndarray, path_of: np.ndarray, taken: np.ndarray,

@@ -48,3 +48,15 @@ def test_log_ingest_workload_checks_out(tmp_path):
     inputs = workload.setup(3, workload.smoke_params)
     digest = workload.check(inputs, workload.op(inputs, tmp_path))
     assert digest == workload.check(inputs, workload.op(inputs, tmp_path))
+
+
+def test_render_span_counts_every_byte_and_line():
+    # The render span counts bytes with str.encode and lines with str.count,
+    # so render_logs must hand back text; the logs are ASCII, a byte a character.
+    cfg = workloads.experiment_config(3, dict(normal_duration=120.0))
+    sim = workloads.harness.run_simulation(
+        workloads.build_topology(cfg.scenario), cfg.sim_config("normal", cfg.normal_duration))
+    docs = sim.render_logs()
+    assert spans._rendered((), docs) == {
+        "bytes": sum(len(doc) for doc in docs.values()),
+        "lines": sum(len(log) for log in sim.entries.values())}

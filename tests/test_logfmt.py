@@ -3,7 +3,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     COORD_E2E_MS,
@@ -15,6 +15,7 @@ from conftest import (
 )
 from iotfed import logfmt
 from iotfed.logfmt import (
+    EMPTY_LOG,
     DeviceLog,
     EntryKind,
     IncompleteTrace,
@@ -25,6 +26,7 @@ from iotfed.logfmt import (
     first_hop_delay,
     format_timestamp,
     format_us,
+    from_us,
     hop_count,
     parse_entry,
     parse_log,
@@ -420,10 +422,27 @@ _ANY_TIME = st.datetimes(min_value=datetime(1, 1, 1),
                          max_value=datetime(9999, 12, 31, 23, 59, 59, 999999))
 
 
+#: The first instant, 1900 (not a leap year) and two leap days, the
+#: ``datetime64`` epoch, a year's rollover and the last instant.
+_CALENDAR_EDGES = [
+    datetime(1, 1, 1), datetime(1900, 2, 28, 23, 59, 59, 999999), datetime(1900, 3, 1),
+    datetime(2000, 2, 29), datetime(2024, 2, 29, 23, 59, 59, 999999),
+    datetime(1969, 12, 31, 23, 59, 59, 999999), datetime(1970, 1, 1),
+    datetime(2023, 12, 31, 23, 59, 59, 999999), datetime(2024, 1, 1),
+    datetime(9999, 12, 31, 23, 59, 59, 999999),
+]
+
+
+def _decoded(rows: np.ndarray) -> list:
+    """``format_us`` rows as strings, in nested lists of the stamps' shape."""
+    return np.char.decode(rows.view("S26")[..., 0], "ascii").tolist()
+
+
 @given(st.lists(_ANY_TIME, max_size=20))
+@example(_CALENDAR_EDGES)
 def test_format_us_matches_format_timestamp_in_every_year(stamps):
     got = format_us(np.array([to_us(ts) for ts in stamps + stamps], dtype=np.int64))
-    assert got.tolist() == [format_timestamp(ts) for ts in stamps + stamps]
+    assert _decoded(got) == [format_timestamp(ts) for ts in stamps + stamps]
 
 
 @given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-5.0, 0.0)), max_size=20))
@@ -432,9 +451,20 @@ def test_format_us_matches_format_timestamp_before_the_start(offsets):
     start = datetime(2024, 4, 26, 13, 0, 0)
     us = [round((offset + skew) * 1e6) for offset, skew in offsets]
     got = format_us(to_us(start) + np.array(us, dtype=np.int64).reshape(-1, 1))
-    assert got.shape == (len(us), 1)
-    assert got[:, 0].tolist() == [format_timestamp(start + timedelta(microseconds=u))
-                                  for u in us]
+    assert got.shape == (len(us), 1, 26)
+    assert _decoded(got[:, 0]) == [format_timestamp(start + timedelta(microseconds=u))
+                                   for u in us]
+
+
+@pytest.mark.parametrize("us", [-1, to_us(datetime.max) + 1])
+def test_stamps_outside_the_datetime_range_overflow(us):
+    with pytest.raises(OverflowError):
+        from_us(us)
+    with pytest.raises(OverflowError):
+        format_us(np.array([to_us(datetime(2024, 1, 1)), us]))
+    *columns, times = parse_log(EDGE_LINE).columns
+    with pytest.raises(OverflowError):
+        DeviceLog(*columns, np.full_like(times, us)).render()
 
 
 @st.composite
@@ -478,6 +508,13 @@ def test_delays_are_timedelta_milliseconds_bit_for_bit(entry):
 class TestDeviceLog:
     @settings(max_examples=150)
     @given(st.lists(logged_entries(), max_size=12))
+    @example([
+        LogEntry(EntryKind.EDGE, (Segment(E3, R3, _CALENDAR_EDGES[0]),), 0),
+        LogEntry(EntryKind.ROUTER, (Segment(E3, R3, *_CALENDAR_EDGES[1:3]),
+                                    Segment(R3, R2, _CALENDAR_EDGES[3])), 1),
+        LogEntry(EntryKind.COORDINATOR, (Segment(E3, R3, *_CALENDAR_EDGES[4:6]),
+                                         Segment(R3, R2, *_CALENDAR_EDGES[6:8]),
+                                         Segment(R2, C, *_CALENDAR_EDGES[8:10])))])
     def test_round_trips_entries_and_renders_each_as_serialize_entry(self, entries):
         log = DeviceLog.from_entries(entries)
         assert len(log) == len(entries)
@@ -485,6 +522,9 @@ class TestDeviceLog:
         assert [log[i] for i in range(-len(entries), 0)] == entries
         assert log.render().splitlines() == [serialize_entry(e) for e in entries]
         assert log.render().count("\n") == len(entries)
+
+    def test_empty_log_renders_empty(self):
+        assert EMPTY_LOG.render() == ""
 
     def test_len_reads_the_row_count_and_indexing_infers_kinds(self, monkeypatch):
         log = parse_log(f"{EDGE_LINE}\n{ROUTER_LINE}\n{COORD_LINE}\n")

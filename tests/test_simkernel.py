@@ -31,6 +31,7 @@ from iotfed.simkernel import (
     ConfigError,
     HopDelayModel,
     SimConfig,
+    SimResult,
     hop_delays_ms,
     run_simulation,
     sample_hop_delay,
@@ -141,6 +142,9 @@ class TestDeterminism:
         other = run_simulation(topology, SimConfig(seed=cfg.seed + 1,
                                                    duration=cfg.duration))
         assert result.render_logs() != other.render_logs()
+
+    def test_no_logs_render_no_documents(self):
+        assert SimResult([], {}).render_logs() == {}
 
     def test_rendered_logs_parse_back(self, small_sim):
         _, _, result = small_sim
