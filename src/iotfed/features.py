@@ -192,28 +192,31 @@ def window_matrix(log: DeviceLog, windows: Sequence[tuple[datetime, datetime]],
     if not n:
         return values
     bounds = [to_us(start) for start, _ in windows] + [to_us(windows[-1][1])]
-    win = np.searchsorted(bounds, log.times[log.starts, 0], side="right") - 1
-    order = np.flatnonzero((win >= 0) & (win < n))
-    order = order[np.argsort(win[order], kind="stable")]
-    log, win = log.rows(order), win[order]
+    sent = log.times[log.starts, 0]
+    # Each entry's window; the counts below drop the spare row n, which
+    # takes the entries outside every window.
+    win = np.searchsorted(bounds, sent, side="right") - 1
+    win[(win < 0) | (win >= n)] = n
     hops = log.n_segs
-    count = np.bincount(win, minlength=n)
+    count = np.bincount(win, minlength=n + 1)[:n]
     values[:, 14] = count
-    values[:, 15] = np.bincount(win, weights=hops, minlength=n) / np.maximum(count, 1)
+    values[:, 15] = np.bincount(win, weights=hops, minlength=n + 1)[:n] / np.maximum(count, 1)
     seg_win = np.repeat(win, hops) * len(NODES)
     for slots, codes, nodes in ((slice(16, 23), _SRC_CODES, log.src),
                                 (slice(23, 28), _DST_CODES, log.dst)):
-        values[:, slots] = np.bincount(seg_win + nodes, minlength=n * len(NODES)).reshape(
-            n, len(NODES))[:, codes]
+        values[:, slots] = np.bincount(seg_win + nodes, minlength=(n + 1) * len(NODES)).reshape(
+            n + 1, len(NODES))[:n, codes]
     short = hops <= 3
-    values[:, 28:31] = np.bincount(win[short] * 4 + hops[short], minlength=n * 4).reshape(
-        n, 4)[:, 1:]
+    values[:, 28:31] = np.bincount(win[short] * 4 + hops[short], minlength=(n + 1) * 4).reshape(
+        n + 1, 4)[:n, 1:]
 
-    sent = log.times[log.starts, 0]
-    has_first = log.received | (hops > 1)
-    e2e = us_to_ms(log.times[log.ends - 1, 1] - sent)[log.received]
-    first = us_to_ms(log.times[log.starts, 1] - sent)[has_first]
-    e2e_stats = _delay_stats(e2e, np.bincount(win[log.received], minlength=n))
+    # The entries inside a window, in window order and stream order within one.
+    inside = np.argsort(win, kind="stable")[:count.sum()]
+    win, got, sent = win[inside], log.received[inside], sent[inside]
+    has_first = got | (hops[inside] > 1)
+    e2e = us_to_ms(log.times[log.ends[inside] - 1, 1] - sent)[got]
+    first = us_to_ms(log.times[log.starts[inside], 1] - sent)[has_first]
+    e2e_stats = _delay_stats(e2e, np.bincount(win[got], minlength=n))
     first_stats = _delay_stats(first, np.bincount(win[has_first], minlength=n))
     values[:, [0, 1, 2, 3, 4, 5, 6, 12]] = e2e_stats
     values[:, [7, 8, 9, 10, 11, 13]] = first_stats[:, [0, 1, 4, 5, 6, 7]]

@@ -218,6 +218,12 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
     """Fit scalers, pretrain, train (centrally or federated), calibrate losses."""
     n_windows = window_count(cfg.normal_duration, cfg.window_len)
     n_train = round(n_windows * (1.0 - cfg.validation_fraction))
+    if not 0 < n_train < n_windows:
+        raise ValueError(
+            f"normal_duration {cfg.normal_duration:g} s in window_len {cfg.window_len:g} s "
+            f"windows gives {n_windows} windows, of which validation_fraction "
+            f"{cfg.validation_fraction:g} leaves {n_train} to train on and "
+            f"{n_windows - n_train} to validate on; each needs at least one")
 
     raw = mode_features(cfg, mode, normal_result, cfg.normal_duration)
     raw_pre = mode_features(cfg, mode, pretrain_result, cfg.pretrain_duration)

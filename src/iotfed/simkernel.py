@@ -3,10 +3,10 @@
 Every edge device emits one packet per second (with a small bounded
 jitter so per-window counts are not perfectly constant). Packets are
 routed along the live destination map at their send instant; per-hop
-transit times are lognormal. The draw loop only routes packets and makes
-their random draws; clocks, stamps and each device's log (a ``DeviceLog``)
-are then assembled as arrays. Identical configs produce byte-identical
-logs.
+transit times are lognormal. Every hop delivers, and every device stamps
+the true clock. The draw loop only routes packets and makes their random
+draws; clocks, stamps and each device's log (a ``DeviceLog``) are then
+assembled as arrays. Identical configs produce byte-identical logs.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ class HopDelayModel:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run: its RNG seed, its length in seconds (one send per edge per
+    whole second), the per-hop delay model and the send jitter."""
+
     seed: int
     duration: float
     hop_delay_model: HopDelayModel = field(default_factory=HopDelayModel)
     # Bounded uniform jitter added to each send instant. Nonzero by default
     # so window-level packet counts carry training variance.
     send_jitter: float = 1.5
-    # Per-node constant clock skew in seconds, for robustness experiments.
-    node_skew: dict[NodeId, float] = field(default_factory=dict)
-    drop_prob: float = 0.0
 
     def validate(self) -> None:
         """Refuse an out-of-range or non-finite value with a message naming its field."""
@@ -68,19 +68,15 @@ class SimConfig:
                            ("send_jitter", self.send_jitter)):
             if not 0 <= value < np.inf:
                 raise ConfigError(f"{key} must be nonnegative and finite, not {value!r}")
-        for node, skew in self.node_skew.items():
-            if not np.isfinite(skew):
-                raise ConfigError(f"node_skew of {node} must be finite, not {skew!r}")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ConfigError("drop probability must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class PacketTrace:
+    """One packet: the edge that sent it, when, and the node its path ends at."""
+
     origin: NodeId
-    send_time: float             # seconds from run start, true clock
-    delivered_to: NodeId | None  # None means dropped in transit or looped
-    status_per_hop: tuple[int, ...]
+    send_time: float             # seconds from run start
+    delivered_to: NodeId | None  # None means looped
 
 
 class SimResult:
@@ -140,21 +136,20 @@ def run_simulation(topology: Topology, cfg: SimConfig,
 
     Routing is resolved at each packet's send instant against the plan's
     view of the topology; in-flight packets are never rerouted. Each
-    sender logs a hop before its fate is drawn: the edge at the first hop,
-    a router at a later one. Traffic reaching the attacker is swallowed
-    there, and looped or dropped traffic never reaches C, so neither
-    produces a coordinator entry.
+    sender logs the hop it sends: the edge at the first hop, a router at a
+    later one. Traffic reaching the attacker is swallowed there, and looped
+    traffic never reaches C, so neither produces a coordinator entry.
 
     The draw loop only routes each packet and makes its draws: one call
     for its send jitter and one that writes all its hops' normals into a
-    shared buffer, or with drops, a drop draw and a normal per hop. Hop
-    delays, running clocks, stamps and log rows are then computed for all
-    packets at once, with the same float operations in the same order.
+    shared buffer. Hop delays, running clocks, stamps and log rows are then
+    computed for all packets at once, with the same float operations in
+    the same order.
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     uniform, normals = rng.random, rng.standard_normal
-    jitter, drop_prob = cfg.send_jitter, cfg.drop_prob
+    jitter = cfg.send_jitter
     start, end = attack_plan.attack_interval if attack_plan is not None else (0.0, 0.0)
 
     edges = [edge for edge in EDGES if edge in topology.nodes]
@@ -165,7 +160,6 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     path_hops: list[int] = []
     sends: list[float] = []  # per packet: send time
     routed: list[int] = []   # per packet: its route's index in paths
-    kept: list[int] = []     # per packet, with drops: hops it was not dropped on
     # Every hop normal, in draw order; a path has at most HOP_LIMIT hops.
     z = np.empty(int(cfg.duration) * len(edges) * HOP_LIMIT)
     n = 0
@@ -183,56 +177,43 @@ def run_simulation(topology: Topology, cfg: SimConfig,
             sends.append(send_at)
             routed.append(p)
             h = path_hops[p]
-            if drop_prob:
-                for k in range(h):
-                    if uniform() < drop_prob:
-                        break
-                    z[n] = normals()
-                    n += 1
-                else:
-                    k = h
-                kept.append(k)
-            else:
-                normals(out=z[n:n + h])
-                n += h
+            normals(out=z[n:n + h])
+            n += h
 
-    # Per route and point: node code, clock skew, and whether the point logs.
-    # The first point (an edge) and each router log the hop they send; C
-    # logs the arrival when it is the last point of a route that delivers.
+    # Per route and point: node code, and whether the point logs. The first
+    # point (an edge) and each router log the hop they send; C logs the
+    # arrival when it is the last point of a route that delivers.
     width = max(path_hops, default=0) + 1
     codes = np.zeros((len(paths), width), dtype=np.int64)
-    skews = np.zeros((len(paths), width))
     logs = np.zeros((len(paths), width), dtype=bool)
     for q, path in enumerate(paths):
         h = path_hops[q]
         codes[q, :h + 1] = [NODE_CODE[node] for node in path.hops]
-        skews[q, :h + 1] = [cfg.node_skew.get(node, 0.0) for node in path.hops]
         logs[q, :h + 1] = [j == 0 or node.role is Role.ROUTER for j, node in enumerate(path.hops)]
         logs[q, h] = path.terminal == C and not path.looped
 
     send_time, path_of = np.array(sends), np.array(routed, dtype=np.int64)
     hops = np.array(path_hops, dtype=np.int64)[path_of]
-    taken = np.array(kept, dtype=np.int64) if drop_prob else hops
-    reached = np.arange(width) <= taken[:, None]  # the points each packet reached
+    reached = np.arange(width) <= hops[:, None]  # the points of each packet's path
     # Row i is packet i's send time then its hop delays, zero padded, so the
-    # running sum along it is the clock at each point it reached.
+    # running sum along it is the clock at each point of its path.
     clocks = np.zeros((len(path_of), width))
     clocks[:, 0] = send_time
     clocks[:, 1:][reached[:, 1:]] = hop_delays_ms(z[:n], cfg.hop_delay_model) / 1000.0
     np.cumsum(clocks, axis=1, out=clocks)
 
     # A packet stamps its send and each arrival, in µs from DEFAULT_START.
-    stamps = _START_US + np.rint((clocks + skews[path_of]) * 1e6)[reached].astype(np.int64)
-    first_stamp = np.cumsum(taken + 1) - (taken + 1)
+    stamps = _START_US + np.rint(clocks * 1e6)[reached].astype(np.int64)
+    first_stamp = np.cumsum(hops + 1) - (hops + 1)
     # Log rows packet by packet, each packet's hop rows then its C row: the
-    # order that decides which device logged first.
+    # order that decides which device logged first. A hop row has status 0;
+    # a C row has none (-1).
     packet, j = np.nonzero(reached & logs[path_of])
     arrived = j == hops[packet]
     rows = np.stack([codes[path_of[packet], j], clocks[packet, j], packet,
-                     np.where(arrived, j, j + 1), np.where(arrived, -1, j == taken[packet])],
-                    axis=1)
+                     np.where(arrived, j, j + 1), np.where(arrived, -1, 0)], axis=1)
     entries = _device_logs(rows, path_of, first_stamp, stamps, codes)
-    return SimResult(partial(_traces, send_time, path_of, taken, paths), entries)
+    return SimResult(partial(_traces, send_time, path_of, paths), entries)
 
 
 def _device_logs(rows: np.ndarray, path: np.ndarray, first_stamp: np.ndarray,
@@ -260,9 +241,8 @@ def _device_logs(rows: np.ndarray, path: np.ndarray, first_stamp: np.ndarray,
     received = node == _C_CODE
     got = np.repeat(received, n_segs) | (j < np.repeat(n_segs, n_segs) - 1)
     sent = stamps[point]
-    # A segment not received may have no next stamp; it repeats its send time.
-    times = np.stack([sent, np.where(got, stamps[np.minimum(point + 1, len(stamps) - 1)], sent)],
-                     axis=1)
+    # A segment not received repeats its send time.
+    times = np.stack([sent, np.where(got, stamps[point + 1], sent)], axis=1)
     seg_path = path[seg_packet]
     src, dst = codes[seg_path, j], codes[seg_path, j + 1]
     # Device d's rows are bounds[d]:bounds[d + 1] of the grouped columns.
@@ -278,18 +258,8 @@ def _device_logs(rows: np.ndarray, path: np.ndarray, first_stamp: np.ndarray,
     return logs
 
 
-def _traces(send_time: np.ndarray, path_of: np.ndarray, taken: np.ndarray,
+def _traces(send_time: np.ndarray, path_of: np.ndarray,
             paths: list[RoutePath]) -> list[PacketTrace]:
-    """Each packet's trace, from its send time, route and hops taken.
-
-    A packet that took fewer hops than its path has was dropped on the next.
-    """
-    traces = []
-    for send_at, p, k in zip(send_time.tolist(), path_of.tolist(), taken.tolist()):
-        path = paths[p]
-        n_hops = len(path.hops) - 1
-        dropped = k < n_hops
-        statuses = (0,) * k + (1,) if dropped else (0,) * n_hops
-        delivered = None if dropped or path.looped else path.terminal
-        traces.append(PacketTrace(path.hops[0], send_at, delivered, statuses))
-    return traces
+    """Each packet's trace, from its send time and route."""
+    return [PacketTrace(paths[p].hops[0], send_at, None if paths[p].looped else paths[p].terminal)
+            for send_at, p in zip(send_time.tolist(), path_of.tolist())]

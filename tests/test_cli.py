@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from iotfed import harness
 from iotfed.cli import _YAML_KEYS, build_parser, load_config, main
 from iotfed.nodes import ScenarioFamily
 
@@ -16,6 +17,10 @@ SMALL = dict(
     fed_local_epochs=2,
     attacks=["E4>A"],
 )
+
+
+def _no_windowing(*args, **kwargs):
+    raise AssertionError("windowed a corpus")
 
 
 @pytest.fixture
@@ -101,11 +106,22 @@ class TestCommands:
         assert "E4>A centralized" in captured
         assert (out / "summary.csv").exists()
 
-    def test_stage_error_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("config,command,error", [
+        (dict(normal_duration=-5.0), "run-all", "simulate: duration must be"),
+        (dict(SMALL, normal_duration=90.0), "train-fed",
+         "train-federated: normal_duration 90 s in window_len 60 s windows gives 2 windows, "
+         "of which validation_fraction 0.2 leaves 2 to train on and 0 to validate on"),
+        (dict(SMALL, validation_fraction=0.99), "train-fed",
+         "train-federated: normal_duration 900 s in window_len 60 s windows gives 15 windows, "
+         "of which validation_fraction 0.99 leaves 0 to train on and 15 to validate on"),
+    ], ids=["negative-duration", "nothing-to-validate", "nothing-to-train"])
+    def test_stage_error_exit_code(self, tmp_path, capsys, monkeypatch, config, command, error):
+        # An empty split is refused before any window is built or model trained.
+        monkeypatch.setattr(harness, "mode_features", _no_windowing)
         bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump(dict(normal_duration=-5.0)))
-        assert main(["--config", str(bad), "--out", str(tmp_path / "o"),
-                     "run-all"]) == 2
+        bad.write_text(yaml.safe_dump(config))
+        assert main(["--config", str(bad), "--out", str(tmp_path / "o"), command]) == 2
+        assert f"error in stage {error}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_duration_fails_stage_simulate(self, tmp_path, capsys, value):

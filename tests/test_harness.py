@@ -353,6 +353,12 @@ class TestBundle:
         assert (models / "centralized.wts").exists()
         assert (models / "federated_pretrained.wts").exists()
         assert (models / f"global_r{cfg.fl_rounds}.wts").exists()
+        # The modelled federated total equals what the ledger books, transfer by transfer.
+        header, row = (out / "overhead.csv").read_text().splitlines()
+        ledger = (out / "comms_ledger.csv").read_text().splitlines()
+        assert ledger[0] == "round,sender,receiver,bytes"
+        assert (float(dict(zip(header.split(","), row.split(",")))["federated_bytes"])
+                == sum(int(line.split(",")[3]) for line in ledger[1:]) > 0)
 
     def test_reports_list_each_k_once_in_sorted_order(self, small_experiment, tmp_path):
         cfg, result, _ = small_experiment

@@ -19,7 +19,6 @@ from iotfed.nodes import (
     R1,
     R2,
     R3,
-    ROSTER,
     NodeId,
     Role,
     ScenarioFamily,
@@ -43,22 +42,22 @@ MIN = 60.0
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(seed=1, duration=0.0),
-        dict(seed=1, duration=60.0, drop_prob=-0.1),
+        dict(seed=1, duration=-5.0),
         dict(seed=1, duration=60.0, send_jitter=-1.0),
-        dict(seed=1, duration=60.0, drop_prob=1.5),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(median_ms=0.0)),
+        dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(median_ms=-120.0)),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(sigma=-0.1)),
         dict(seed=1, duration=float("nan")),
         dict(seed=1, duration=float("inf")),
+        dict(seed=1, duration=float("-inf")),
         dict(seed=1, duration=60.0, send_jitter=float("nan")),
         dict(seed=1, duration=60.0, send_jitter=float("inf")),
+        dict(seed=1, duration=60.0, send_jitter=float("-inf")),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(median_ms=float("nan"))),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(median_ms=float("inf"))),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(sigma=float("nan"))),
         dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(sigma=float("inf"))),
-        dict(seed=1, duration=60.0, node_skew={E1: float("nan")}),
-        dict(seed=1, duration=60.0, node_skew={E1: float("-inf")}),
-        dict(seed=1, duration=60.0, drop_prob=float("nan")),
+        dict(seed=1, duration=60.0, hop_delay_model=HopDelayModel(sigma=float("-inf"))),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -69,7 +68,7 @@ class TestConfigValidation:
         ("send_jitter", dict(send_jitter=float("inf"))),
         ("median_ms", dict(hop_delay_model=HopDelayModel(median_ms=float("nan")))),
         ("sigma", dict(hop_delay_model=HopDelayModel(sigma=float("inf")))),
-        ("node_skew", dict(node_skew={E1: float("nan")})),
+        ("duration", dict(duration=float("-inf"))),
     ])
     def test_non_finite_values_name_their_field(self, key, kwargs):
         with pytest.raises(ConfigError, match=key):
@@ -153,13 +152,15 @@ class TestDeterminism:
             for got, want in zip(parse_log(docs[f"{node}.log"]).columns, log.columns):
                 assert np.array_equal(got, want)
 
-    def test_skewed_lossy_logs_parse_back(self):
-        # R3's clock runs 50 ms behind, so some hops into and out of R3 are
-        # logged as received before they were sent.
-        result = run_simulation(build_topology(ScenarioFamily.III),
-                                SimConfig(seed=5, duration=300, node_skew={R3: -0.05},
-                                          drop_prob=0.1))
-        assert (result.entries[R3].times[:, 1] < result.entries[R3].times[:, 0]).any()
+    @pytest.mark.parametrize("spec", [
+        AttackSpec(ScenarioFamily.I, E3, C),
+        AttackSpec(ScenarioFamily.II, R2, R3),  # R2 and R3 loop
+        AttackSpec(ScenarioFamily.III, E1, A),
+    ], ids=["I-E3>C", "II-R2>R3", "III-E1>A"])
+    def test_attack_logs_parse_back(self, spec):
+        plan = AttackPlan(spec, normal_before=MIN, attack_window=MIN, normal_after=MIN)
+        result = run_simulation(build_topology(spec.scenario),
+                                SimConfig(seed=5, duration=plan.total_duration), plan)
         docs = result.render_logs()
         for node, log in result.entries.items():
             for got, want in zip(parse_log(docs[f"{node}.log"]).columns, log.columns,
@@ -192,7 +193,6 @@ class TestAttackEffects:
                       if t.origin == E1 and start <= t.send_time < end]
         assert redirected
         assert all(t.delivered_to == A for t in redirected)
-        assert all(len(t.status_per_hop) == 1 for t in redirected)
 
     def test_attacker_logs_nothing(self, attack_run):
         result, _ = attack_run
@@ -205,31 +205,19 @@ class TestAttackEffects:
         assert late and all(t.delivered_to == C for t in late)
 
 
-class TestDropsAndSkew:
-    def test_full_drop_probability_stops_all_delivery(self):
-        topology = build_topology(ScenarioFamily.III)
-        cfg = SimConfig(seed=3, duration=10.0, drop_prob=1.0)
-        result = run_simulation(topology, cfg)
-        assert all(t.delivered_to is None for t in result.traces)
-        assert C not in result.entries
-        assert all(t.status_per_hop[-1] == 1 for t in result.traces)
-
-    def test_node_skew_shifts_logged_timestamps(self):
-        topology = build_topology(ScenarioFamily.III)
-        base = SimConfig(seed=5, duration=5.0, send_jitter=0.0)
-        skewed = SimConfig(seed=5, duration=5.0, send_jitter=0.0,
-                           node_skew={E1: 2.0})
-        t_base = run_simulation(topology, base).entries[E1][0].segments[0].sent_at
-        t_skew = run_simulation(topology, skewed).entries[E1][0].segments[0].sent_at
-        assert (t_skew - t_base).total_seconds() == pytest.approx(2.0)
-
+class TestStamps:
     def test_half_microsecond_stamps_round_to_even(self):
-        # 1/128 s and 3/128 s are 7 812.5 and 23 437.5 µs, exactly.
-        result = run_simulation(build_topology(ScenarioFamily.III),
+        # Every hop takes 1/128 s, so the first and third arrivals fall at
+        # 7 812.5 and 23 437.5 µs past a whole second, exactly. In Scenario I
+        # E3's packets take three hops, E3>R3>R2>C.
+        result = run_simulation(build_topology(ScenarioFamily.I),
                                 SimConfig(seed=6, duration=3.0, send_jitter=0.0,
-                                          node_skew={E1: 1 / 128, E3: 3 / 128}))
-        assert {e.segments[0].sent_at.microsecond for e in result.entries[E1]} == {7812}
-        assert {e.segments[0].sent_at.microsecond for e in result.entries[E3]} == {23438}
+                                          hop_delay_model=HopDelayModel(median_ms=7.8125,
+                                                                        sigma=0.0)))
+        coordinator = list(result.entries[C])
+        assert {e.segments[0].received_at.microsecond for e in coordinator} == {7812}
+        assert {e.segments[-1].received_at.microsecond
+                for e in coordinator if e.origin == E3} == {23438}
 
     def test_jitter_zero_sends_exactly_on_ticks(self):
         topology = build_topology(ScenarioFamily.III)
@@ -317,7 +305,7 @@ class _Hop:
     src: NodeId
     dst: NodeId
     sent_at: float
-    received_at: float | None  # None when the hop was dropped
+    received_at: float
 
 
 def _reference_traces(topology, cfg, plan):
@@ -329,41 +317,31 @@ def _reference_traces(topology, cfg, plan):
             send_at = tick * 1.0 + jitter  # a send period of 1 s
             live = apply_plan(topology, plan, send_at) if plan is not None else topology
             path = route_path(live, edge)
-            hops, statuses, clock, delivered = [], [], send_at, None
+            hops, clock = [], send_at
             for src, dst in zip(path.hops, path.hops[1:]):
-                if cfg.drop_prob and rng.random() < cfg.drop_prob:
-                    hops.append(_Hop(src, dst, clock, None))
-                    statuses.append(1)
-                    break
                 delay_s = sample_hop_delay(rng, cfg.hop_delay_model) / 1000.0
                 hops.append(_Hop(src, dst, clock, clock + delay_s))
-                statuses.append(0)
                 clock += delay_s
-                delivered = dst
-            if path.looped or hops[-1].received_at is None or delivered not in (C, A):
-                delivered = None
-            traces.append((edge, hops, delivered, tuple(statuses)))
+            delivered = None if path.looped or hops[-1].dst not in (C, A) else hops[-1].dst
+            traces.append((edge, hops, delivered))
     return traces
 
 
-def _reference_entries(cfg, traces):
-    def stamp(offset_s, clock_of):
-        skew = cfg.node_skew.get(clock_of, 0.0)
-        return DEFAULT_START + timedelta(microseconds=round((offset_s + skew) * 1e6))
+def _reference_entries(traces):
+    def stamp(offset_s):
+        return DEFAULT_START + timedelta(microseconds=round(offset_s * 1e6))
 
     keyed = {}
-    for order, (origin, hops, delivered, statuses) in enumerate(traces):
-        segments = [Segment(h.src, h.dst, stamp(h.sent_at, h.src),
-                            None if h.received_at is None else stamp(h.received_at, h.dst))
-                    for h in hops]
+    for order, (origin, hops, delivered) in enumerate(traces):
+        segments = [Segment(h.src, h.dst, stamp(h.sent_at), stamp(h.received_at)) for h in hops]
         send_only = [Segment(seg.src, seg.dst, seg.sent_at) for seg in segments]
         keyed.setdefault(origin, []).append(
-            (hops[0].sent_at, order, LogEntry(EntryKind.EDGE, (send_only[0],), statuses[0])))
+            (hops[0].sent_at, order, LogEntry(EntryKind.EDGE, (send_only[0],), 0)))
         for j in range(1, len(hops)):
             if hops[j].src.role is Role.ROUTER:
-                entry = LogEntry(EntryKind.ROUTER, (*segments[:j], send_only[j]), statuses[j])
+                entry = LogEntry(EntryKind.ROUTER, (*segments[:j], send_only[j]), 0)
                 keyed.setdefault(hops[j].src, []).append((hops[j].sent_at, order, entry))
-        if delivered == C and hops[-1].received_at is not None:
+        if delivered == C:
             entry = LogEntry(EntryKind.COORDINATOR, tuple(segments))
             keyed.setdefault(C, []).append((hops[-1].received_at, order, entry))
     return {node: [e for _, _, e in sorted(items, key=lambda it: (it[0], it[1]))]
@@ -375,9 +353,6 @@ def _short_plan(family, target, new_dest):
                       normal_before=MIN, attack_window=MIN, normal_after=MIN)
 
 
-_SKEW = {E1: 0.4, E3: -0.2, R1: 0.0123, R2: -0.0457, R3: 0.3, C: 0.0021}
-
-
 class TestMatchesTwoPassReference:
     @pytest.mark.parametrize("family,plan", [
         (ScenarioFamily.I, None),
@@ -387,39 +362,31 @@ class TestMatchesTwoPassReference:
         (ScenarioFamily.II, _short_plan(ScenarioFamily.II, R2, R3)),  # R2 and R3 loop
         (ScenarioFamily.III, _short_plan(ScenarioFamily.III, R2, A)),
     ], ids=["I", "II", "III", "I-E1>C", "II-R2>R3", "III-R2>A"])
-    @pytest.mark.parametrize("drop_prob", [0.0, 0.05, 0.5])
-    @pytest.mark.parametrize("node_skew,send_jitter", [({}, 6.0), (_SKEW, 0.0)],
-                             ids=["no-skew-jitter-6", "skew-jitter-0"])
-    def test_same_logs_and_traces(self, family, plan, drop_prob, node_skew, send_jitter):
-        topology = build_topology(family)
-        cfg = SimConfig(seed=17, duration=3 * MIN, drop_prob=drop_prob,
-                        send_jitter=send_jitter, node_skew=node_skew)
-        result = run_simulation(topology, cfg, plan)
-        traces = _reference_traces(topology, cfg, plan)
-        entries = _reference_entries(cfg, traces)
-        assert result.render_logs() == {f"{node}.log": "".join(serialize_entry(e) + "\n"
-                                                               for e in node_entries)
-                                        for node, node_entries in entries.items()}
-        assert list(result.entries) == list(entries)
-        assert {node: list(log) for node, log in result.entries.items()} == entries
-        assert ([(t.origin, t.send_time, t.delivered_to, t.status_per_hop)
-                 for t in result.traces]
-                == [(origin, hops[0].sent_at, delivered, statuses)
-                    for origin, hops, delivered, statuses in traces])
+    # A wide spread lets packets overtake one another; sigma 0 makes every hop
+    # the same length, so at jitter 0 many stamps tie and only send order
+    # separates them.
+    @pytest.mark.parametrize("hop_delay_model", [
+        HopDelayModel(), HopDelayModel(median_ms=37.5, sigma=1.7), HopDelayModel(sigma=0.0),
+    ], ids=["default-delay", "wide-delay", "fixed-delay"])
+    @pytest.mark.parametrize("send_jitter", [6.0, 0.0], ids=["jitter-6", "jitter-0"])
+    def test_same_logs_and_traces(self, family, plan, hop_delay_model, send_jitter):
+        _assert_matches_reference(build_topology(family),
+                                  SimConfig(seed=17, duration=3 * MIN, send_jitter=send_jitter,
+                                            hop_delay_model=hop_delay_model),
+                                  plan)
 
 
 def _assert_matches_reference(topology, cfg, plan):
     result = run_simulation(topology, cfg, plan)
     traces = _reference_traces(topology, cfg, plan)
-    entries = _reference_entries(cfg, traces)
+    entries = _reference_entries(traces)
     assert result.render_logs() == {f"{node}.log": "".join(serialize_entry(e) + "\n"
                                                            for e in node_entries)
                                     for node, node_entries in entries.items()}
     assert list(result.entries) == list(entries)
     assert {node: list(log) for node, log in result.entries.items()} == entries
-    assert ([(t.origin, t.send_time, t.delivered_to, t.status_per_hop) for t in result.traces]
-            == [(origin, hops[0].sent_at, delivered, statuses)
-                for origin, hops, delivered, statuses in traces])
+    assert ([(t.origin, t.send_time, t.delivered_to) for t in result.traces]
+            == [(origin, hops[0].sent_at, delivered) for origin, hops, delivered in traces])
 
 
 @st.composite
@@ -434,10 +401,7 @@ def _runs(draw):
                           normal_before=draw(st.integers(0, 60)),
                           attack_window=draw(st.integers(1, 60)), normal_after=MIN)
     cfg = SimConfig(seed=draw(st.integers(0, 2**32 - 1)), duration=draw(st.integers(5, 120)),
-                    drop_prob=draw(st.sampled_from([0.0, 0.3, 1.0])),
-                    send_jitter=draw(st.sampled_from([0.0, 6.0])),
-                    node_skew=draw(st.dictionaries(st.sampled_from(ROSTER),
-                                                   st.floats(-5.0, 5.0, allow_nan=False))))
+                    send_jitter=draw(st.sampled_from([0.0, 6.0])))
     return build_topology(family), cfg, plan
 
 
@@ -466,10 +430,9 @@ class TestPinnedLogs:
         assert _digest(result.render_logs()) == (
             "49a5649f7f675a49eb705c971e20dcc7bedf7aa8af4e70fc82b39185a6b538fa")
 
-    def test_lossy_skewed_attack_run(self):
+    def test_attack_run(self):
         plan = AttackPlan(AttackSpec(ScenarioFamily.I, E3, C))
         result = run_simulation(build_topology(ScenarioFamily.I),
-                                SimConfig(seed=29, duration=plan.total_duration, drop_prob=0.02,
-                                          node_skew={R1: 0.0125}), plan)
+                                SimConfig(seed=29, duration=plan.total_duration), plan)
         assert _digest(result.render_logs()) == (
-            "2001f76a923a4972555b8807245eede762d3bbe502f2c9826597aad1466b2bf1")
+            "8d170dbec769e00829d0ca895f1929aef10f21b36b16fca756c64ff2e517a6ee")
