@@ -15,7 +15,11 @@ trailing comma; within a node pair it takes at most one space on each
 side of ``>``.
 
 A device's whole log is held in columns as a :class:`DeviceLog`;
-:func:`parse_log` reads a document straight into one.
+:func:`parse_log` reads a document straight into one. It splits the whole
+document into lines and fields in numpy, as ``str.splitlines`` and
+:func:`parse_entry` split it, and runs Python only once per distinct status
+text; :func:`parse_entry` reads a line only to raise the error of the first
+line refused.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import enum
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import chain, compress, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -422,6 +425,140 @@ EMPTY_LOG = DeviceLog(_NONE, _NONE.astype(bool), _NONE, _NONE, _NONE, _NONE.resh
 _PAIR_CODE = {f"{a}{gap}{b}": i * len(NODES) + j
               for i, a in enumerate(NODES) for j, b in enumerate(NODES)
               for gap in (">", " >", "> ", " > ")}
+_COMMA_BYTE = ord(",")
+#: Eight commas as one little-endian word, and the low ``n`` bytes of a word
+#: at index ``n``.
+_COMMAS = np.uint64(int.from_bytes(b"," * 8, "little"))
+_LOW_BYTES = np.array([2 ** (8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _windows(text: np.ndarray, dtype: str) -> np.ndarray:
+    """Every window of ``text`` as wide as ``dtype``, as one item of it per
+    offset. The items are unaligned, which numpy copes with."""
+    width = np.dtype(dtype).itemsize
+    return np.ndarray(len(text) - width + 1, dtype, text, strides=(1,))
+
+
+def _words(text: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The 8 bytes of ``text`` from each ``start``, as little-endian uint64s,
+    with every byte from ``length`` on made a comma. No field holds a comma,
+    so fields shorter than 8 characters have equal words only if they are
+    equal."""
+    keep = _LOW_BYTES[np.minimum(length, 8)]
+    return _windows(text, "<u8")[start] & keep | _COMMAS & ~keep
+
+
+#: ``_PAIR_CODE`` keyed by ``_words``, sorted for ``np.searchsorted`` (in
+#: Python: a numpy sort at import would map its sort code into every process).
+_PAIR_KEYS = sorted((int.from_bytes(key.encode().ljust(8, b","), "little"), code)
+                    for key, code in _PAIR_CODE.items())
+_PAIR_WORDS = np.array([word for word, _ in _PAIR_KEYS], dtype=np.uint64)
+_PAIR_CODES = np.array([code for _, code in _PAIR_KEYS], dtype=np.int64)
+#: The characters ``str.strip`` strips and those ``str.splitlines`` ends a
+#: line at, as ranges of code points: (first, count), the ASCII ones first.
+_SPACES = ((0x09, 5), (0x1C, 5), (0x85, 1), (0xA0, 1), (0x1680, 1), (0x2000, 11),
+           (0x2028, 2), (0x202F, 1), (0x205F, 1), (0x3000, 1))
+_LINE_ENDS = ((0x0A, 4), (0x1C, 3), (0x85, 1), (0x2028, 2))
+#: A status that fits in 64 bits has at most 19 digits after ``"S:"``.
+_STATUS_WIDTH = 21
+#: Follows a document: its first comma cuts the last field, and the rest let
+#: every window read from a field fit.
+_PAD = "," * 26
+
+
+def _among(code: np.ndarray, ranges: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Whether each code point lies in one of ``ranges``; ASCII bytes are
+    tested against the ASCII ranges alone."""
+    hit = np.zeros(len(code), dtype=bool)
+    for first, count in ranges:
+        if first < 0x80 or code.dtype != np.uint8:
+            hit |= code - first < count  # unsigned, so a code point below first wraps round
+    return hit
+
+
+def _fields(text: str) -> tuple[np.ndarray, ...]:
+    """``text`` split into lines and fields, read as ``_read_fields`` takes
+    them, and a mask of the blank lines.
+
+    Lines end where ``str.splitlines`` ends them, so line ``i`` is
+    ``text.splitlines()[i]``; a last line ``splitlines`` leaves out is blank
+    here. Fields end at commas and are stripped as ``str.strip`` strips
+    them, and a line's last field is dropped if it is empty and not the
+    line's only one, all as ``parse_entry`` splits a line.
+    """
+    # A comma before the document cuts its first field, as _PAD's first
+    # after it cuts the last.
+    n = len(text) + 2
+    if text.isascii():
+        chars = text_bytes = np.frombuffer(f",{text}{_PAD}".encode("ascii"), np.uint8)
+        scan = chars[:n] <= _COMMA_BYTE
+    else:  # a lone surrogate is a code point too, in no field that parse_entry reads
+        chars = np.frombuffer(f",{text}{_PAD}".encode("utf-32-le", "surrogatepass"), "<u4")
+        scan = (chars[:n] <= _COMMA_BYTE) | (chars[:n] >= 0x85)
+        # Each character as a byte, 0x80 for any beyond ASCII, which no pair,
+        # timestamp or status holds.
+        text_bytes = np.empty(len(chars), dtype=np.uint8)
+        np.minimum(chars, 0x80, out=text_bytes, casting="unsafe")
+    # The one scan of the document finds every space, line end and comma,
+    # and a few other characters.
+    at = np.flatnonzero(scan)
+    code = chars[at]
+    del chars, scan
+    ends = _among(code, _LINE_ENDS)
+    # "\r\n" ends one line, at its "\r"; the "\n" leads the next line as a space.
+    cr = np.flatnonzero(code[:-1] == ord("\r"))
+    ends[cr[(code[cr + 1] == ord("\n")) & (at[cr + 1] == at[cr] + 1)] + 1] = False
+    cut = np.flatnonzero(ends | (code == _COMMA_BYTE))
+    line_cut = ends[cut]
+    line_cut[[0, -1]] = True  # the first line starts at the first cut, the last ends at the last
+
+    # No stripped field starts or ends in a space or comma, and these fall
+    # into runs of consecutive ones. Stripped, the field between two cuts
+    # starts after the run holding the first and ends where the run holding
+    # the second starts; it is empty if one run holds both. Each other
+    # character found moves to -2, so that it joins no run.
+    at[~((code == _COMMA_BYTE) | _among(code, _SPACES))] = -2
+    new_run = np.append(True, np.diff(at) != 1)
+    # Run r holds at[bounds[r - 1]:bounds[r]]. The narrowest integers that
+    # number the runs give the quickest sum.
+    bounds = np.append(np.flatnonzero(new_run), len(at))
+    runs = np.cumsum(new_run, dtype=np.min_scalar_type(len(at)))[cut]
+    start = at[bounds[runs[:-1]] - 1] + 1
+    length = np.maximum(at[bounds[runs[1:] - 1]] - start, 0)
+    line_start, line_end = line_cut[:-1], line_cut[1:]
+    blank = (line_start & (length == 0))[line_end]
+    drop = line_end & ~line_start & (length == 0)
+    n_fields = np.diff(np.flatnonzero(line_start), append=len(length)) - drop[line_end]
+    start, length = start[~drop], length[~drop]
+
+    # A line's status is read from its last field, once per distinct text,
+    # keyed by its word if it is shorter than 8 characters. A status is "S:"
+    # and a digit at least, and one wider than _STATUS_WIDTH does not fit.
+    last = np.cumsum(n_fields) - 1
+    width = length[last]
+    by_word = np.flatnonzero((width >= 3) & (width < 8))
+    by_text = np.flatnonzero((width >= 8) & (width <= _STATUS_WIDTH))
+    status_text = _windows(text_bytes, f"S{_STATUS_WIDTH + 1}")[start[last[by_text]]]
+    status_text.view(np.uint8).reshape(-1, _STATUS_WIDTH + 1)[
+        np.arange(_STATUS_WIDTH + 1) >= width[by_text, None]] = _COMMA_BYTE
+    status = np.full(len(n_fields), -1, dtype=np.int64)
+    for lines, keys in ((by_word, _words(text_bytes, start[last[by_word]], width[by_word])),
+                        (by_text, status_text)):
+        texts, which = np.unique(keys, return_inverse=True)
+        status[lines] = np.array(
+            [_status(t.decode("ascii", "replace").rstrip(","))
+             for t in texts.view(f"S{texts.itemsize}").tolist()], dtype=np.int64)[which]
+
+    short = np.flatnonzero(length < 8)
+    word = _words(text_bytes, start[short], length[short])
+    slot = np.minimum(np.searchsorted(_PAIR_WORDS, word), len(_PAIR_WORDS) - 1)
+    pair = np.full(len(length), -1, dtype=np.int64)
+    pair[short] = np.where(_PAIR_WORDS[slot] == word, _PAIR_CODES[slot], -1)
+    wide = length == 26
+    stamp_text = _windows(text_bytes, "S26")[start[wide]].view(np.uint8).reshape(-1, 26)
+    return n_fields, blank, status, pair, wide, stamp_text
+
+
 #: How far each byte of a timestamp may exceed ``_STAMP_SHAPE``: a digit by 9.
 _STAMP_SLACK = np.where(_STAMP_SHAPE == ord("0"), 9, 0).astype(np.uint8)
 
@@ -430,10 +567,10 @@ def _stamps_us(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``to_us`` of each row of an ``(n, 26)`` uint8 array of timestamp
     characters, and whether ``parse_entry`` accepts the row as a timestamp.
     numpy checks the calendar, and one impossible date refuses every row."""
-    # A byte below its shape's wraps round to above 9. numpy reads year 0000,
-    # which datetime refuses.
-    ok = (((text - _STAMP_SHAPE) <= _STAMP_SLACK).all(axis=1)
-          & (text[:, :4].view("S4").ravel() != b"0000"))
+    # numpy reads year 0000, which datetime refuses. A byte below its shape's
+    # wraps round to above 9.
+    ok = text[:, :4].view("S4").ravel() != b"0000"
+    ok[np.flatnonzero(text - _STAMP_SHAPE > _STAMP_SLACK) // 26] = False
     stamps = np.where(ok, text.view("S26").ravel(), b"1970-01-01 00:00:00.000000")
     us = np.empty(len(text), dtype="datetime64[us]")
     try:
@@ -455,34 +592,36 @@ def _status(field: str) -> int:
     return status if status < 2**63 else -2
 
 
-def _read_fields(fields: list[list[str]]) -> tuple[DeviceLog, np.ndarray]:
-    """Lines already split into their fields, as columns, and a mask of the
-    lines taken.
+def _read_fields(n_fields: np.ndarray, status: np.ndarray, pair: np.ndarray, wide: np.ndarray,
+                 stamp_text: np.ndarray) -> tuple[DeviceLog, np.ndarray]:
+    """Lines already split into fields, as columns, and a mask of the lines
+    taken.
 
-    A line is taken only if ``parse_entry`` accepts it when it splits the
-    line into these fields; its row is the one ``parse_entry`` reads.
+    Line ``i`` has ``n_fields[i]`` fields, and ``status[i]`` is ``_status``
+    of its last, or -1 where that is -2: neither line is taken. Each field
+    has its ``_PAIR_CODE`` in ``pair`` (-1 for none) and is ``wide`` if it is
+    26 characters long; ``stamp_text`` holds the characters of the wide ones,
+    one row each. A line is taken only if ``parse_entry`` accepts it when it
+    splits the line into these fields; its row is the one ``parse_entry``
+    reads.
     """
-    n_fields = np.fromiter(map(len, fields), np.int64, len(fields))
-    tokens = list(chain.from_iterable(fields))
-    line_of = np.repeat(np.arange(len(fields)), n_fields)
+    line_of = np.repeat(np.arange(len(n_fields)), n_fields)
     last = np.cumsum(n_fields) - 1
-    status = np.array([_status(f[-1]) for f in fields], dtype=np.int64)
-    is_status = np.zeros(len(tokens), dtype=bool)
+    is_status = np.zeros(len(pair), dtype=bool)
     is_status[last[status != -1]] = True
-    pair = np.fromiter(map(_PAIR_CODE.get, tokens, repeat(-1)), np.int64, len(tokens))
     is_pair = pair >= 0
-    is_stamp = ~is_pair & ~is_status & (np.fromiter(map(len, tokens), np.int64, len(tokens)) == 26)
 
-    # A line must start with a pair and hold only pairs, timestamps and a last status.
+    # A line must start with a pair and hold only pairs, timestamps and a last
+    # status. Pairs and statuses are narrower than timestamps.
     bad = (status == -2) | ~is_pair[last - n_fields + 1]
-    bad[line_of[~(is_pair | is_stamp | is_status)]] = True
-    is_stamp &= ~bad[line_of]  # so every timestamp left follows a pair of its own line
+    bad[line_of[~(is_pair | wide | is_status)]] = True
+    is_stamp = wide & ~bad[line_of]  # so every timestamp left follows a pair of its own line
 
-    seg_line = line_of[is_pair]
-    src, dst = np.divmod(pair[is_pair], len(NODES))
-    n_stamps = np.bincount(np.cumsum(is_pair)[is_stamp] - 1, minlength=len(seg_line))
-    text = "".join(compress(tokens, is_stamp.tolist())).encode("ascii", "replace")
-    us, stamp_ok = _stamps_us(np.frombuffer(text, np.uint8).reshape(-1, 26))
+    seg_at = np.flatnonzero(is_pair)
+    seg_line = line_of[seg_at]
+    src, dst = np.divmod(pair[seg_at], len(NODES))
+    n_stamps = np.add.reduceat(is_stamp, seg_at, dtype=np.int64)
+    us, stamp_ok = _stamps_us(np.compress(is_stamp[wide], stamp_text, axis=0))
     bad[line_of[is_stamp][~stamp_ok]] = True
     first = np.cumsum(n_stamps) - n_stamps
     us = np.append(us, 0)  # read by segments without a timestamp, whose lines are bad
@@ -494,38 +633,33 @@ def _read_fields(fields: list[list[str]]) -> tuple[DeviceLog, np.ndarray]:
     seg_last = np.diff(seg_line, append=-1) != 0
     bad[seg_line[(n_stamps == 0) | (n_stamps > 2) | ((n_stamps == 1) & ~seg_last)]] = True
     bad[seg_line[1:][(seg_line[1:] == seg_line[:-1]) & (dst[:-1] != src[1:])]] = True
-    received = np.zeros(len(fields), dtype=bool)
+    received = np.zeros(len(n_fields), dtype=bool)
     received[seg_line[seg_last]] = n_stamps[seg_last] == 2
     bad |= ~received & (status < 0)  # edge and router entries carry a status
 
     ok = ~bad
     keep = ok[seg_line]
-    log = DeviceLog(np.bincount(seg_line, minlength=len(fields))[ok], received[ok], status[ok],
+    log = DeviceLog(np.bincount(seg_line, minlength=len(n_fields))[ok], received[ok], status[ok],
                     src[keep], dst[keep], np.stack([sent, got], axis=1)[keep])
     return log, ok
 
 
-def _split(line: str) -> list[str]:
-    """A line's fields as ``parse_entry`` splits them, one trailing empty field dropped."""
-    fields = [field.strip() for field in line.split(",")]
-    return fields[:-1] if len(fields) > 1 and not fields[-1] else fields
-
-
 def parse_log(text: str) -> DeviceLog:
-    """Parse a newline-delimited log document into columns, skipping blank lines.
+    """Parse a log document into columns, skipping blank lines.
 
-    Lines are read together, split at ", " as ``serialize_entry`` writes
-    them, and only if that refuses one is the document read again, split
-    as ``parse_entry`` splits it. Lines refused then go to :func:`parse_entry`
-    in document order, so the first bad line raises the ``ParseError`` that
-    ``parse_entry`` gives it, with its line number.
+    ``_fields`` splits the whole document into lines and fields at once, as
+    ``str.splitlines`` and ``parse_entry`` split it, with no Python per line,
+    and ``_read_fields`` reads every line together. Only the lines it refuses
+    go to :func:`parse_entry`, in document order, so the first bad line
+    raises the ``ParseError`` that ``parse_entry`` gives it, with its line
+    number.
     """
+    n_fields, blank, *fields = _fields(text)
+    log, ok = _read_fields(n_fields, *fields)
+    refused = np.flatnonzero(~ok & ~blank).tolist()
+    if not refused:
+        return log
     lines = text.splitlines()
-    for split in (lambda line: line.split(", "), _split):
-        log, ok = _read_fields([split(line) for line in lines])
-        refused = [i for i in np.flatnonzero(~ok).tolist() if lines[i].strip()]
-        if not refused:
-            return log
     # One impossible date refuses every row, so good lines may come first.
     for i in refused:
         try:

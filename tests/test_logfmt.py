@@ -614,7 +614,8 @@ def test_parse_log_reads_every_line_as_parse_entry_does(doc):
 
 def test_a_line_only_parse_entry_reads_is_a_reader_error(monkeypatch):
     monkeypatch.setattr(logfmt, "_read_fields",
-                        lambda fields: (logfmt.EMPTY_LOG, np.zeros(len(fields), dtype=bool)))
+                        lambda n_fields, status, pair, wide, stamp_text: (
+                            logfmt.EMPTY_LOG, np.zeros(len(n_fields), dtype=bool)))
     with pytest.raises(RuntimeError, match="line 2"):
         parse_log(f"\n{EDGE_LINE}\n")
 
@@ -640,3 +641,87 @@ def test_parse_log_never_crashes_on_latin1_text(doc):
         parse_log(doc)
     except ParseError:
         pass
+
+
+#: Every line break ``str.splitlines`` takes.
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029")
+
+
+@st.composite
+def rebroken_documents(draw):
+    """``edited_documents`` with each line break drawn from ``_LINE_BREAKS``."""
+    lines = draw(edited_documents()).split("\n")
+    breaks = draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=len(lines) - 1,
+                           max_size=len(lines) - 1))
+    return "".join(line + end for line, end in zip(lines, breaks)) + lines[-1]
+
+
+def assert_read_as_parse_entry_reads(doc):
+    """``parse_log(doc)`` holds what ``parse_entry`` reads from each line of
+    ``doc.splitlines()``, or raises its first error, with that line's number."""
+    entries, error = [], None
+    for number, line in enumerate(doc.splitlines(), 1):
+        if line.strip():
+            try:
+                entries.append(parse_entry(line))
+            except ParseError as err:
+                error = (err.reason, err.offset, number)
+                break
+    if error is not None:
+        with pytest.raises(ParseError) as exc_info:
+            parse_log(doc)
+        assert (exc_info.value.reason, exc_info.value.offset, exc_info.value.line) == error
+    else:
+        for got, want in zip(parse_log(doc).columns, DeviceLog.from_entries(entries).columns):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=300)
+@given(rebroken_documents())
+@example("\r\n".join([EDGE_LINE, "\r", ROUTER_LINE, f"E3>C4, {T1}, S:0"]))  # the error is on line 5
+def test_parse_log_ends_lines_where_splitlines_does(doc):
+    assert_read_as_parse_entry_reads(doc)
+
+
+@pytest.mark.parametrize("line_break", ["\r\n", "\x85", "\u2028"])
+def test_documents_with_other_line_breaks_are_read_as_columns(small_sim, monkeypatch,
+                                                              line_break):
+    canonical = "".join(small_sim[2].render_logs().values())
+    want = parse_log(canonical)
+    monkeypatch.setattr(logfmt, "parse_entry", refuse_entry)
+    for got, expected in zip(parse_log(canonical.replace("\n", line_break)).columns,
+                             want.columns):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("odd", ["\ud800", "\U0001F600"], ids=["lone-surrogate", "beyond-bmp"])
+@pytest.mark.parametrize("line", [f"E3>R3{{}}, {T1}, S:0", f"E3>R3, {T1}{{}}, S:0",
+                                  f"E3>R3, {T1}, S:0{{}}"], ids=["pair", "timestamp", "status"])
+def test_text_beyond_ascii_in_a_field_is_refused_on_its_line(odd, line):
+    doc = f"{EDGE_LINE}\n{line.format(odd)}\n{EDGE_LINE}\n"
+    assert_read_as_parse_entry_reads(doc)
+    with pytest.raises(ParseError) as exc_info:
+        parse_log(doc)
+    assert exc_info.value.line == 2
+
+
+def test_a_unit_separator_pads_a_status_as_a_space():
+    line = "E3>R3, 2024-04-26 13:36:10.273312,\x1fS:1\x1f"
+    assert list(parse_log(line)) == [parse_entry(line)]
+    assert parse_log(line).status.tolist() == [1]
+
+
+def test_parse_log_reads_a_canonical_document_without_python_per_line(small_sim, monkeypatch):
+    # _status is the one helper parse_log still calls on a field's text; it
+    # must run once per distinct status text at most, and parse_entry never.
+    canonical = "".join(small_sim[2].render_logs().values())
+    statuses = {line.rsplit(", ", 1)[1] for line in canonical.splitlines() if ", S:" in line}
+    calls = []
+    status = logfmt._status
+    monkeypatch.setattr(logfmt, "_status", lambda field: calls.append(field) or status(field))
+    monkeypatch.setattr(logfmt, "parse_entry", refuse_entry)
+    assert len(parse_log(canonical)) == canonical.count("\n")
+    assert 0 < len(calls) <= len(statuses)
