@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .features import window_count
 from .nodes import (
     EDGES,
+    ROSTER,
     ROUTERS,
     A,
     C,
@@ -19,9 +20,8 @@ from .nodes import (
     Role,
     ScenarioFamily,
     Topology,
+    UnknownNode,
     build_topology,
-    restore_normal,
-    set_destination,
 )
 
 MINUTE = 60.0
@@ -49,6 +49,12 @@ class AttackSpec:
             raise ValueError("scenario II targets routers")
         if self.scenario is ScenarioFamily.III and self.new_dest != A:
             raise ValueError("scenario III redirects to the attacker")
+        if not {self.target, self.new_dest} <= set(ROSTER):
+            raise UnknownNode(f"{self.token()} names a node outside the roster")
+        if self.target in (C, A):
+            raise ValueError(f"{self.target} has no next hop to redirect")
+        if self.new_dest == self.target:
+            raise ValueError(f"{self.target} cannot route to itself")
 
     def token(self) -> str:
         return f"{self.target}>{self.new_dest}"
@@ -79,7 +85,7 @@ class AttackPlan:
 def enumerate_attacks(scenario: ScenarioFamily) -> list[AttackSpec]:
     """All attack specs of a scenario: 12 for I, 5 for II, 7 for III."""
     if scenario is ScenarioFamily.I:
-        normal = build_topology(scenario).normal_dest
+        normal = build_topology(scenario)
         specs = []
         for edge in EDGES:
             for dest in [r for r in ROUTERS if r != normal[edge]] + [C]:
@@ -91,11 +97,11 @@ def enumerate_attacks(scenario: ScenarioFamily) -> list[AttackSpec]:
 
 
 def apply_plan(topology: Topology, plan: AttackPlan, now: float) -> Topology:
-    """Topology as seen at simulation time ``now`` (seconds from run start)."""
+    """The next hops at ``now`` (seconds from run start): while the attack is
+    active a new map with the target's next hop rewritten, else ``topology``."""
     if plan.active_at(now):
-        base = restore_normal(topology)
-        return set_destination(base, plan.spec.target, plan.spec.new_dest)
-    return restore_normal(topology)
+        return {**topology, plan.spec.target: plan.spec.new_dest}
+    return topology
 
 
 def check_window_len(window_len: float) -> None:

@@ -52,22 +52,13 @@ def fedavg(updates: Sequence[ModelWeights], dtype=np.float32) -> ModelWeights:
                         updates[0].activations)
 
 
-def router_tree(tree: Topology | Mapping[NodeId, NodeId],
-                roster: Sequence[NodeId]) -> dict[NodeId, NodeId]:
-    """Parent map over the roster: each router's parent router, or C.
-
-    When given a topology, a router's parent is its baseline destination
-    if that destination is itself a roster router, otherwise C.
-    """
-    if isinstance(tree, Topology):
-        roster_set = set(roster)
-        return {r: (tree.normal_dest[r] if tree.normal_dest.get(r) in roster_set else C)
-                for r in roster}
-    return {r: tree[r] for r in roster}
+def router_tree(tree: Topology, roster: Sequence[NodeId]) -> dict[NodeId, NodeId]:
+    """Parent map over the roster: each router's next hop if that is a roster
+    router, otherwise C."""
+    return {r: tree[r] if tree.get(r) in roster else C for r in roster}
 
 
-def hierarchical_round(tree: Topology | Mapping[NodeId, NodeId],
-                       locals_: Mapping[NodeId, ModelWeights],
+def hierarchical_round(tree: Topology, locals_: Mapping[NodeId, ModelWeights],
                        dtype=np.float32) -> ModelWeights:
     """Aggregate one round over the router tree; equals the flat mean.
 
@@ -116,7 +107,7 @@ class FederatedResult:
 
 def run_federated_training(local_cfg: TrainConfig, pretrained: ModelWeights,
                            streams: Mapping[NodeId, Sequence[np.ndarray]],
-                           tree: Topology | Mapping[NodeId, NodeId]) -> FederatedResult:
+                           tree: Topology) -> FederatedResult:
     """Round-based federated training over per-router feature streams.
 
     The clients are the routers ``streams`` names, in its order, and

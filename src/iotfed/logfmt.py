@@ -454,11 +454,16 @@ _PAIR_KEYS = sorted((int.from_bytes(key.encode().ljust(8, b","), "little"), code
                     for key, code in _PAIR_CODE.items())
 _PAIR_WORDS = np.array([word for word, _ in _PAIR_KEYS], dtype=np.uint64)
 _PAIR_CODES = np.array([code for _, code in _PAIR_KEYS], dtype=np.int64)
-#: The characters ``str.strip`` strips and those ``str.splitlines`` ends a
-#: line at, as ranges of code points: (first, count), the ASCII ones first.
-_SPACES = ((0x09, 5), (0x1C, 5), (0x85, 1), (0xA0, 1), (0x1680, 1), (0x2000, 11),
-           (0x2028, 2), (0x202F, 1), (0x205F, 1), (0x3000, 1))
-_LINE_ENDS = ((0x0A, 4), (0x1C, 3), (0x85, 1), (0x2028, 2))
+#: The ASCII characters ``str.strip`` strips and those ``str.splitlines``
+#: ends a line at, as ranges of code points: (first, count).
+_SPACES = ((0x09, 5), (0x1C, 5))
+_LINE_ENDS = ((0x0A, 4), (0x1C, 3))
+#: Those beyond ASCII, each with the ASCII character that stands for it:
+#: "\x1f", a space in no pair, timestamp or status, or "\v", a line end
+#: that never pairs with "\r".
+_TO_ASCII = tuple((chr(c), "\x1f") for c in (0xA0, 0x1680, *range(0x2000, 0x200B),
+                                             0x202F, 0x205F, 0x3000)) + (
+    ("\x85", "\v"), ("\u2028", "\v"), ("\u2029", "\v"))
 #: A status that fits in 64 bits has at most 19 digits after ``"S:"``.
 _STATUS_WIDTH = 21
 #: Follows a document: its first comma cuts the last field, and the rest let
@@ -467,12 +472,10 @@ _PAD = "," * 26
 
 
 def _among(code: np.ndarray, ranges: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Whether each code point lies in one of ``ranges``; ASCII bytes are
-    tested against the ASCII ranges alone."""
+    """Whether each byte lies in one of ``ranges``."""
     hit = np.zeros(len(code), dtype=bool)
     for first, count in ranges:
-        if first < 0x80 or code.dtype != np.uint8:
-            hit |= code - first < count  # unsigned, so a code point below first wraps round
+        hit |= code - first < count  # unsigned, so a byte below first wraps round
     return hit
 
 
@@ -489,21 +492,17 @@ def _fields(text: str) -> tuple[np.ndarray, ...]:
     # A comma before the document cuts its first field, as _PAD's first
     # after it cuts the last.
     n = len(text) + 2
-    if text.isascii():
-        chars = text_bytes = np.frombuffer(f",{text}{_PAD}".encode("ascii"), np.uint8)
-        scan = chars[:n] <= _COMMA_BYTE
-    else:  # a lone surrogate is a code point too, in no field that parse_entry reads
-        chars = np.frombuffer(f",{text}{_PAD}".encode("utf-32-le", "surrogatepass"), "<u4")
-        scan = (chars[:n] <= _COMMA_BYTE) | (chars[:n] >= 0x85)
-        # Each character as a byte, 0x80 for any beyond ASCII, which no pair,
-        # timestamp or status holds.
-        text_bytes = np.empty(len(chars), dtype=np.uint8)
-        np.minimum(chars, 0x80, out=text_bytes, casting="unsafe")
+    if not text.isascii():
+        # One ASCII character per character: each other one, a lone
+        # surrogate too, becomes "?", which no pair, timestamp or status holds.
+        # (str.replace per character is some 20 times quicker than str.translate.)
+        for char, stand_in in _TO_ASCII:
+            text = text.replace(char, stand_in)
+    chars = np.frombuffer(f",{text}{_PAD}".encode("ascii", "replace"), np.uint8)
     # The one scan of the document finds every space, line end and comma,
     # and a few other characters.
-    at = np.flatnonzero(scan)
+    at = np.flatnonzero(chars[:n] <= _COMMA_BYTE)
     code = chars[at]
-    del chars, scan
     ends = _among(code, _LINE_ENDS)
     # "\r\n" ends one line, at its "\r"; the "\n" leads the next line as a space.
     cr = np.flatnonzero(code[:-1] == ord("\r"))
@@ -538,11 +537,11 @@ def _fields(text: str) -> tuple[np.ndarray, ...]:
     width = length[last]
     by_word = np.flatnonzero((width >= 3) & (width < 8))
     by_text = np.flatnonzero((width >= 8) & (width <= _STATUS_WIDTH))
-    status_text = _windows(text_bytes, f"S{_STATUS_WIDTH + 1}")[start[last[by_text]]]
+    status_text = _windows(chars, f"S{_STATUS_WIDTH + 1}")[start[last[by_text]]]
     status_text.view(np.uint8).reshape(-1, _STATUS_WIDTH + 1)[
         np.arange(_STATUS_WIDTH + 1) >= width[by_text, None]] = _COMMA_BYTE
     status = np.full(len(n_fields), -1, dtype=np.int64)
-    for lines, keys in ((by_word, _words(text_bytes, start[last[by_word]], width[by_word])),
+    for lines, keys in ((by_word, _words(chars, start[last[by_word]], width[by_word])),
                         (by_text, status_text)):
         texts, which = np.unique(keys, return_inverse=True)
         status[lines] = np.array(
@@ -550,12 +549,12 @@ def _fields(text: str) -> tuple[np.ndarray, ...]:
              for t in texts.view(f"S{texts.itemsize}").tolist()], dtype=np.int64)[which]
 
     short = np.flatnonzero(length < 8)
-    word = _words(text_bytes, start[short], length[short])
+    word = _words(chars, start[short], length[short])
     slot = np.minimum(np.searchsorted(_PAIR_WORDS, word), len(_PAIR_WORDS) - 1)
     pair = np.full(len(length), -1, dtype=np.int64)
     pair[short] = np.where(_PAIR_WORDS[slot] == word, _PAIR_CODES[slot], -1)
     wide = length == 26
-    stamp_text = _windows(text_bytes, "S26")[start[wide]].view(np.uint8).reshape(-1, 26)
+    stamp_text = _windows(chars, "S26")[start[wide]].view(np.uint8).reshape(-1, 26)
     return n_fields, blank, status, pair, wide, stamp_text
 
 
@@ -566,20 +565,21 @@ _STAMP_SLACK = np.where(_STAMP_SHAPE == ord("0"), 9, 0).astype(np.uint8)
 def _stamps_us(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``to_us`` of each row of an ``(n, 26)`` uint8 array of timestamp
     characters, and whether ``parse_entry`` accepts the row as a timestamp.
-    numpy checks the calendar, and one impossible date refuses every row."""
+    numpy checks the calendar, and an impossible date refuses the rows cast
+    with it."""
     # numpy reads year 0000, which datetime refuses. A byte below its shape's
     # wraps round to above 9.
     ok = text[:, :4].view("S4").ravel() != b"0000"
     ok[np.flatnonzero(text - _STAMP_SHAPE > _STAMP_SLACK) // 26] = False
     stamps = np.where(ok, text.view("S26").ravel(), b"1970-01-01 00:00:00.000000")
-    us = np.empty(len(text), dtype="datetime64[us]")
-    try:
-        # numpy (2.4.6 at least) releases the GIL to cast more than 500 values,
-        # and then crashes instead of raising on an impossible date.
-        for at in range(0, len(text), 500):
+    us = np.zeros(len(text), dtype="datetime64[us]")
+    # numpy (2.4.6 at least) releases the GIL to cast more than 500 values,
+    # and then crashes instead of raising on an impossible date.
+    for at in range(0, len(text), 500):
+        try:
             us[at:at + 500] = stamps[at:at + 500]
-    except ValueError:
-        ok[:] = False
+        except ValueError:
+            ok[at:at + 500] = False
     return us.view(np.int64) + _EPOCH_US, ok
 
 
@@ -660,7 +660,7 @@ def parse_log(text: str) -> DeviceLog:
     if not refused:
         return log
     lines = text.splitlines()
-    # One impossible date refuses every row, so good lines may come first.
+    # An impossible date refuses the 500 rows cast with it: good lines may come first.
     for i in refused:
         try:
             parse_entry(lines[i])

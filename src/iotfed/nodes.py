@@ -1,25 +1,22 @@
-"""Hierarchical network model: node roster, routing tree, redirection state.
+"""Hierarchical network model: node roster and routing tree.
 
 The standard roster is one coordinator (C), three routers (R1-R3), four
 edge devices (E1-E4) and one attacker (A). The attacker is a routable
-destination that never forwards (black hole).
+destination that never forwards (black hole). A topology is a next-hop
+map; an attack is a copy of it with one next hop rewritten.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 HOP_LIMIT = 8
 
 
 class UnknownNode(KeyError):
     """Raised when a node token or NodeId is outside the topology."""
-
-
-class InvalidRedirection(ValueError):
-    """Raised for redirections that the model forbids."""
 
 
 class Role(enum.Enum):
@@ -90,35 +87,17 @@ class ScenarioFamily(enum.Enum):
     III = "III"
 
 
-@dataclass(frozen=True)
-class Topology:
-    """Node roster plus baseline and live destination maps.
-
-    ``current_dest`` equals ``normal_dest`` whenever no attack is active.
-    Values are immutable; :func:`set_destination` returns an updated copy.
-    """
-
-    nodes: frozenset[NodeId]
-    normal_dest: dict[NodeId, NodeId]
-    current_dest: dict[NodeId, NodeId]
-
-    def require(self, node: NodeId) -> None:
-        if node not in self.nodes:
-            raise UnknownNode(f"node {node} not in topology")
+#: Each node that sends or forwards, mapped to its next hop; C and A have none.
+Topology = dict[NodeId, NodeId]
 
 
 def build_topology(family: ScenarioFamily) -> Topology:
-    """Build the standard nine-node topology for a scenario family.
+    """The standard nine-node topology of a scenario family, a new map per call.
 
     R3's baseline parent is R2 for families I/II and C for family III.
     """
-    normal = {E1: R1, E2: R1, E3: R3, E4: R2, R1: C, R2: C}
-    normal[R3] = C if family is ScenarioFamily.III else R2
-    return Topology(
-        nodes=frozenset(ROSTER),
-        normal_dest=dict(normal),
-        current_dest=dict(normal),
-    )
+    return {E1: R1, E2: R1, E3: R3, E4: R2, R1: C, R2: C,
+            R3: C if family is ScenarioFamily.III else R2}
 
 
 @dataclass(frozen=True)
@@ -132,19 +111,18 @@ class RoutePath:
 
 
 def route_path(topology: Topology, src: NodeId) -> RoutePath:
-    """Follow ``current_dest`` from ``src`` until C, A, or the hop limit.
+    """Follow the next hops from ``src`` until C, A, or the hop limit.
 
     A revisited node or exhausted hop budget yields a truncated path with
     ``looped`` set; detection code must never hang on malicious loops.
     """
-    topology.require(src)
-    if src.role not in (Role.EDGE, Role.ROUTER):
-        raise UnknownNode(f"{src} does not originate or forward traffic")
+    if src not in topology:
+        raise UnknownNode(f"{src} has no next hop")
     path = [src]
     seen = {src}
     node = src
     for _ in range(HOP_LIMIT):
-        nxt = topology.current_dest.get(node)
+        nxt = topology.get(node)
         if nxt is None:
             break
         path.append(nxt)
@@ -155,21 +133,3 @@ def route_path(topology: Topology, src: NodeId) -> RoutePath:
         seen.add(nxt)
         node = nxt
     return RoutePath(tuple(path), looped=True)
-
-
-def set_destination(topology: Topology, target: NodeId, new_dest: NodeId) -> Topology:
-    """Return a topology with ``target``'s live destination rewritten."""
-    topology.require(target)
-    topology.require(new_dest)
-    if target == C:
-        raise InvalidRedirection("coordinator is never redirected")
-    if new_dest == target:
-        raise InvalidRedirection(f"{target} cannot route to itself")
-    current = dict(topology.current_dest)
-    current[target] = new_dest
-    return replace(topology, current_dest=current)
-
-
-def restore_normal(topology: Topology) -> Topology:
-    """Return a topology with live routing reset to the baseline."""
-    return replace(topology, current_dest=dict(topology.normal_dest))

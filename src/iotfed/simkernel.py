@@ -2,7 +2,7 @@
 
 Every edge device emits one packet per second (with a small bounded
 jitter so per-window counts are not perfectly constant). Packets are
-routed along the live destination map at their send instant; per-hop
+routed along the next hops the plan gives at their send instant; per-hop
 transit times are lognormal. Every hop delivers, and every device stamps
 the true clock. The draw loop only routes packets and makes their random
 draws; clocks, stamps and each device's log (a ``DeviceLog``) are then
@@ -152,27 +152,26 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     jitter = cfg.send_jitter
     start, end = attack_plan.attack_interval if attack_plan is not None else (0.0, 0.0)
 
-    edges = [edge for edge in EDGES if edge in topology.nodes]
-    # The live topology depends only on whether the plan's attack is active,
-    # so each edge's route is resolved once per phase: routes[phase][e].
-    routes: list[list[int | None]] = [[None] * len(edges), [None] * len(edges)]
+    # The next hops depend only on whether the plan's attack is active, so
+    # each edge's route is resolved once per phase: routes[phase][e].
+    routes: list[list[int | None]] = [[None] * len(EDGES), [None] * len(EDGES)]
     paths: list[RoutePath] = []
     path_hops: list[int] = []
     sends: list[float] = []  # per packet: send time
     routed: list[int] = []   # per packet: its route's index in paths
     # Every hop normal, in draw order; a path has at most HOP_LIMIT hops.
-    z = np.empty(int(cfg.duration) * len(edges) * HOP_LIMIT)
+    z = np.empty(int(cfg.duration) * len(EDGES) * HOP_LIMIT)
     n = 0
     for tick in range(int(cfg.duration)):
-        for e in range(len(edges)):
+        for e in range(len(EDGES)):
             send_at = tick + jitter * uniform() if jitter else float(tick)
             route = routes[start <= send_at < end]
             p = route[e]
             if p is None:
-                live = (apply_plan(topology, attack_plan, send_at)
-                        if attack_plan is not None else topology)
+                next_hops = (apply_plan(topology, attack_plan, send_at)
+                             if attack_plan is not None else topology)
                 p = route[e] = len(paths)
-                paths.append(route_path(live, edges[e]))
+                paths.append(route_path(next_hops, EDGES[e]))
                 path_hops.append(len(paths[p].hops) - 1)
             sends.append(send_at)
             routed.append(p)

@@ -15,7 +15,10 @@ from iotfed.nodes import (
     R1,
     R2,
     R3,
+    NodeId,
+    Role,
     ScenarioFamily,
+    UnknownNode,
     build_topology,
 )
 
@@ -37,6 +40,27 @@ class TestAttackSpec:
     def test_scenario_iii_requires_attacker_destination(self):
         with pytest.raises(ValueError):
             AttackSpec(ScenarioFamily.III, E1, C)
+
+    @pytest.mark.parametrize("target", [C, A])
+    def test_node_without_next_hop_is_no_target(self, target):
+        with pytest.raises(ValueError, match="no next hop"):
+            AttackSpec(ScenarioFamily.III, target, A)
+
+    @pytest.mark.parametrize("scenario,node", [(ScenarioFamily.I, E1),
+                                               (ScenarioFamily.II, R1)])
+    def test_self_route_rejected(self, scenario, node):
+        with pytest.raises(ValueError, match="cannot route to itself"):
+            AttackSpec(scenario, node, node)
+
+    @pytest.mark.parametrize("scenario,target,new_dest", [
+        (ScenarioFamily.I, NodeId(Role.EDGE, 9), R1),
+        (ScenarioFamily.I, E1, NodeId(Role.ROUTER, 4)),
+        (ScenarioFamily.II, NodeId(Role.ROUTER, 4), R1),
+        (ScenarioFamily.III, NodeId(Role.EDGE, 9), A),
+    ], ids=["E9>R1", "E1>R4", "R4>R1", "E9>A"])
+    def test_node_outside_roster_rejected(self, scenario, target, new_dest):
+        with pytest.raises(UnknownNode):
+            AttackSpec(scenario, target, new_dest)
 
 
 class TestEnumeration:
@@ -78,26 +102,28 @@ class TestApplyPlan:
     def test_before_attack_topology_unchanged(self):
         topo = build_topology(ScenarioFamily.I)
         plan = AttackPlan(AttackSpec(ScenarioFamily.I, E4, R1))
-        assert apply_plan(topo, plan, 0.0).current_dest == topo.normal_dest
+        assert apply_plan(topo, plan, 0.0) is topo
 
     def test_during_attack_destination_rewritten(self):
         topo = build_topology(ScenarioFamily.I)
         plan = AttackPlan(AttackSpec(ScenarioFamily.I, E4, R1))
         live = apply_plan(topo, plan, 22 * MIN)
-        assert live.current_dest[E4] == R1
-        assert live.normal_dest[E4] == R2
+        assert live == {**build_topology(ScenarioFamily.I), E4: R1}
+        assert topo[E4] == R2
 
     def test_after_attack_topology_restored(self):
         topo = build_topology(ScenarioFamily.I)
         plan = AttackPlan(AttackSpec(ScenarioFamily.I, E4, R1))
-        assert apply_plan(topo, plan, 30 * MIN).current_dest == topo.normal_dest
+        assert apply_plan(topo, plan, 30 * MIN) is topo
 
-    def test_restores_previous_redirection(self):
-        from iotfed.nodes import set_destination
-        topo = set_destination(build_topology(ScenarioFamily.I), E1, R3)
-        plan = AttackPlan(AttackSpec(ScenarioFamily.I, E4, R1))
-        live = apply_plan(topo, plan, 22 * MIN)
-        assert live.current_dest[E1] == R1  # back to baseline, not the stale redirect
+    @pytest.mark.parametrize("scenario", list(ScenarioFamily))
+    def test_never_changes_its_argument(self, scenario):
+        for spec in enumerate_attacks(scenario):
+            topo = build_topology(scenario)
+            plan = AttackPlan(spec)
+            for now in (0.0, 22 * MIN, 30 * MIN):
+                apply_plan(topo, plan, now)
+                assert topo == build_topology(scenario)
 
 
 class TestLabelWindows:

@@ -60,3 +60,22 @@ def test_render_span_counts_every_byte_and_line():
     assert spans._rendered((), docs) == {
         "bytes": sum(len(doc) for doc in docs.values()),
         "lines": sum(len(log) for log in sim.entries.values())}
+
+
+def test_every_traced_target_is_called(tmp_path, monkeypatch):
+    # A refactor that goes round a traced name leaves its per-layer metric at
+    # 0 without failing the benchmark; one operation each of a run-all and of
+    # log-ingest calls every target.
+    runs = [(workloads.WORKLOADS[name], tmp_path / name) for name in ("attack-sweep", "log-ingest")]
+    inputs = [workload.setup(3, workload.smoke_params) for workload, _ in runs]
+    calls = dict.fromkeys(((owner, attr) for owner, attr, _, _ in spans.TARGETS), 0)
+    for key in calls:
+        def counted(*args, _key=key, _fn=getattr(*key), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(*key, counted)
+    for (workload, workdir), given in zip(runs, inputs):
+        workdir.mkdir()
+        workload.op(given, workdir)
+    assert [f"{getattr(owner, '__name__', owner)}.{attr}"
+            for (owner, attr), n in calls.items() if n == 0] == []

@@ -344,6 +344,22 @@ def test_impossible_date_on_the_last_line_of_a_long_document_names_that_line():
     assert (exc_info.value.line, exc_info.value.offset) == (2001, 7)
 
 
+def test_impossible_date_refuses_only_the_rows_cast_with_it(monkeypatch):
+    # Stamps are cast 500 at a time; a bad one must not send the good lines
+    # of other casts to parse_entry.
+    start = datetime(2024, 4, 26, 13)
+    lines = [f"E3>R3, {format_timestamp(start + timedelta(seconds=i))}, S:0"
+             for i in range(2000)]
+    lines.append("E3>R3, 2024-02-30 13:36:10.273312, S:0")
+    calls = []
+    monkeypatch.setattr(logfmt, "parse_entry",
+                        lambda line, entry=logfmt.parse_entry: calls.append(line) or entry(line))
+    with pytest.raises(ParseError, match="invalid timestamp") as exc_info:
+        parse_log("\n".join(lines) + "\n")
+    assert (exc_info.value.line, exc_info.value.offset) == (2001, 7)
+    assert 0 < len(calls) < 500
+
+
 def refuse_entry(line):
     raise AssertionError(f"parse_entry called on {line!r}")
 
@@ -702,6 +718,19 @@ def test_documents_with_other_line_breaks_are_read_as_columns(small_sim, monkeyp
                                   f"E3>R3, {T1}, S:0{{}}"], ids=["pair", "timestamp", "status"])
 def test_text_beyond_ascii_in_a_field_is_refused_on_its_line(odd, line):
     doc = f"{EDGE_LINE}\n{line.format(odd)}\n{EDGE_LINE}\n"
+    assert_read_as_parse_entry_reads(doc)
+    with pytest.raises(ParseError) as exc_info:
+        parse_log(doc)
+    assert exc_info.value.line == 2
+
+
+@pytest.mark.parametrize("line", [f"E3\u3000>R3, {T1}, S:0", f"E3>\xa0R3, {T1}, S:0",
+                                  f"E3>R3, {T1[:10]}\u2007{T1[11:]}, S:0",
+                                  f"E3>R3, {T1}, S:\u20000"],
+                         ids=["pair-gap", "pair-gap-nbsp", "timestamp", "status"])
+def test_a_space_beyond_ascii_inside_a_field_is_refused_on_its_line(line):
+    # The pair and timestamp grammars hold ASCII spaces, never these.
+    doc = f"{EDGE_LINE}\n{line}\n{EDGE_LINE}\n"
     assert_read_as_parse_entry_reads(doc)
     with pytest.raises(ParseError) as exc_info:
         parse_log(doc)

@@ -14,7 +14,6 @@ from iotfed.nodes import (
     E1,
     E3,
     E4,
-    InvalidRedirection,
     NodeId,
     R1,
     R2,
@@ -23,9 +22,7 @@ from iotfed.nodes import (
     ScenarioFamily,
     UnknownNode,
     build_topology,
-    restore_normal,
     route_path,
-    set_destination,
 )
 
 
@@ -104,20 +101,25 @@ class TestNodeId:
 
 class TestTopology:
     def test_family_i_homes_r3_on_r2(self):
-        assert build_topology(ScenarioFamily.I).normal_dest[R3] == R2
+        assert build_topology(ScenarioFamily.I)[R3] == R2
 
     def test_family_iii_homes_r3_on_c(self):
-        assert build_topology(ScenarioFamily.III).normal_dest[R3] == C
-
-    def test_current_matches_normal_at_build(self):
-        topo = build_topology(ScenarioFamily.II)
-        assert topo.current_dest == topo.normal_dest
+        assert build_topology(ScenarioFamily.III)[R3] == C
 
     def test_edge_assignments(self):
         topo = build_topology(ScenarioFamily.I)
-        assert topo.normal_dest[E1] == R1
-        assert topo.normal_dest[E4] == R2
-        assert topo.normal_dest[E3] == R3
+        assert topo[E1] == R1
+        assert topo[E4] == R2
+        assert topo[E3] == R3
+
+    def test_every_sender_and_no_other_node_has_a_next_hop(self):
+        for family in ScenarioFamily:
+            assert set(build_topology(family)) == set(EDGES + ROUTERS)
+
+    def test_each_call_builds_a_new_map(self):
+        topo = build_topology(ScenarioFamily.II)
+        topo[E4] = R1
+        assert build_topology(ScenarioFamily.II)[E4] == R2
 
 
 class TestRoutePath:
@@ -128,15 +130,13 @@ class TestRoutePath:
         assert not path.looped
 
     def test_redirect_to_attacker_is_direct_hop(self):
-        topo = set_destination(build_topology(ScenarioFamily.I), E1, A)
+        topo = {**build_topology(ScenarioFamily.I), E1: A}
         path = route_path(topo, E1)
         assert path.hops == (E1, A)
         assert path.terminal == A
 
     def test_mutual_redirect_flags_loop(self):
-        topo = build_topology(ScenarioFamily.I)
-        topo = set_destination(topo, R1, R2)
-        topo = set_destination(topo, R2, R1)
+        topo = {**build_topology(ScenarioFamily.I), R1: R2, R2: R1}
         path = route_path(topo, R1)
         assert path.looped
         assert len(path.hops) <= HOP_LIMIT + 1
@@ -145,31 +145,11 @@ class TestRoutePath:
         with pytest.raises(UnknownNode):
             route_path(build_topology(ScenarioFamily.I), C)
 
-
-class TestSetDestination:
-    def test_redirect_updates_current_only(self):
-        topo = build_topology(ScenarioFamily.I)
-        redirected = set_destination(topo, E4, R1)
-        assert redirected.current_dest[E4] == R1
-        assert redirected.normal_dest[E4] == R2
-        assert topo.current_dest[E4] == R2  # original untouched
-
-    def test_restore_normal(self):
-        topo = set_destination(build_topology(ScenarioFamily.I), E4, R1)
-        assert restore_normal(topo).current_dest == topo.normal_dest
-
-    def test_coordinator_never_redirected(self):
-        with pytest.raises(InvalidRedirection):
-            set_destination(build_topology(ScenarioFamily.I), C, R1)
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(InvalidRedirection):
-            set_destination(build_topology(ScenarioFamily.I), R1, R1)
-
-    def test_unknown_node_rejected(self):
+    @pytest.mark.parametrize("src", [A, NodeId(Role.EDGE, 9), NodeId(Role.ROUTER, 4)],
+                             ids=["A", "E9", "R4"])
+    def test_node_without_next_hop_rejected(self, src):
         with pytest.raises(UnknownNode):
-            set_destination(build_topology(ScenarioFamily.I),
-                            NodeId(Role.EDGE, 9), R1)
+            route_path(build_topology(ScenarioFamily.I), src)
 
 
 _senders = [n for n in ROSTER if n.role in (Role.EDGE, Role.ROUTER)]
@@ -186,7 +166,7 @@ def test_route_path_always_terminates(redirections, family, origin):
     for target, dest in redirections:
         if target == dest:
             continue
-        topo = set_destination(topo, target, dest)
+        topo = {**topo, target: dest}
     path = route_path(topo, origin)
     assert 1 <= len(path.hops) <= HOP_LIMIT + 1
     if not path.looped:

@@ -270,31 +270,37 @@ class TestCollectorLoad:
 
 class TestRoutesPerPhase:
     @pytest.fixture
-    def route_calls(self, monkeypatch):
-        calls = []
-        real = simkernel.route_path
+    def calls(self, monkeypatch):
+        calls = {"route_path": [], "apply_plan": []}
 
-        def counting(topology, src):
-            calls.append(src)
-            return real(topology, src)
+        def counting(name):
+            real = getattr(simkernel, name)
 
-        monkeypatch.setattr(simkernel, "route_path", counting)
+            def counted(topology, arg, *rest):
+                calls[name].append(arg)
+                return real(topology, arg, *rest)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(simkernel, name, counting(name))
         return calls
 
-    def test_attack_run_routes_each_edge_once_per_phase(self, route_calls):
+    def test_attack_run_routes_each_edge_once_per_phase(self, calls):
         plan = AttackPlan(AttackSpec(ScenarioFamily.III, E1, A),
                           normal_before=10.0, attack_window=10.0, normal_after=10.0)
         topology = build_topology(ScenarioFamily.III)
         result = run_simulation(topology, SimConfig(seed=9, duration=plan.total_duration), plan)
-        assert sorted(route_calls, key=str) == sorted(EDGES * 2, key=str)
+        assert sorted(calls["route_path"], key=str) == sorted(EDGES * 2, key=str)
+        assert calls["apply_plan"] == [plan] * len(EDGES) * 2
         start, end = plan.attack_interval
         for trace in result.traces:
             attacked = trace.origin == E1 and start <= trace.send_time < end
             assert (trace.delivered_to == A) == attacked
 
-    def test_run_without_plan_routes_each_edge_once(self, route_calls):
+    def test_run_without_plan_routes_each_edge_once(self, calls):
         run_simulation(build_topology(ScenarioFamily.I), SimConfig(seed=2, duration=30.0))
-        assert sorted(route_calls, key=str) == sorted(EDGES, key=str)
+        assert sorted(calls["route_path"], key=str) == sorted(EDGES, key=str)
+        assert calls["apply_plan"] == []
 
 
 # Reference: the two-pass construction the one-pass simulator must equal. The
@@ -436,3 +442,20 @@ class TestPinnedLogs:
                                 SimConfig(seed=29, duration=plan.total_duration), plan)
         assert _digest(result.render_logs()) == (
             "8d170dbec769e00829d0ca895f1929aef10f21b36b16fca756c64ff2e517a6ee")
+
+    def test_every_catalogue_attack(self):
+        # Every catalogue attack of every family, plus Scenario II's looping
+        # R2 -> R3: 25 three-minute runs, hashed in token order per family.
+        sha = hashlib.sha256()
+        for family in ScenarioFamily:
+            specs = enumerate_attacks(family) + ([AttackSpec(family, R2, R3)]
+                                                 if family is ScenarioFamily.II else [])
+            for spec in specs:
+                plan = AttackPlan(spec, MIN, MIN, MIN)
+                docs = run_simulation(build_topology(family),
+                                      SimConfig(seed=11, duration=plan.total_duration),
+                                      plan).render_logs()
+                for name in sorted(docs):
+                    sha.update(f"{spec.token()}/{name}\0".encode() + docs[name].encode())
+        assert sha.hexdigest() == (
+            "739fc394c88b647a81c19a5074691fff5b198369c2212274fdaba8cf243b3492")
