@@ -146,50 +146,95 @@ def zero_adam_state(weights: ModelWeights) -> AdamState:
     return AdamState(np.zeros_like(weights.params), np.zeros_like(weights.params), 0)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return 1.0 / (1.0 + np.exp(-z))
+class _Workspace:
+    """Every buffer of one step on batches of ``rows`` rows, so a step allocates no array.
+
+    ``layers`` are ``_layer_views`` of the parameters, with or without a
+    leading client axis; every buffer carries the same leading axes. For
+    layer i, ``z[i]`` and ``a[i]`` take its pre-activation and activation,
+    ``delta[i]`` the loss gradient of its pre-activation and ``grad_a[i]``
+    that of its activation. ``weight_t`` and ``bias`` view each layer's
+    weight and bias as the forward matmul and addition take them.
+    """
+
+    def __init__(self, layers: tuple[Layer, ...], rows: int, dtype):
+        lead = layers[0].bias.shape[:-1]
+        shapes = [(*lead, rows, layer.bias.shape[-1]) for layer in layers]
+        self.layers = layers
+        self.weight_t = [layer.weight.swapaxes(-1, -2) for layer in layers]
+        self.bias = [layer.bias[..., None, :] for layer in layers]
+        self.z, self.a, self.delta, self.grad_a = (
+            [np.empty(shape, dtype) for shape in shapes] for _ in range(4))
+        self.delta_t = [delta.swapaxes(-1, -2) for delta in self.delta]
+        self.residual, self.square = np.empty(shapes[-1], dtype), np.empty(shapes[-1], dtype)
+        self.row_loss = np.empty((*lead, rows), dtype)
+        self.loss = np.empty(lead, dtype)
 
 
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0).astype(z.dtype)
-    return a * (1.0 - a)
-
-
-def _forward(layers: tuple[Layer, ...], batch: np.ndarray) -> list:
-    """Per-layer (pre-activation, activation) pairs, led by ``(None, batch)``.
+def _forward(ws: _Workspace, batch: np.ndarray) -> None:
+    """Write every layer's pre-activation and activation of ``batch`` into ``ws``.
 
     ``batch`` is ``(N, in)`` under ``(out, in)`` weights, or ``(K, N, in)``
-    under ``(K, out, in)`` weight stacks, one model per leading index.
+    under ``(K, out, in)`` weight stacks, one model per leading index. The
+    sigmoid is ``1.0 / (1.0 + exp(-z))``, computed in place.
     """
     a = batch
-    cache = [(None, a)]
-    for layer in layers:
-        z = a @ layer.weight.swapaxes(-1, -2)
-        z += layer.bias[..., None, :]
-        a = _activate(z, layer.activation)
-        cache.append((z, a))
-    return cache
+    for layer, weight_t, bias, z, out in zip(ws.layers, ws.weight_t, ws.bias, ws.z, ws.a):
+        np.matmul(a, weight_t, out=z)
+        z += bias
+        if layer.activation == "relu":
+            np.maximum(z, 0.0, out=out)
+        else:
+            np.negative(z, out=out)
+            np.exp(out, out=out)
+            out += 1
+            np.divide(1.0, out, out=out)
+        a = out
 
 
-def _backward(layers: tuple[Layer, ...], cache: list, residual: np.ndarray,
-              grads: tuple[Layer, ...]) -> None:
-    """Write the batch loss gradients into ``grads``, laid out as ``layers``.
+def _losses(ws: _Workspace, batch: np.ndarray) -> np.ndarray:
+    """Each row's squared reconstruction error norm after ``_forward``, as ``ws.row_loss``.
 
-    ``residual`` is the reconstruction minus the batch; the loss is the mean
-    over rows of its squared norm. Shapes follow ``_forward``. The input
-    layer's own input gradient is never needed, so it is not computed.
+    Leaves the reconstruction minus the batch in ``ws.residual``.
     """
-    grad_a = 2.0 * residual / residual.shape[-2]
-    for idx in range(len(layers) - 1, -1, -1):
-        z, a = cache[idx + 1]
-        delta = grad_a * _activate_grad(z, a, layers[idx].activation)
-        np.matmul(delta.swapaxes(-1, -2), cache[idx][1], out=grads[idx].weight)
+    np.subtract(ws.a[-1], batch, out=ws.residual)
+    np.square(ws.residual, out=ws.square)
+    return ws.square.sum(axis=-1, out=ws.row_loss)
+
+
+def _backward(ws: _Workspace, batch: np.ndarray, grads: tuple[Layer, ...]) -> None:
+    """Write the batch loss gradients into ``grads``, laid out as ``ws.layers``.
+
+    Reads ``ws.residual`` and the forward buffers; the loss is the mean over
+    rows of the residual's squared norm. The input layer's own input
+    gradient is never needed, so it is not computed.
+    """
+    grad_a = ws.grad_a[-1]
+    np.multiply(2.0, ws.residual, out=grad_a)
+    grad_a /= ws.residual.shape[-2]
+    for idx in range(len(ws.layers) - 1, -1, -1):
+        layer, delta = ws.layers[idx], ws.delta[idx]
+        if layer.activation == "relu":
+            np.greater(ws.z[idx], 0, out=delta)
+        else:
+            np.subtract(1.0, ws.a[idx], out=delta)
+            delta *= ws.a[idx]
+        delta *= grad_a
+        np.matmul(ws.delta_t[idx], ws.a[idx - 1] if idx else batch, out=grads[idx].weight)
         delta.sum(axis=-2, out=grads[idx].bias)
         if idx:
-            grad_a = delta @ layers[idx].weight
+            grad_a = np.matmul(delta, layer.weight, out=ws.grad_a[idx - 1])
+
+
+def _forward_batch(weights: ModelWeights, x) -> tuple[_Workspace, np.ndarray]:
+    """A workspace holding ``_forward`` of ``x`` as a batch, and that batch."""
+    batch = np.atleast_2d(np.asarray(x))
+    if batch.shape[1] != weights.input_dim:
+        raise ShapeMismatch(
+            f"input dim {batch.shape[1]} != model dim {weights.input_dim}")
+    ws = _Workspace(weights.layers, batch.shape[0], np.result_type(batch, weights.params))
+    _forward(ws, batch)
+    return ws, batch
 
 
 def forward(weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -197,14 +242,8 @@ def forward(weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, list]:
 
     The cache holds per-layer pre-activations and activations for backprop.
     """
-    squeeze = x.ndim == 1
-    batch = np.atleast_2d(np.asarray(x))
-    if batch.shape[1] != weights.input_dim:
-        raise ShapeMismatch(
-            f"input dim {batch.shape[1]} != model dim {weights.input_dim}")
-    cache = _forward(weights.layers, batch)
-    a = cache[-1][1]
-    return (a[0] if squeeze else a), cache
+    ws, batch = _forward_batch(weights, x)
+    return (ws.a[-1][0] if x.ndim == 1 else ws.a[-1]), [(None, batch), *zip(ws.z, ws.a)]
 
 
 def reconstruction_loss(weights: ModelWeights, batch: np.ndarray) -> float:
@@ -216,19 +255,19 @@ def reconstruction_loss(weights: ModelWeights, batch: np.ndarray) -> float:
 
 
 def per_sample_losses(weights: ModelWeights, batch: np.ndarray) -> np.ndarray:
-    batch = np.atleast_2d(np.asarray(batch))
-    x_hat, _ = forward(weights, batch)
-    return np.sum((batch - x_hat) ** 2, axis=1)
+    return _losses(*_forward_batch(weights, batch))
 
 
 def backward(weights: ModelWeights, batch: np.ndarray,
              cache: list) -> list[tuple[np.ndarray, np.ndarray]]:
     """Gradients of the batch reconstruction loss, shaped like the weights."""
     batch = np.atleast_2d(np.asarray(batch))
-    x_hat = cache[-1][1]
-    flat = np.empty(weights.params.size, np.result_type(x_hat, batch))
-    grads = _layer_views(flat, weights.dims, weights.activations)
-    _backward(weights.layers, cache, x_hat - batch, grads)
+    dtype = np.result_type(cache[-1][1], batch)
+    ws = _Workspace(weights.layers, batch.shape[0], dtype)
+    ws.z, ws.a = [z for z, _ in cache[1:]], [a for _, a in cache[1:]]
+    np.subtract(ws.a[-1], batch, out=ws.residual)
+    grads = _layer_views(np.empty(weights.params.size, dtype), weights.dims, weights.activations)
+    _backward(ws, batch, grads)
     return [(layer.weight, layer.bias) for layer in grads]
 
 
@@ -284,45 +323,72 @@ class TrainResult:
     adam_state: AdamState
 
 
-def train(weights: ModelWeights, data: np.ndarray | Sequence[np.ndarray], cfg: TrainConfig,
+def batch_orders(seeds: Sequence[int], epochs: int, n: int) -> np.ndarray:
+    """The row orders ``train`` steps through, for clients of ``n`` rows each.
+
+    ``[e, c]`` is the e-th ``permutation(n)`` of ``default_rng(seeds[c])``
+    plus ``c * n``: an index into the clients' rows laid end to end. Each
+    client's epochs are drawn in one ``permuted`` call.
+    """
+    orders = np.empty((epochs, len(seeds), n), np.intp)
+    for c, seed in enumerate(seeds):
+        rows = np.broadcast_to(np.arange(c * n, (c + 1) * n), (epochs, n))
+        np.random.default_rng(seed).permuted(rows, axis=-1, out=orders[:, c])
+    return orders
+
+
+def train(weights: ModelWeights | Sequence[ModelWeights],
+          data: np.ndarray | Sequence[np.ndarray], cfg: TrainConfig,
           adam_state: AdamState | Sequence[AdamState | None] | None = None,
-          ) -> TrainResult | list[TrainResult]:
+          seeds: Sequence[int] | None = None) -> TrainResult | list[TrainResult]:
     """Mini-batch Adam training, reshuffled each epoch; deterministic given seed and config.
 
     ``data`` is one matrix, or a list of K client matrices of one shape. A
-    list trains K copies of ``weights``, one per matrix, in one stepping loop
-    over stacked ``(K, rows, dim)`` data and ``(K, size)`` parameters and
-    moments. ``adam_state`` is then None or a list of K states (None for a
-    fresh one) at one step count, and the result is one ``TrainResult`` per
-    client, with the same bits as training that client alone. Each client
-    would draw its batches from its own ``default_rng(cfg.seed)``; with one
-    seed and one row count those draws are equal, so one draw serves all.
+    list trains K models, one per matrix, in one stepping loop over stacked
+    ``(K, rows, dim)`` data and ``(K, size)`` parameters and moments.
+    ``weights`` is then one model every client starts from, or a list of K
+    of one architecture and dtype; ``seeds`` is None (every client shuffles
+    with ``cfg.seed``) or a list of K seeds; ``adam_state`` is None or a
+    list of K states (None for a fresh one) at one step count. The result
+    is one ``TrainResult`` per client, with the same bits as training that
+    client alone from its own model, state and seed.
 
     ``loss_history`` holds the per-epoch mean training loss measured on
     each batch before its update. An existing Adam state may be passed to
     continue optimization across federated rounds. Parameters, gradients
     and moments each live in one buffer of the weights' dtype; the
     parameters and moments are copied from the arguments, which are never
-    written to, and returned as they stand after the last step.
+    written to, and returned as they stand after the last step. Each epoch
+    gathers the rows in its order once, and every step runs in a workspace
+    made once per batch row count.
     """
     cfg.validate()
-    dtype = weights.params.dtype
     stacked = isinstance(data, (list, tuple))
+    if stacked and not data:
+        raise EmptyDataset("no client matrices")
+    k = len(data) if stacked else 1
+    models = list(weights) if isinstance(weights, (list, tuple)) else [weights] * k
+    if not stacked:
+        states = [adam_state]
+    else:
+        states = [None] * k if adam_state is None else list(adam_state)
+    seeds = [cfg.seed] * k if seeds is None else list(seeds)
+    for what, given in (("Adam states", states), ("initial models", models), ("seeds", seeds)):
+        if len(given) != k:
+            raise ValueError(f"{len(given)} {what} for {k} client matrices")
+    if len({(w.dims, w.activations, w.params.dtype) for w in models}) > 1:
+        raise ShapeMismatch("initial models of more than one architecture or dtype")
+    template = models[0]
+    dtype = template.params.dtype
     if stacked:
-        if not data:
-            raise EmptyDataset("no client matrices")
         mats = [np.atleast_2d(np.asarray(d, dtype=dtype)) for d in data]
         if len({mat.shape for mat in mats}) > 1:
             raise ShapeMismatch(f"client matrices of shapes {[mat.shape for mat in mats]}")
         x = np.stack(mats)
-        states = [None] * len(mats) if adam_state is None else list(adam_state)
-        if len(states) != len(mats):
-            raise ValueError(f"{len(states)} Adam states for {len(mats)} client matrices")
     else:
         x = np.atleast_2d(np.asarray(data, dtype=dtype))
-        states = [adam_state]
-    if x.shape[-1] != weights.input_dim:
-        raise ShapeMismatch(f"input dim {x.shape[-1]} != model dim {weights.input_dim}")
+    if x.shape[-1] != template.input_dim:
+        raise ShapeMismatch(f"input dim {x.shape[-1]} != model dim {template.input_dim}")
     n = x.shape[-2]
     if n == 0:
         raise EmptyDataset("no training vectors")
@@ -330,34 +396,41 @@ def train(weights: ModelWeights, data: np.ndarray | Sequence[np.ndarray], cfg: T
     if len(steps) > 1:
         raise ValueError(f"client Adam states at steps {sorted(steps)}, not one")
     t = steps.pop()
-    lead = x.shape[:-2]
-    p = np.broadcast_to(weights.params, (*lead, weights.params.size)).copy()
-    zero = np.zeros_like(weights.params)
+    lead, size = x.shape[:-2], template.params.size
+    p = np.array([w.params for w in models], dtype).reshape(*lead, size)
+    zero = np.zeros(size, dtype)
     m = np.array([zero if state is None else state.m for state in states], dtype).reshape(p.shape)
     v = np.array([zero if state is None else state.v for state in states], dtype).reshape(p.shape)
     g, scratch = np.empty_like(p), np.empty((2, *p.shape), dtype)
-    layers = _layer_views(p, weights.dims, weights.activations)
-    grads = _layer_views(g, weights.dims, weights.activations)
-    rng = np.random.default_rng(cfg.seed)
-    history = []
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        total = np.zeros(lead)
-        for start in range(0, n, cfg.batch_size):
-            batch = np.take(x, order[start:start + cfg.batch_size], axis=-2)
-            cache = _forward(layers, batch)
-            residual = cache[-1][1] - batch
-            total += np.square(residual).sum(axis=-1).sum(axis=-1)
-            _backward(layers, cache, residual, grads)
+    layers = _layer_views(p, template.dims, template.activations)
+    grads = _layer_views(g, template.dims, template.activations)
+
+    index = batch_orders(seeds, cfg.epochs, n).reshape(cfg.epochs, -1)
+    gathered = np.empty_like(x)
+    workspaces: dict[int, _Workspace] = {}
+    batches = []
+    for start in range(0, n, cfg.batch_size):
+        batch = gathered[..., start:start + cfg.batch_size, :]
+        rows = batch.shape[-2]
+        if rows not in workspaces:
+            workspaces[rows] = _Workspace(layers, rows, dtype)
+        batches.append((batch, workspaces[rows]))
+    flat_x, flat_gathered = x.reshape(-1, x.shape[-1]), gathered.reshape(-1, x.shape[-1])
+    history = np.zeros((cfg.epochs, *lead))
+    for epoch in range(cfg.epochs):
+        np.take(flat_x, index[epoch], axis=0, out=flat_gathered, mode="clip")
+        total = history[epoch:epoch + 1]
+        for batch, ws in batches:
+            _forward(ws, batch)
+            total += _losses(ws, batch).sum(axis=-1, out=ws.loss)
+            _backward(ws, batch, grads)
             t += 1
             _adam_update(p, g, m, v, t, cfg.learning_rate, scratch)
-        history.append(total / n)
-    size = weights.params.size
-    results = [TrainResult(ModelWeights(pk, weights.dims, weights.activations), hk.tolist(),
+    history /= n
+    results = [TrainResult(ModelWeights(pk, template.dims, template.activations), hk.tolist(),
                            AdamState(mk, vk, t))
                for pk, mk, vk, hk in zip(p.reshape(-1, size), m.reshape(-1, size),
-                                         v.reshape(-1, size),
-                                         np.reshape(history, (cfg.epochs, -1)).T)]
+                                         v.reshape(-1, size), history.reshape(cfg.epochs, -1).T)]
     return results if stacked else results[0]
 
 

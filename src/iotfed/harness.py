@@ -213,9 +213,28 @@ class TrainedPipeline:
     ledger: list
 
 
-def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
-                   pretrain_result: SimResult, normal_result: SimResult) -> TrainedPipeline:
-    """Fit scalers, pretrain, train (centrally or federated), calibrate losses."""
+@dataclass(frozen=True)
+class PreparedMode:
+    """One mode's training inputs, made before any model of any mode trains.
+
+    The first ``n_train`` windows of each router's ``raw`` normal-corpus
+    features train and the rest validate. ``pretrain`` fills in
+    ``pretrained``.
+    """
+
+    mode: str
+    raw: dict[NodeId, list[FeatureVector]]
+    n_train: int
+    scalers: dict[NodeId, ScalerParams]
+    pretrain_pool: np.ndarray
+    init: ModelWeights
+    pretrain_seed: int
+    pretrained: ModelWeights | None = None
+
+
+def prepare_mode(cfg: ExperimentConfig, mode: str, pretrain_result: SimResult,
+                 normal_result: SimResult) -> PreparedMode:
+    """Check the split, window both corpora once, fit scalers, pool the pretrain windows."""
     n_windows = window_count(cfg.normal_duration, cfg.window_len)
     n_train = round(n_windows * (1.0 - cfg.validation_fraction))
     if not 0 < n_train < n_windows:
@@ -234,10 +253,36 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
     # clamps hard against the router's own training range.
     scalers = {r: fit_scaler(raw[r][:n_train]) for r in ROUTERS}
     pretrain_pool = np.concatenate([apply_scaler(raw_pre[r], scalers[r]) for r in ROUTERS])
-    w0 = init_weights(seed=derive_seed(cfg.seed, f"{mode}-init"))
-    pre_cfg = replace(cfg.train, epochs=cfg.pretrain_epochs,
-                      seed=derive_seed(cfg.seed, f"{mode}-pretrain"))
-    pretrained = train(w0, pretrain_pool, pre_cfg).weights
+    return PreparedMode(mode, raw, n_train, scalers, pretrain_pool,
+                        init_weights(seed=derive_seed(cfg.seed, f"{mode}-init")),
+                        derive_seed(cfg.seed, f"{mode}-pretrain"))
+
+
+def pretrain(cfg: ExperimentConfig, prepared: Sequence[PreparedMode]) -> list[PreparedMode]:
+    """Pretrain every prepared mode from its own init and seed, as one stack.
+
+    The pools are of one shape: every mode windows the same pretrain corpus.
+    """
+    results = train([p.init for p in prepared], [p.pretrain_pool for p in prepared],
+                    replace(cfg.train, epochs=cfg.pretrain_epochs),
+                    seeds=[p.pretrain_seed for p in prepared])
+    return [replace(p, pretrained=r.weights) for p, r in zip(prepared, results)]
+
+
+def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
+                   pretrain_result: SimResult, normal_result: SimResult,
+                   prepared: PreparedMode | None = None) -> TrainedPipeline:
+    """Train (centrally or federated) from the pretrained model, calibrate thresholds.
+
+    ``prepared`` is this mode's pretrained ``PreparedMode``; without it the
+    mode is prepared and pretrained here, from the two corpora.
+    """
+    if prepared is None:
+        [prepared] = pretrain(cfg, [prepare_mode(cfg, mode, pretrain_result, normal_result)])
+    if prepared.mode != mode or prepared.pretrained is None:
+        raise ValueError(f"the {mode} pipeline needs that mode's pretrained preparation")
+    raw, n_train, scalers = prepared.raw, prepared.n_train, prepared.scalers
+    pretrained = prepared.pretrained
 
     per_round_globals: list[ModelWeights] = []
     ledger: list = []
@@ -360,13 +405,20 @@ def simulate_phases(cfg: ExperimentConfig) -> tuple[Topology, SimResult, SimResu
     return topology, pretrain, normal
 
 
-def train_pipelines(cfg: ExperimentConfig, topology: Topology, pretrain: SimResult,
-                    normal: SimResult) -> dict[str, TrainedPipeline]:
-    """One trained pipeline for each mode in ``cfg.modes``."""
-    pipelines = {}
+def train_pipelines(cfg: ExperimentConfig, topology: Topology, pretrain_result: SimResult,
+                    normal_result: SimResult) -> dict[str, TrainedPipeline]:
+    """One trained pipeline for each mode in ``cfg.modes``; the modes pretrain as one stack."""
+    prepared = []
     for mode in cfg.modes:
         with stage(f"train-{mode}"):
-            pipelines[mode] = build_pipeline(cfg, mode, topology, pretrain, normal)
+            prepared.append(prepare_mode(cfg, mode, pretrain_result, normal_result))
+    with stage("pretrain"):
+        prepared = pretrain(cfg, prepared)
+    pipelines = {}
+    for prep in prepared:
+        with stage(f"train-{prep.mode}"):
+            pipelines[prep.mode] = build_pipeline(cfg, prep.mode, topology, pretrain_result,
+                                                  normal_result, prep)
     return pipelines
 
 

@@ -18,6 +18,7 @@ from iotfed.autoencoder import (
     TrainConfig,
     adam_step,
     backward,
+    batch_orders,
     forward,
     init_weights,
     load_weights,
@@ -377,6 +378,69 @@ class TestStackedTrain:
             _assert_state_equal(got.adam_state, want.adam_state)
             assert got.loss_history == want.loss_history
         assert [None if s is None else _snapshot(model, s) for s in states] == states_before
+
+    @settings(max_examples=30, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(clients=st.integers(1, 4), rows=st.integers(1, 70),
+           batch_size=st.sampled_from([1, 7, 32]), epochs=st.integers(1, 3),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           dims=st.sampled_from([DEFAULT_DIMS, (5, 4, 3, 4, 5)]),
+           carried=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # Partial last batches, carried states, both dtypes; clients 2k and 2k+1 share a seed.
+    @example(clients=3, rows=9, batch_size=7, epochs=2, dtype=np.float32, dims=DEFAULT_DIMS,
+             carried=True, seed=1)
+    @example(clients=4, rows=40, batch_size=32, epochs=1, dtype=np.float64,
+             dims=(5, 4, 3, 4, 5), carried=True, seed=2)
+    def test_per_client_models_and_seeds_give_each_clients_bits(
+            self, clients, rows, batch_size, epochs, dtype, dims, carried, seed):
+        rng = np.random.default_rng(seed)
+        models = [init_weights(dims, DEFAULT_ACTIVATIONS, seed=(seed + c) % 1000, dtype=dtype)
+                  for c in range(clients)]
+        seeds = [seed + c // 2 for c in range(clients)]
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=1e-2, seed=seed)
+        data = [rng.uniform(size=(rows, dims[0])) for _ in range(clients)]
+        states = [None] * clients
+        if carried:
+            # One epoch from each client's own model: equal steps, different moments.
+            states = [train(model, matrix, replace(cfg, epochs=1, seed=seed + 9)).adam_state
+                      for model, matrix in zip(models, data)]
+        stacked = train(models, data, cfg, adam_state=states, seeds=seeds)
+        assert len(stacked) == clients
+        for model, matrix, state, client_seed, got in zip(models, data, states, seeds, stacked):
+            want = train(model, matrix, replace(cfg, seed=client_seed), adam_state=state)
+            assert _snapshot(got.weights) == _snapshot(want.weights)
+            _assert_state_equal(got.adam_state, want.adam_state)
+            assert got.loss_history == want.loss_history
+
+    @pytest.mark.parametrize("n", [1, 4, 45, 180, 288])
+    def test_orders_are_successive_permutations(self, n):
+        seeds, epochs = [5, 2**32 - 1, 5], 6
+        orders = batch_orders(seeds, epochs, n)
+        assert orders.shape == (epochs, len(seeds), n)
+        for c, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            want = [rng.permutation(n) + c * n for _ in range(epochs)]
+            np.testing.assert_array_equal(orders[:, c], want)
+
+    @pytest.mark.parametrize("other", [
+        init_weights((31, 16, 31), ("relu", "sigmoid")),
+        init_weights(activations=("relu", "relu", "relu", "sigmoid")),
+        init_weights(dtype=np.float64),
+    ], ids=["dims", "activations", "dtype"])
+    def test_initial_models_of_another_architecture_rejected(self, other):
+        x = np.zeros((4, 31))
+        with pytest.raises(ShapeMismatch):
+            train([init_weights(), other], [x, x], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("kwargs,error", [
+        (dict(weights=[init_weights()] * 2), "2 initial models for 3"),
+        (dict(seeds=[1, 2]), "2 seeds for 3"),
+    ], ids=["models", "seeds"])
+    def test_one_model_and_seed_per_client(self, kwargs, error):
+        x = np.zeros((4, 31))
+        args = dict(weights=init_weights(), data=[x, x, x], cfg=TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match=error):
+            train(**{**args, **kwargs})
 
     def test_states_default_to_fresh(self):
         data = [np.random.default_rng(i).uniform(size=(5, 31)) for i in range(2)]

@@ -209,6 +209,46 @@ def test_federated_weight_files_are_pinned():
     assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == PINNED_WEIGHT_FILES
 
 
+def _pipeline_bytes(pipe):
+    """Every weight file, threshold and validation loss of a pipeline, as bytes."""
+    thresholds = [(r, k, t.mean, t.std, t.value) for r in ROUTERS
+                  for k, t in sorted(pipe.thresholds[r].items())]
+    return ([save_weights(w) for w in (pipe.model, pipe.pretrained, *pipe.per_round_globals)],
+            thresholds, [pipe.validation_losses[r].tobytes() for r in ROUTERS])
+
+
+def test_stacked_pretrain_gives_each_modes_bytes():
+    cfg = small_config(seed=5, attack_tokens=())
+    topology, pretrain, normal = harness.simulate_phases(cfg)
+    pipelines = harness.train_pipelines(cfg, topology, pretrain, normal)
+    assert list(pipelines) == list(cfg.modes)
+    for mode in cfg.modes:
+        alone = build_pipeline(cfg, mode, topology, pretrain, normal)
+        assert _pipeline_bytes(pipelines[mode]) == _pipeline_bytes(alone)
+
+
+def test_train_pipelines_windows_each_corpus_once_per_mode(monkeypatch):
+    cfg = small_config(attack_tokens=())
+    phases = harness.simulate_phases(cfg)
+    calls, built = [], []
+    mode_features, build = harness.mode_features, harness.build_pipeline
+
+    def counted(cfg, mode, result, duration):
+        calls.append((mode, duration))
+        return mode_features(cfg, mode, result, duration)
+
+    def recorded(cfg, mode, *args):
+        built.append(mode)
+        return build(cfg, mode, *args)
+
+    monkeypatch.setattr(harness, "mode_features", counted)
+    monkeypatch.setattr(harness, "build_pipeline", recorded)
+    harness.train_pipelines(cfg, *phases)
+    assert sorted(calls) == sorted((mode, duration) for mode in cfg.modes
+                                   for duration in (cfg.normal_duration, cfg.pretrain_duration))
+    assert built == list(cfg.modes)
+
+
 # sha256 of the raw window_matrix bytes of a small normal corpus, then of one
 # attack run: centralized streams of R1, R2, R3, then federated streams.
 PINNED_WINDOW_MATRICES = (
