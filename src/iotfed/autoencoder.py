@@ -154,21 +154,37 @@ class _Workspace:
     layer i, ``z[i]`` and ``a[i]`` take its pre-activation and activation,
     ``delta[i]`` the loss gradient of its pre-activation and ``grad_a[i]``
     that of its activation. ``weight_t`` and ``bias`` view each layer's
-    weight and bias as the forward matmul and addition take them.
+    weight and bias as the forward matmul and addition take them. The
+    backward buffers are made on first use, so a workspace that only
+    scores rows holds the forward and loss buffers alone.
     """
 
     def __init__(self, layers: tuple[Layer, ...], rows: int, dtype):
         lead = layers[0].bias.shape[:-1]
-        shapes = [(*lead, rows, layer.bias.shape[-1]) for layer in layers]
+        self.shapes = [(*lead, rows, layer.bias.shape[-1]) for layer in layers]
+        self.dtype = dtype
         self.layers = layers
         self.weight_t = [layer.weight.swapaxes(-1, -2) for layer in layers]
         self.bias = [layer.bias[..., None, :] for layer in layers]
-        self.z, self.a, self.delta, self.grad_a = (
-            [np.empty(shape, dtype) for shape in shapes] for _ in range(4))
-        self.delta_t = [delta.swapaxes(-1, -2) for delta in self.delta]
-        self.residual, self.square = np.empty(shapes[-1], dtype), np.empty(shapes[-1], dtype)
+        self.z, self.a = self._buffers(), self._buffers()
+        self.residual, self.square = (np.empty(self.shapes[-1], dtype) for _ in range(2))
         self.row_loss = np.empty((*lead, rows), dtype)
         self.loss = np.empty(lead, dtype)
+
+    def _buffers(self) -> list[np.ndarray]:
+        return [np.empty(shape, self.dtype) for shape in self.shapes]
+
+    @cached_property
+    def delta(self) -> list[np.ndarray]:
+        return self._buffers()
+
+    @cached_property
+    def grad_a(self) -> list[np.ndarray]:
+        return self._buffers()
+
+    @cached_property
+    def delta_t(self) -> list[np.ndarray]:
+        return [delta.swapaxes(-1, -2) for delta in self.delta]
 
 
 def _forward(ws: _Workspace, batch: np.ndarray) -> None:
@@ -242,6 +258,7 @@ def forward(weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, list]:
 
     The cache holds per-layer pre-activations and activations for backprop.
     """
+    x = np.asarray(x)
     ws, batch = _forward_batch(weights, x)
     return (ws.a[-1][0] if x.ndim == 1 else ws.a[-1]), [(None, batch), *zip(ws.z, ws.a)]
 

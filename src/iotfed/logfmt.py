@@ -7,19 +7,23 @@ Coordinator entry: ``E3>R3, <sent>, <received>, ..., R2>C, <sent>, <received>``
 Timestamps are ``YYYY-MM-DD HH:MM:SS.ffffff`` at microsecond precision,
 ASCII digits only. Each is read off its own device's clock, and clocks
 are not synchronised, so a hop may be received before it was sent.
+
+The grammar takes the spacings of the testbed's own lines and no others.
+A document's lines end at ``"\\n"``; a last line without one is still a
+line, and an empty line is skipped. Fields are separated by a comma and
+at most one space, and a node pair has at most one space on each side of
+``>``. No other whitespace is allowed anywhere, so a tab, a second space,
+a space beyond ASCII, a trailing comma, a padded or whitespace-only line
+and any other line end (``"\\r\\n"`` among them) are refused.
 Canonical serialization puts no spaces around ``>`` and a single space
-after each comma. :func:`parse_entry` splits a line at its commas and
-strips any whitespace (``str.strip``) from both ends of every field, so
-it also takes no space, several spaces or tabs around a field, and one
-trailing comma; within a node pair it takes at most one space on each
-side of ``>``.
+after each comma.
 
 A device's whole log is held in columns as a :class:`DeviceLog`;
 :func:`parse_log` reads a document straight into one. It splits the whole
-document into lines and fields in numpy, as ``str.splitlines`` and
-:func:`parse_entry` split it, and runs Python only once per distinct status
-text; :func:`parse_entry` reads a line only to raise the error of the first
-line refused.
+document into lines and fields in numpy, as :func:`parse_entry` splits a
+line, and runs Python only once per distinct status text;
+:func:`parse_entry` reads a line only to raise the error of the first line
+refused.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from .nodes import EDGES, ROSTER, ROUTERS, A, C, NodeId
 
 # ASCII digits, and no leading zero in a status, so that every accepted
 # timestamp and status re-serializes to its own bytes.
-_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}\.\d{6}$", re.ASCII)
-_STATUS_RE = re.compile(r"^S:(0|[1-9][0-9]*)$")
-_PAIR_RE = re.compile(r"^([A-Z][0-9]*) ?> ?([A-Z][0-9]*)$")
+_TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2}\.\d{6}\Z", re.ASCII)
+_STATUS_RE = re.compile(r"^S:(0|[1-9][0-9]*)\Z")
+_PAIR_RE = re.compile(r"^([A-Z][0-9]*) ?> ?([A-Z][0-9]*)\Z")
 
 _KNOWN_NODES = {str(n): n for n in (C, A) + ROUTERS + EDGES}
 
@@ -47,8 +51,8 @@ class ParseError(ValueError):
     """A malformed log entry.
 
     ``offset`` counts characters from the start of the line to the bad
-    field; ``line`` is the line's 1-based number in the document (as
-    ``str.splitlines`` counts lines) when :func:`parse_log` raised it.
+    field; ``line`` is the line's 1-based number in the document, lines
+    ending at ``"\\n"``, when :func:`parse_log` raised it.
     """
 
     def __init__(self, reason: str, offset: int = 0, line: int | None = None):
@@ -184,23 +188,20 @@ def _kind(n_segments: int, received: bool) -> EntryKind:
 
 
 def parse_entry(line: str) -> LogEntry:
-    """Parse one logical log line into a structured entry.
+    """Parse one log line, without its ``"\\n"``, into a structured entry.
 
-    The entry kind is inferred from the segment structure: a lone
+    Fields are split at commas, and one space opening a field after the
+    first is skipped. The entry kind is inferred from the segment structure: a lone
     send-only segment with status is an edge entry; a trailing send-only
     segment after complete ones is a router entry; all-complete segments
     form a coordinator entry (with an optional tolerated status).
     """
     fields: list[tuple[str, int]] = []
     offset = 0
-    for raw in line.rstrip("\n").split(","):
-        stripped = raw.strip()
-        fields.append((stripped, offset + (len(raw) - len(raw.lstrip()))))
+    for raw in line.split(","):
+        skip = 1 if fields and raw.startswith(" ") else 0
+        fields.append((raw[skip:], offset + skip))
         offset += len(raw) + 1
-    if fields and fields[-1][0] == "":
-        fields.pop()
-    if not fields:
-        raise ParseError("empty entry", 0)
 
     status: int | None = None
     last_field, last_off = fields[-1]
@@ -425,7 +426,7 @@ EMPTY_LOG = DeviceLog(_NONE, _NONE.astype(bool), _NONE, _NONE, _NONE, _NONE.resh
 _PAIR_CODE = {f"{a}{gap}{b}": i * len(NODES) + j
               for i, a in enumerate(NODES) for j, b in enumerate(NODES)
               for gap in (">", " >", "> ", " > ")}
-_COMMA_BYTE = ord(",")
+_COMMA_BYTE, _NEWLINE, _SPACE = b",\n "
 #: Eight commas as one little-endian word, and the low ``n`` bytes of a word
 #: at index ``n``.
 _COMMAS = np.uint64(int.from_bytes(b"," * 8, "little"))
@@ -454,81 +455,38 @@ _PAIR_KEYS = sorted((int.from_bytes(key.encode().ljust(8, b","), "little"), code
                     for key, code in _PAIR_CODE.items())
 _PAIR_WORDS = np.array([word for word, _ in _PAIR_KEYS], dtype=np.uint64)
 _PAIR_CODES = np.array([code for _, code in _PAIR_KEYS], dtype=np.int64)
-#: The ASCII characters ``str.strip`` strips and those ``str.splitlines``
-#: ends a line at, as ranges of code points: (first, count).
-_SPACES = ((0x09, 5), (0x1C, 5))
-_LINE_ENDS = ((0x0A, 4), (0x1C, 3))
-#: Those beyond ASCII, each with the ASCII character that stands for it:
-#: "\x1f", a space in no pair, timestamp or status, or "\v", a line end
-#: that never pairs with "\r".
-_TO_ASCII = tuple((chr(c), "\x1f") for c in (0xA0, 0x1680, *range(0x2000, 0x200B),
-                                             0x202F, 0x205F, 0x3000)) + (
-    ("\x85", "\v"), ("\u2028", "\v"), ("\u2029", "\v"))
 #: A status that fits in 64 bits has at most 19 digits after ``"S:"``.
 _STATUS_WIDTH = 21
-#: Follows a document: its first comma cuts the last field, and the rest let
-#: every window read from a field fit.
-_PAD = "," * 26
-
-
-def _among(code: np.ndarray, ranges: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Whether each byte lies in one of ``ranges``."""
-    hit = np.zeros(len(code), dtype=bool)
-    for first, count in ranges:
-        hit |= code - first < count  # unsigned, so a byte below first wraps round
-    return hit
+#: Follows a document: its first line end ends the last line, and the rest
+#: let every window read from a field fit.
+_PAD = "\n" * 26
 
 
 def _fields(text: str) -> tuple[np.ndarray, ...]:
     """``text`` split into lines and fields, read as ``_read_fields`` takes
-    them, and a mask of the blank lines.
+    them, and a mask of the empty lines.
 
-    Lines end where ``str.splitlines`` ends them, so line ``i`` is
-    ``text.splitlines()[i]``; a last line ``splitlines`` leaves out is blank
-    here. Fields end at commas and are stripped as ``str.strip`` strips
-    them, and a line's last field is dropped if it is empty and not the
-    line's only one, all as ``parse_entry`` splits a line.
+    Line ``i`` is ``text.split("\\n")[i]``, split into fields as
+    ``parse_entry`` splits it: at commas, each field after a line's first
+    without one leading space.
     """
-    # A comma before the document cuts its first field, as _PAD's first
-    # after it cuts the last.
+    # A line end before the document starts its first line, as _PAD's first
+    # after it ends the last. Each character beyond ASCII, a lone surrogate
+    # too, becomes "?", which no pair, timestamp or status holds.
     n = len(text) + 2
-    if not text.isascii():
-        # One ASCII character per character: each other one, a lone
-        # surrogate too, becomes "?", which no pair, timestamp or status holds.
-        # (str.replace per character is some 20 times quicker than str.translate.)
-        for char, stand_in in _TO_ASCII:
-            text = text.replace(char, stand_in)
-    chars = np.frombuffer(f",{text}{_PAD}".encode("ascii", "replace"), np.uint8)
-    # The one scan of the document finds every space, line end and comma,
-    # and a few other characters.
+    chars = np.frombuffer(f"\n{text}{_PAD}".encode("ascii", "replace"), np.uint8)
+    # The one scan of the document finds every comma and line end, and a few
+    # other characters.
     at = np.flatnonzero(chars[:n] <= _COMMA_BYTE)
     code = chars[at]
-    ends = _among(code, _LINE_ENDS)
-    # "\r\n" ends one line, at its "\r"; the "\n" leads the next line as a space.
-    cr = np.flatnonzero(code[:-1] == ord("\r"))
-    ends[cr[(code[cr + 1] == ord("\n")) & (at[cr + 1] == at[cr] + 1)] + 1] = False
-    cut = np.flatnonzero(ends | (code == _COMMA_BYTE))
-    line_cut = ends[cut]
-    line_cut[[0, -1]] = True  # the first line starts at the first cut, the last ends at the last
-
-    # No stripped field starts or ends in a space or comma, and these fall
-    # into runs of consecutive ones. Stripped, the field between two cuts
-    # starts after the run holding the first and ends where the run holding
-    # the second starts; it is empty if one run holds both. Each other
-    # character found moves to -2, so that it joins no run.
-    at[~((code == _COMMA_BYTE) | _among(code, _SPACES))] = -2
-    new_run = np.append(True, np.diff(at) != 1)
-    # Run r holds at[bounds[r - 1]:bounds[r]]. The narrowest integers that
-    # number the runs give the quickest sum.
-    bounds = np.append(np.flatnonzero(new_run), len(at))
-    runs = np.cumsum(new_run, dtype=np.min_scalar_type(len(at)))[cut]
-    start = at[bounds[runs[:-1]] - 1] + 1
-    length = np.maximum(at[bounds[runs[1:] - 1]] - start, 0)
-    line_start, line_end = line_cut[:-1], line_cut[1:]
-    blank = (line_start & (length == 0))[line_end]
-    drop = line_end & ~line_start & (length == 0)
-    n_fields = np.diff(np.flatnonzero(line_start), append=len(length)) - drop[line_end]
-    start, length = start[~drop], length[~drop]
+    cut = at[(code == _COMMA_BYTE) | (code == _NEWLINE)]
+    line_cut = chars[cut] == _NEWLINE
+    start = cut[:-1] + 1
+    start += (chars[start] == _SPACE) & ~line_cut[:-1]
+    length = cut[1:] - start
+    first = np.flatnonzero(line_cut[:-1])
+    n_fields = np.diff(first, append=len(length))
+    blank = (n_fields == 1) & (length[first] == 0)
 
     # A line's status is read from its last field, once per distinct text,
     # keyed by its word if it is shorter than 8 characters. A status is "S:"
@@ -545,7 +503,7 @@ def _fields(text: str) -> tuple[np.ndarray, ...]:
                         (by_text, status_text)):
         texts, which = np.unique(keys, return_inverse=True)
         status[lines] = np.array(
-            [_status(t.decode("ascii", "replace").rstrip(","))
+            [_status(t.decode("ascii").rstrip(","))
              for t in texts.view(f"S{texts.itemsize}").tolist()], dtype=np.int64)[which]
 
     short = np.flatnonzero(length < 8)
@@ -645,11 +603,11 @@ def _read_fields(n_fields: np.ndarray, status: np.ndarray, pair: np.ndarray, wid
 
 
 def parse_log(text: str) -> DeviceLog:
-    """Parse a log document into columns, skipping blank lines.
+    """Parse a log document into columns, skipping empty lines.
 
     ``_fields`` splits the whole document into lines and fields at once, as
-    ``str.splitlines`` and ``parse_entry`` split it, with no Python per line,
-    and ``_read_fields`` reads every line together. Only the lines it refuses
+    ``parse_entry`` splits a line, with no Python per line, and
+    ``_read_fields`` reads every line together. Only the lines it refuses
     go to :func:`parse_entry`, in document order, so the first bad line
     raises the ``ParseError`` that ``parse_entry`` gives it, with its line
     number.
@@ -659,7 +617,7 @@ def parse_log(text: str) -> DeviceLog:
     refused = np.flatnonzero(~ok & ~blank).tolist()
     if not refused:
         return log
-    lines = text.splitlines()
+    lines = text.split("\n")
     # An impossible date refuses the 500 rows cast with it: good lines may come first.
     for i in refused:
         try:

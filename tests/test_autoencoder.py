@@ -91,6 +91,19 @@ class TestForward:
         x_hat, _ = forward(init_weights(seed=5), x)
         assert np.all((x_hat > 0.0) & (x_hat < 1.0))  # final sigmoid
 
+    @pytest.mark.parametrize("x", [[0.5] * 31, [[0.5] * 31, [0.25] * 31]],
+                             ids=["vector", "rows"])
+    def test_lists_are_read_as_arrays(self, x):
+        # per_sample_losses takes the same lists.
+        model = init_weights(seed=5)
+        x_hat, cache = forward(model, x)
+        want, want_cache = forward(model, np.array(x))
+        np.testing.assert_array_equal(x_hat, want)
+        assert x_hat.shape == np.shape(x)
+        assert len(cache) == len(want_cache)
+        np.testing.assert_array_equal(per_sample_losses(model, x),
+                                      per_sample_losses(model, np.array(x)))
+
 
 class TestLoss:
     def test_zero_weights_half_input_is_fixed_point(self):
