@@ -1,4 +1,4 @@
-"""Federated averaging over the router tree, plus transfer initialization.
+"""Federated averaging over the router tree, and the rounds that train and average.
 
 Aggregation follows the hierarchical collection protocol: leaf routers
 push weights to their parent router, parents sum the weights of their
@@ -93,11 +93,6 @@ def hierarchical_round(tree: Topology, locals_: Mapping[NodeId, ModelWeights],
     return ModelWeights((total / len(roster)).astype(dtype), template.dims, template.activations)
 
 
-def transfer_init(pretrained: ModelWeights) -> ModelWeights:
-    """A copy of the pretrained weights for a client's first round."""
-    return ModelWeights(pretrained.params.copy(), pretrained.dims, pretrained.activations)
-
-
 @dataclass
 class FederatedResult:
     final_global: ModelWeights
@@ -113,11 +108,12 @@ def run_federated_training(local_cfg: TrainConfig, pretrained: ModelWeights,
     The clients are the routers ``streams`` names, in its order, and
     ``streams[r][k]`` is the matrix of windows arriving at router ``r``
     between rounds ``k`` and ``k+1``: there are as many rounds as each
-    list has matrices. Adam state persists locally across rounds; only
-    weights are averaged. Each round trains its clients with one ``train``
-    call per group of equal row count and Adam step count. The comms ledger
-    accounts weight payload bytes on the coordinator legs (one uplink and
-    one downlink per client per round).
+    list has matrices. Every round starts from the last global model (the
+    first from ``pretrained``) and trains all clients in one ``train`` call,
+    so the clients of a round must bring equally many rows, at least one.
+    Adam state persists locally across rounds; only weights are averaged.
+    The comms ledger accounts weight payload bytes on the coordinator legs
+    (one uplink and one downlink per client per round).
     """
     roster = list(streams)
     if not roster:
@@ -129,30 +125,23 @@ def run_federated_training(local_cfg: TrainConfig, pretrained: ModelWeights,
         if len(streams[router]) != rounds:
             raise MissingUpdate(f"{router} has data for {len(streams[router])} "
                                 f"of {rounds} rounds")
+    for rnd, parts in enumerate(zip(*streams.values()), start=1):
+        rows = {len(part) for part in parts}
+        if len(rows) > 1 or 0 in rows:
+            raise ShapeMismatch(f"round {rnd} brings {sorted(rows)} rows per client; "
+                                "one stacked round needs equal counts, at least one row")
     payload = len(save_weights(pretrained))
 
-    global_model = transfer_init(pretrained)
-    states: dict[NodeId, AdamState | None] = {r: None for r in roster}
+    global_model = pretrained
+    states: list[AdamState | None] = [None] * len(roster)
     per_round: list[ModelWeights] = []
     ledger: list[CommsRecord] = []
 
-    for rnd in range(1, rounds + 1):
-        # Clients with equal row counts and Adam steps train as one stack; a
-        # client that sat out a round lags in steps and trains apart.
-        groups: dict[tuple[int, int], list[NodeId]] = {}
-        for router in roster:
-            rows = len(streams[router][rnd - 1])
-            if rows > 0:
-                steps = states[router].t if states[router] is not None else 0
-                groups.setdefault((rows, steps), []).append(router)
-        locals_: dict[NodeId, ModelWeights] = dict.fromkeys(roster, global_model)
-        for members in groups.values():
-            results = train(global_model, [streams[r][rnd - 1] for r in members], local_cfg,
-                            adam_state=[states[r] for r in members])
-            for router, result in zip(members, results):
-                states[router] = result.adam_state
-                locals_[router] = result.weights
-        global_model = hierarchical_round(tree, locals_)
+    for rnd, parts in enumerate(zip(*streams.values()), start=1):
+        results = train(global_model, list(parts), local_cfg, adam_state=states)
+        states = [result.adam_state for result in results]
+        global_model = hierarchical_round(
+            tree, {r: result.weights for r, result in zip(roster, results)})
         per_round.append(global_model)
         for router in roster:
             ledger.append(CommsRecord(rnd, router, C, payload))

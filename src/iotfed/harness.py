@@ -51,7 +51,7 @@ from .features import (
     window_count,
     window_matrix,
 )
-from .federated import run_federated_training, transfer_init
+from .federated import run_federated_training
 from .logfmt import EMPTY_LOG, NODE_CODE, DeviceLog
 from .nodes import ROUTERS, C, NodeId, ScenarioFamily, Topology, build_topology
 from .simkernel import DEFAULT_START, HopDelayModel, SimConfig, SimResult, run_simulation
@@ -217,14 +217,14 @@ class TrainedPipeline:
 class PreparedMode:
     """One mode's training inputs, made before any model of any mode trains.
 
-    The first ``n_train`` windows of each router's ``raw`` normal-corpus
-    features train and the rest validate. ``pretrain`` fills in
-    ``pretrained``.
+    ``training`` and ``validation`` hold each router's scaled normal-corpus
+    windows: the first ones train and the rest validate. ``pretrain`` fills
+    in ``pretrained``.
     """
 
     mode: str
-    raw: dict[NodeId, list[FeatureVector]]
-    n_train: int
+    training: dict[NodeId, np.ndarray]
+    validation: dict[NodeId, np.ndarray]
     scalers: dict[NodeId, ScalerParams]
     pretrain_pool: np.ndarray
     init: ModelWeights
@@ -234,7 +234,7 @@ class PreparedMode:
 
 def prepare_mode(cfg: ExperimentConfig, mode: str, pretrain_result: SimResult,
                  normal_result: SimResult) -> PreparedMode:
-    """Check the split, window both corpora once, fit scalers, pool the pretrain windows."""
+    """Check the split, window both corpora once, fit scalers, scale every window once."""
     n_windows = window_count(cfg.normal_duration, cfg.window_len)
     n_train = round(n_windows * (1.0 - cfg.validation_fraction))
     if not 0 < n_train < n_windows:
@@ -243,6 +243,9 @@ def prepare_mode(cfg: ExperimentConfig, mode: str, pretrain_result: SimResult,
             f"windows gives {n_windows} windows, of which validation_fraction "
             f"{cfg.validation_fraction:g} leaves {n_train} to train on and "
             f"{n_windows - n_train} to validate on; each needs at least one")
+    if mode == MODE_FEDERATED and n_train < cfg.fl_rounds:
+        raise ValueError(f"fl_rounds {cfg.fl_rounds} exceeds the {n_train} training windows "
+                         "per router; every round needs at least one")
 
     raw = mode_features(cfg, mode, normal_result, cfg.normal_duration)
     raw_pre = mode_features(cfg, mode, pretrain_result, cfg.pretrain_duration)
@@ -252,8 +255,10 @@ def prepare_mode(cfg: ExperimentConfig, mode: str, pretrain_result: SimResult,
     # (which keeps weight averaging meaningful) and a redirected flow
     # clamps hard against the router's own training range.
     scalers = {r: fit_scaler(raw[r][:n_train]) for r in ROUTERS}
+    scaled = {r: apply_scaler(raw[r], scalers[r]) for r in ROUTERS}
     pretrain_pool = np.concatenate([apply_scaler(raw_pre[r], scalers[r]) for r in ROUTERS])
-    return PreparedMode(mode, raw, n_train, scalers, pretrain_pool,
+    return PreparedMode(mode, {r: m[:n_train] for r, m in scaled.items()},
+                        {r: m[n_train:] for r, m in scaled.items()}, scalers, pretrain_pool,
                         init_weights(seed=derive_seed(cfg.seed, f"{mode}-init")),
                         derive_seed(cfg.seed, f"{mode}-pretrain"))
 
@@ -275,28 +280,24 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
     """Train (centrally or federated) from the pretrained model, calibrate thresholds.
 
     ``prepared`` is this mode's pretrained ``PreparedMode``; without it the
-    mode is prepared and pretrained here, from the two corpora.
+    mode is prepared and pretrained here, from the two corpora. Federated
+    round k trains on the k-th of ``fl_rounds`` consecutive parts of each
+    router's training windows, so every window trains once.
     """
     if prepared is None:
         [prepared] = pretrain(cfg, [prepare_mode(cfg, mode, pretrain_result, normal_result)])
     if prepared.mode != mode or prepared.pretrained is None:
         raise ValueError(f"the {mode} pipeline needs that mode's pretrained preparation")
-    raw, n_train, scalers = prepared.raw, prepared.n_train, prepared.scalers
     pretrained = prepared.pretrained
 
     per_round_globals: list[ModelWeights] = []
     ledger: list = []
     if mode == MODE_CENTRALIZED:
-        pool = np.concatenate([apply_scaler(raw[r][:n_train], scalers[r]) for r in ROUTERS])
+        pool = np.concatenate([prepared.training[r] for r in ROUTERS])
         fit_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, f"{mode}-fit"))
-        model = train(transfer_init(pretrained), pool, fit_cfg).weights
+        model = train(pretrained, pool, fit_cfg).weights
     else:
-        chunk = max(1, n_train // cfg.fl_rounds)
-        streams = {}
-        for router in ROUTERS:
-            train_mat = apply_scaler(raw[router][:n_train], scalers[router])
-            streams[router] = [train_mat[i * chunk:(i + 1) * chunk]
-                               for i in range(cfg.fl_rounds)]
+        streams = {r: np.array_split(prepared.training[r], cfg.fl_rounds) for r in ROUTERS}
         local_cfg = replace(cfg.train, epochs=cfg.fed_local_epochs,
                             learning_rate=cfg.fed_local_lr,
                             seed=derive_seed(cfg.seed, f"{mode}-local"))
@@ -305,11 +306,10 @@ def build_pipeline(cfg: ExperimentConfig, mode: str, topology: Topology,
         per_round_globals = fed.per_round_globals
         ledger = fed.ledger
 
-    validation_losses = {r: per_sample_losses(model, apply_scaler(raw[r][n_train:], scalers[r]))
-                         for r in ROUTERS}
+    validation_losses = {r: per_sample_losses(model, prepared.validation[r]) for r in ROUTERS}
     thresholds = {r: {k: calibrate_threshold(validation_losses[r], k) for k in cfg.ks}
                   for r in ROUTERS}
-    return TrainedPipeline(model, pretrained, scalers, validation_losses, thresholds,
+    return TrainedPipeline(model, pretrained, prepared.scalers, validation_losses, thresholds,
                            per_round_globals, ledger)
 
 

@@ -114,9 +114,11 @@ class TestCommands:
         (dict(SMALL, validation_fraction=0.99), "train-fed",
          "train-federated: normal_duration 900 s in window_len 60 s windows gives 15 windows, "
          "of which validation_fraction 0.99 leaves 0 to train on and 15 to validate on"),
-    ], ids=["negative-duration", "nothing-to-validate", "nothing-to-train"])
+        (dict(SMALL, normal_duration=300.0), "train-fed",
+         "train-federated: fl_rounds 5 exceeds the 4 training windows per router"),
+    ], ids=["negative-duration", "nothing-to-validate", "nothing-to-train", "round-without-data"])
     def test_stage_error_exit_code(self, tmp_path, capsys, monkeypatch, config, command, error):
-        # An empty split is refused before any window is built or model trained.
+        # An empty split or round is refused before any window is built or model trained.
         monkeypatch.setattr(harness, "mode_features", _no_windowing)
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(config))

@@ -18,7 +18,6 @@ from iotfed.federated import (
     hierarchical_round,
     router_tree,
     run_federated_training,
-    transfer_init,
 )
 from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
 
@@ -140,64 +139,65 @@ def tiny_training_setup():
 
 def sequential_rounds(local_cfg, pretrained, streams, tree):
     """The round globals with every client trained alone, by its own ``train`` call."""
-    global_model = transfer_init(pretrained)
+    global_model = pretrained
     states = dict.fromkeys(streams)
     per_round = []
     for rnd in range(len(next(iter(streams.values())))):
         locals_ = {}
         for router, chunks in streams.items():
-            if len(chunks[rnd]) > 0:
-                result = train(global_model, chunks[rnd], local_cfg, adam_state=states[router])
-                states[router], locals_[router] = result.adam_state, result.weights
-            else:
-                locals_[router] = global_model
+            result = train(global_model, chunks[rnd], local_cfg, adam_state=states[router])
+            states[router], locals_[router] = result.adam_state, result.weights
         global_model = hierarchical_round(tree, locals_)
         per_round.append(global_model)
     return per_round
 
 
 @pytest.fixture(scope="module")
-def uneven_streams(tiny_training_setup):
-    """R2 sits out round 1 and lags R1 in Adam steps from then on, at R1's row
-    count; R3 brings other row counts. Batches of 4 leave partial last batches."""
+def equal_streams(tiny_training_setup):
+    """Rounds of 7, 7 and 6 rows per client, as ``np.array_split`` cuts 20 rows:
+    batches of 4 leave partial last batches."""
     _, data = tiny_training_setup
-    empty = np.zeros((0, 31), dtype=np.float32)
-    return {R1: [data[R1][:6], data[R1][6:12], data[R1][12:18]],
-            R2: [empty, data[R2][:6], data[R2][6:12]],
-            R3: [data[R3][:9], data[R3][9:18], data[R3][18:]]}
+    return {r: np.array_split(data[r], 3) for r in ROUTERS}
 
 
 class TestRunFederatedTraining:
+    @pytest.mark.parametrize("scenario", [ScenarioFamily.I, ScenarioFamily.III])
     def test_rounds_match_training_each_client_alone(self, tiny_training_setup,
-                                                     uneven_streams):
+                                                     equal_streams, scenario):
         pretrained, _ = tiny_training_setup
         local_cfg = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-2, seed=5)
-        tree = build_topology(ScenarioFamily.III)
-        result = run_federated_training(local_cfg, pretrained, uneven_streams, tree)
-        want = sequential_rounds(local_cfg, pretrained, uneven_streams, tree)
+        tree = build_topology(scenario)
+        result = run_federated_training(local_cfg, pretrained, equal_streams, tree)
+        want = sequential_rounds(local_cfg, pretrained, equal_streams, tree)
         assert [save_weights(w) for w in result.per_round_globals] == \
             [save_weights(w) for w in want]
 
-    @pytest.mark.parametrize("even,stacks", [
-        (True, [[R1, R2, R3]] * 3),
-        (False, [[R1], [R3], [R1], [R2], [R3], [R1], [R2], [R3]]),
-    ], ids=["equal-clients", "lagging-client"])
-    def test_one_train_call_per_group_and_round(self, monkeypatch, tiny_training_setup,
-                                                uneven_streams, even, stacks):
-        pretrained, data = tiny_training_setup
-        streams = ({r: [data[r][:6], data[r][6:12], data[r][12:18]] for r in ROUTERS}
-                   if even else uneven_streams)
+    def test_one_train_call_per_round(self, monkeypatch, tiny_training_setup, equal_streams):
+        pretrained, _ = tiny_training_setup
         calls = []
 
         def counting_train(weights, client_data, cfg, adam_state=None):
             calls.append([r for r in ROUTERS
-                          if any(m is c for c in client_data for m in streams[r])])
+                          if any(m is c for c in client_data for m in equal_streams[r])])
             return train(weights, client_data, cfg, adam_state)
 
         monkeypatch.setattr(federated, "train", counting_train)
         run_federated_training(TrainConfig(epochs=1, batch_size=4, seed=1), pretrained,
-                               streams, build_topology(ScenarioFamily.III))
-        assert calls == stacks
+                               equal_streams, build_topology(ScenarioFamily.III))
+        assert calls == [[R1, R2, R3]] * 3
+
+    @pytest.mark.parametrize("second_round,rows", [
+        ({R1: 7, R2: 6, R3: 7}, r"\[6, 7\]"),
+        ({R1: 0, R2: 0, R3: 0}, r"\[0\]"),
+    ], ids=["unequal-rows", "empty-round"])
+    def test_round_of_unequal_or_no_rows_refused(self, monkeypatch, tiny_training_setup,
+                                                 second_round, rows):
+        pretrained, data = tiny_training_setup
+        streams = {r: [data[r][:7], data[r][7:7 + n]] for r, n in second_round.items()}
+        monkeypatch.setattr(federated, "train", None)  # refused before any round trains
+        with pytest.raises(ShapeMismatch, match=f"round 2 brings {rows} rows per client"):
+            run_federated_training(TrainConfig(epochs=1, batch_size=4, seed=1), pretrained,
+                                   streams, build_topology(ScenarioFamily.III))
 
     def test_ledger_accounting(self, tiny_training_setup):
         pretrained, data = tiny_training_setup
@@ -216,7 +216,7 @@ class TestRunFederatedTraining:
         local_cfg = TrainConfig(epochs=2, seed=7)
         result = run_federated_training(local_cfg, pretrained, {R1: [data[R1]]},
                                         {R1: C})
-        direct = train(transfer_init(pretrained), data[R1], local_cfg).weights
+        direct = train(pretrained, data[R1], local_cfg).weights
         for la, lb in zip(result.final_global.layers, direct.layers):
             np.testing.assert_allclose(la.weight, lb.weight, atol=1e-7)
 
@@ -227,7 +227,7 @@ class TestRunFederatedTraining:
         result = run_federated_training(local_cfg, pretrained,
                                         {r: [shared] for r in ROUTERS},
                                         build_topology(ScenarioFamily.III))
-        direct = train(transfer_init(pretrained), shared, local_cfg).weights
+        direct = train(pretrained, shared, local_cfg).weights
         for la, lb in zip(result.final_global.layers, direct.layers):
             np.testing.assert_allclose(la.weight, lb.weight, atol=1e-6)
 
@@ -265,12 +265,6 @@ class TestRunFederatedTraining:
 
 
 class TestTransferInit:
-    def test_deep_copy(self):
-        pretrained = init_weights(seed=40)
-        clone = transfer_init(pretrained)
-        clone.layers[0].weight[0, 0] += 1.0
-        assert pretrained.layers[0].weight[0, 0] != clone.layers[0].weight[0, 0]
-
     def test_transfer_init_beats_random_init_at_epoch_one(self,
                                                           tiny_training_setup):
         pretrained, data = tiny_training_setup
@@ -279,7 +273,7 @@ class TestTransferInit:
                        TrainConfig(epochs=50, seed=41)).weights
         held_out = data[R2]
         one_epoch = TrainConfig(epochs=1, seed=42)
-        warm = train(transfer_init(fitted), held_out, one_epoch)
+        warm = train(fitted, held_out, one_epoch)
         cold = train(init_weights(seed=43), held_out, one_epoch)
         assert warm.loss_history[0] <= cold.loss_history[0]
         assert reconstruction_loss(warm.weights, held_out) <= \

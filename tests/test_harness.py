@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iotfed import harness
+from iotfed import federated, harness
 from iotfed.attacks import AttackPlan, AttackSpec
-from iotfed.autoencoder import TrainConfig, save_weights
+from iotfed.autoencoder import TrainConfig, save_weights, train
 from iotfed.detect import DEFAULT_KS, Threshold, calibrate_threshold
-from iotfed.features import COORDINATOR_SCHEMA, ROUTER_SCHEMA, make_windows, window_matrix
+from iotfed.features import (COORDINATOR_SCHEMA, ROUTER_SCHEMA, apply_scaler, fit_scaler,
+                             make_windows, window_matrix)
 from iotfed.harness import (
     ExperimentConfig,
     StageError,
@@ -189,14 +190,16 @@ class TestPipelines:
 
 # sha256 of each weight file of a small federated pipeline: the pretrained
 # model, the five round globals and the final model (the last round's global).
+# The rounds train on parts of 3, 3, 2, 2 and 2 of each router's 12 training
+# windows.
 PINNED_WEIGHT_FILES = (
     "978a9b73b65d745f513bf5fc76d7941a42a4bc7a6432df23bed47a9d86398ddc",
-    "8416ac84deb0ca4dca4004631a3e887b5aa83a1f311e21e73c2f9d4dfd81eb0f",
-    "f33159aea48540e454611b90898a12a39a3dbf4822f0163f18f59e92742eb496",
-    "18b41a79fdf8df4596004255c10bbd9505afa10d321e5966ddeb0d70b4df4ac2",
-    "c85093f06568ff77e65a7f1deb8225168543ba74b39384732c473b2513fc5286",
-    "98f5508ad6df272bcd0b6e6229bfd19f766d35665129b1606efb3d4d9d93cb8e",
-    "98f5508ad6df272bcd0b6e6229bfd19f766d35665129b1606efb3d4d9d93cb8e",
+    "1d9b2d558509b169c4b9cc11c99c8199c6ed66dfce64be10a90b6bd9fdea0973",
+    "21a54a55ae4dfb4b59793f69add642248c93cdd0dc12733d5ab0017b7bbe5dd6",
+    "424c510ee36212b2fc9dd96a3eb04ce36f90c5da0be62aeafef6f591d1c43017",
+    "695f215b1f0eedaa48ee2815db5041f97a37a9ef2dc6ab6c9a0b3dbd172bb0b4",
+    "2ea30069be33746fe6610ed96a3c6c11e52a00f18771e1bde912817d886b344c",
+    "2ea30069be33746fe6610ed96a3c6c11e52a00f18771e1bde912817d886b344c",
 )
 
 
@@ -207,6 +210,25 @@ def test_federated_weight_files_are_pinned():
     blobs = [save_weights(w) for w in (pipe.pretrained, *pipe.per_round_globals, pipe.model)]
     assert {len(b) for b in blobs} == {12534}
     assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == PINNED_WEIGHT_FILES
+
+
+def test_every_training_window_trains_once_in_order(monkeypatch):
+    cfg = small_config(mode="federated", attack_tokens=())  # 12 training windows, 5 rounds
+    topology, pretrain, normal = harness.simulate_phases(cfg)
+    rounds = []
+
+    def recorded(weights, client_data, *args, **kwargs):
+        rounds.append(client_data)
+        return train(weights, client_data, *args, **kwargs)
+
+    monkeypatch.setattr(federated, "train", recorded)
+    build_pipeline(cfg, "federated", topology, pretrain, normal)
+    assert len(rounds) == cfg.fl_rounds
+    raw = harness.mode_features(cfg, "federated", normal, cfg.normal_duration)
+    for i, router in enumerate(ROUTERS):
+        windows = raw[router][:12]
+        trained = np.concatenate([clients[i] for clients in rounds])
+        np.testing.assert_array_equal(trained, apply_scaler(windows, fit_scaler(windows)))
 
 
 def _pipeline_bytes(pipe):
