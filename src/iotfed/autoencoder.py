@@ -80,9 +80,6 @@ class ModelWeights:
     def astype(self, dtype) -> ModelWeights:
         return ModelWeights(self.params.astype(dtype), self.dims, self.activations)
 
-    def parameter_count(self) -> int:
-        return self.params.size
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -313,24 +310,6 @@ def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     step *= learning_rate
     step /= denom
     p -= step
-
-
-def adam_step(weights: ModelWeights, grads, state: AdamState,
-              cfg: TrainConfig) -> tuple[ModelWeights, AdamState]:
-    """Bias-corrected Adam update; pure in all arguments.
-
-    Computes in the weights' dtype: gradients and moments of another dtype
-    are cast to it first, and the returned moments have that dtype.
-    """
-    if len(grads) != len(weights.layers) or any(
-            gw.shape != layer.weight.shape or gb.shape != layer.bias.shape
-            for layer, (gw, gb) in zip(weights.layers, grads)):
-        raise ShapeMismatch("gradient shapes do not mirror the weights")
-    p = weights.params.copy()
-    m, v, t = state.m.astype(p.dtype), state.v.astype(p.dtype), state.t + 1
-    g = np.concatenate([np.ravel(a) for pair in grads for a in pair], dtype=p.dtype)
-    _adam_update(p, g, m, v, t, cfg.learning_rate, np.empty((2, p.size), p.dtype))
-    return ModelWeights(p, weights.dims, weights.activations), AdamState(m, v, t)
 
 
 @dataclass

@@ -146,7 +146,6 @@ STAGES = {
     "train-fed": lambda cfg, out: models(replace(cfg, mode=harness.MODE_FEDERATED), out),
     "thresholds": thresholds,
     "detect": detect,
-    "sweep-k": detect,
     "overhead": overhead,
     "run-all": run_all,
 }
@@ -163,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, stage in STAGES.items():
         stage_parser = sub.add_parser(name, help=stage.__doc__)
-        if name == "sweep-k":
-            stage_parser.add_argument("--ks", type=float, nargs="+", default=None)
+        if name == "detect":
+            stage_parser.add_argument("--ks", type=float, nargs="+", default=None,
+                                      help="detection k values in place of the config's ks")
     return parser
 
 

@@ -123,15 +123,6 @@ def segment_entropy(samples: np.ndarray, counts: np.ndarray,
     return out
 
 
-def shannon_entropy(samples: Sequence[float], bins: int = ENTROPY_BINS) -> float:
-    """Histogram entropy in bits over equal-width bins spanning the sample range.
-
-    Empty or constant samples carry no dispersion and yield 0.
-    """
-    arr = np.asarray(samples, dtype=float).ravel()
-    return float(segment_entropy(arr, np.array([arr.size]), bins)[0])
-
-
 _QUARTILES = np.array([0.25, 0.5, 0.75])
 
 

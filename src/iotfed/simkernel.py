@@ -134,8 +134,8 @@ def run_simulation(topology: Topology, cfg: SimConfig,
                    attack_plan: AttackPlan | None = None) -> SimResult:
     """Generate all packet traces and per-device log entries for one run.
 
-    Routing is resolved at each packet's send instant against the plan's
-    view of the topology; in-flight packets are never rerouted. Each
+    Each packet takes the route the plan's view of the topology gives at
+    its send instant; in-flight packets are never rerouted. Each
     sender logs the hop it sends: the edge at the first hop, a router at a
     later one. Traffic reaching the attacker is swallowed there, and looped
     traffic never reaches C, so neither produces a coordinator entry.
@@ -153,10 +153,12 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     start, end = attack_plan.attack_interval if attack_plan is not None else (0.0, 0.0)
 
     # The next hops depend only on whether the plan's attack is active, so
-    # each edge's route is resolved once per phase: routes[phase][e].
-    routes: list[list[int | None]] = [[None] * len(EDGES), [None] * len(EDGES)]
-    paths: list[RoutePath] = []
-    path_hops: list[int] = []
+    # each edge's route is resolved once per phase: paths[phase * len(EDGES) + e].
+    phases = [topology] if attack_plan is None else [
+        topology, apply_plan(topology, attack_plan, start)]
+    paths: list[RoutePath] = [route_path(next_hops, edge)
+                              for next_hops in phases for edge in EDGES]
+    path_hops = [len(path.hops) - 1 for path in paths]
     sends: list[float] = []  # per packet: send time
     routed: list[int] = []   # per packet: its route's index in paths
     # Every hop normal, in draw order; a path has at most HOP_LIMIT hops.
@@ -165,14 +167,7 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     for tick in range(int(cfg.duration)):
         for e in range(len(EDGES)):
             send_at = tick + jitter * uniform() if jitter else float(tick)
-            route = routes[start <= send_at < end]
-            p = route[e]
-            if p is None:
-                next_hops = (apply_plan(topology, attack_plan, send_at)
-                             if attack_plan is not None else topology)
-                p = route[e] = len(paths)
-                paths.append(route_path(next_hops, EDGES[e]))
-                path_hops.append(len(paths[p].hops) - 1)
+            p = (start <= send_at < end) * len(EDGES) + e
             sends.append(send_at)
             routed.append(p)
             h = path_hops[p]
@@ -182,7 +177,7 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     # Per route and point: node code, and whether the point logs. The first
     # point (an edge) and each router log the hop they send; C logs the
     # arrival when it is the last point of a route that delivers.
-    width = max(path_hops, default=0) + 1
+    width = max(path_hops) + 1
     codes = np.zeros((len(paths), width), dtype=np.int64)
     logs = np.zeros((len(paths), width), dtype=bool)
     for q, path in enumerate(paths):

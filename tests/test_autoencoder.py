@@ -16,7 +16,7 @@ from iotfed.autoencoder import (
     ModelWeights,
     ShapeMismatch,
     TrainConfig,
-    adam_step,
+    _adam_update,
     backward,
     batch_orders,
     forward,
@@ -45,9 +45,9 @@ class TestArchitecture:
         # cache entries: input + 4 layers; latent is the second layer's output
         assert cache[2][1].shape[-1] == 16
 
-    def test_parameter_count(self):
+    def test_param_total(self):
         # 31*32+32 + 32*16+16 + 16*32+32 + 32*31+31
-        assert init_weights().parameter_count() == 3119
+        assert init_weights().params.size == 3119
 
     def test_glorot_init_is_seeded(self):
         a, b = init_weights(seed=42), init_weights(seed=42)
@@ -170,43 +170,35 @@ def _with_weight(model, layer_index, new_weight):
     return changed
 
 
+def _fresh_moments(p):
+    """Zero Adam moments and the two scratch arrays ``_adam_update`` takes for ``p``."""
+    return np.zeros_like(p), np.zeros_like(p), np.empty((2, p.size), p.dtype)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_weights(self):
         model = init_weights(seed=1)
-        grads = [(np.zeros_like(l.weight), np.zeros_like(l.bias))
-                 for l in model.layers]
-        state = zero_adam_state(model)
-        updated, new_state = adam_step(model, grads, state, TrainConfig())
-        assert new_state.t == 1
-        for la, lb in zip(model.layers, updated.layers):
-            np.testing.assert_array_equal(la.weight, lb.weight)
+        p = model.params.copy()
+        m, v, scratch = _fresh_moments(p)
+        _adam_update(p, np.zeros_like(p), m, v, 1, TrainConfig().learning_rate, scratch)
+        np.testing.assert_array_equal(p, model.params)
 
     def test_first_step_is_signed_learning_rate(self):
         # With bias correction, step 1 moves each weight by ~lr * sign(g).
         cfg = TrainConfig(learning_rate=0.001)
-        model = zero_model((2, 2), ("sigmoid",))
-        g = np.array([[0.3, -0.7], [0.0, 1.2]], dtype=np.float64)
-        grads = [(g, np.zeros(2))]
-        updated, _ = adam_step(model, grads, zero_adam_state(model), cfg)
-        delta = updated.layers[0].weight
-        expected = -cfg.learning_rate * np.sign(g)
-        np.testing.assert_allclose(delta, expected, atol=1e-6)
+        p = zero_model((2, 2), ("sigmoid",)).params.astype(np.float64)
+        g = np.array([0.3, -0.7, 0.0, 1.2, 0.0, 0.0])  # W0 row-major, then b0
+        m, v, scratch = _fresh_moments(p)
+        _adam_update(p, g, m, v, 1, cfg.learning_rate, scratch)
+        np.testing.assert_allclose(p, -cfg.learning_rate * np.sign(g), atol=1e-6)
 
     def test_loss_decreases_after_one_step(self):
         model = init_weights(seed=3).astype(np.float64)
         x = np.random.default_rng(4).uniform(size=(8, 31))
         before = reconstruction_loss(model, x)
-        _, cache = forward(model, x)
-        grads = backward(model, x, cache)
-        updated, _ = adam_step(model, grads, zero_adam_state(model),
-                               TrainConfig(learning_rate=0.001))
-        assert reconstruction_loss(updated, x) < before
-
-    def test_shape_mismatch_rejected(self):
-        model = init_weights(seed=1)
-        grads = [(np.zeros((1, 1)), np.zeros(1)) for _ in model.layers]
-        with pytest.raises(ShapeMismatch):
-            adam_step(model, grads, zero_adam_state(model), TrainConfig())
+        step = train(model, x, TrainConfig(epochs=1, batch_size=8, learning_rate=0.001))
+        assert step.adam_state.t == 1
+        assert reconstruction_loss(step.weights, x) < before
 
 
 class TestTrain:
@@ -249,7 +241,7 @@ class TestTrain:
         assert isinstance(second.adam_state, AdamState)
 
 
-def _oracle_adam_step(weights, grads, state, cfg):
+def _per_array_adam(weights, grads, state, cfg):
     """Per-array Adam as first written: the reference for the flat-buffer update."""
     t = state.t + 1
     # The moments share the parameters' layout, so a model over them gives per-layer views.
@@ -272,7 +264,7 @@ def _oracle_adam_step(weights, grads, state, cfg):
 
 
 def _oracle_train(weights, data, cfg, state=None):
-    """The training loop as first written, one ``_oracle_adam_step`` per batch."""
+    """The training loop as first written, one ``_per_array_adam`` per batch."""
     data = np.atleast_2d(np.asarray(data, dtype=weights.params.dtype))
     state = state if state is not None else zero_adam_state(weights)
     rng = np.random.default_rng(cfg.seed)
@@ -286,7 +278,7 @@ def _oracle_train(weights, data, cfg, state=None):
             x_hat, cache = forward(weights, batch)
             total += float(np.sum(np.sum((batch - x_hat) ** 2, axis=1)))
             grads = backward(weights, batch, cache)
-            weights, state = _oracle_adam_step(weights, grads, state, cfg)
+            weights, state = _per_array_adam(weights, grads, state, cfg)
         history.append(total / n)
     return weights, history, state
 
@@ -333,27 +325,30 @@ class TestTrainMatchesPerArrayAdam:
             assert result.loss_history == history
             _assert_state_equal(result.adam_state, state)
 
-    def test_adam_step_matches_the_per_array_step(self):
+    def test_flat_update_matches_the_per_array_step(self):
         model = init_weights(seed=4)
         x = np.random.default_rng(5).uniform(size=(6, 31)).astype(np.float32)
         cfg = TrainConfig(learning_rate=1e-2)
-        state = want_state = zero_adam_state(model)
-        weights = want_weights = model
-        for _ in range(3):
+        weights = ModelWeights(model.params.copy(), model.dims, model.activations)
+        m, v, scratch = _fresh_moments(weights.params)
+        want_weights, want_state = model, zero_adam_state(model)
+        for t in range(1, 4):
             _, cache = forward(weights, x)
-            weights, state = adam_step(weights, backward(weights, x, cache), state, cfg)
+            g = np.concatenate([np.ravel(a) for pair in backward(weights, x, cache) for a in pair])
+            _adam_update(weights.params, g, m, v, t, cfg.learning_rate, scratch)
             _, cache = forward(want_weights, x)
-            want_weights, want_state = _oracle_adam_step(
+            want_weights, want_state = _per_array_adam(
                 want_weights, backward(want_weights, x, cache), want_state, cfg)
         assert _snapshot(weights) == _snapshot(want_weights)
-        _assert_state_equal(state, want_state)
+        _assert_state_equal(AdamState(m, v, 3), want_state)
 
-    def test_mixed_dtype_step_computes_in_the_weights_dtype(self):
+    def test_mixed_dtype_training_computes_in_the_weights_dtype(self):
         model = init_weights(seed=6)
-        grads = [(np.full(l.weight.shape, 0.25), np.full(l.bias.shape, -0.5))
-                 for l in model.layers]
-        updated, state = adam_step(model, grads, zero_adam_state(model), TrainConfig())
-        assert updated.params.dtype == state.m.dtype == state.v.dtype == np.float32
+        x = np.random.default_rng(6).uniform(size=(5, 31))
+        wide = zero_adam_state(model.astype(np.float64))
+        result = train(model, x, TrainConfig(epochs=1), adam_state=wide)
+        state = result.adam_state
+        assert result.weights.params.dtype == state.m.dtype == state.v.dtype == np.float32
 
 
 class TestStackedTrain:
@@ -511,18 +506,6 @@ class TestNoAliasing:
         assert _snapshot(a.weights, a.adam_state) == _snapshot(b.weights, b.adam_state)
         assert a.loss_history == b.loss_history
         assert _snapshot(first.weights, first.adam_state) == before
-
-    def test_adam_step_leaves_its_arguments_unchanged(self):
-        model = init_weights(seed=5)
-        x = self._data()
-        _, cache = forward(model, x)
-        grads = backward(model, x, cache)
-        _, state = adam_step(model, grads, zero_adam_state(model), TrainConfig())
-        before = _snapshot(model, state)
-        grads_before = [a.tobytes() for pair in grads for a in pair]
-        adam_step(model, grads, state, TrainConfig())
-        assert _snapshot(model, state) == before
-        assert [a.tobytes() for pair in grads for a in pair] == grads_before
 
 
 class TestWeightFile:

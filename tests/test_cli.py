@@ -63,11 +63,18 @@ class TestParser:
     def test_subcommands_registered(self):
         parser = build_parser()
         for name in ("simulate", "features", "pretrain", "train-central",
-                     "train-fed", "thresholds", "detect", "sweep-k",
-                     "overhead", "run-all"):
-            args = parser.parse_args([name] if name != "sweep-k"
-                                     else [name, "--ks", "1", "2"])
-            assert args.command == name
+                     "train-fed", "thresholds", "detect", "overhead", "run-all"):
+            assert parser.parse_args([name]).command == name
+
+    def test_ks_is_a_detect_option_only(self):
+        parser = build_parser()
+        assert parser.parse_args(["detect", "--ks", "1", "2.5"]).ks == [1.0, 2.5]
+        assert parser.parse_args(["detect"]).ks is None
+        # The retired sweep-k command is refused along with --ks anywhere else.
+        for argv in (["--ks", "1", "detect"], ["run-all", "--ks", "1"],
+                     ["sweep-k", "--ks", "1", "2"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
 
     def test_command_required(self):
         with pytest.raises(SystemExit):
@@ -212,7 +219,7 @@ class TestCommands:
 
 
 STAGE_COMMANDS = ("simulate", "pretrain", "train-central", "train-fed",
-                  "thresholds", "detect", "sweep-k", "overhead")
+                  "thresholds", "detect", "overhead")
 
 
 def test_stage_files_match_run_all_bundle(config_file, tmp_path):
@@ -226,6 +233,27 @@ def test_stage_files_match_run_all_bundle(config_file, tmp_path):
         for rel in written:
             assert (bundle / rel).is_file(), f"{command}: {rel} not in the bundle"
             assert (out / rel).read_bytes() == (bundle / rel).read_bytes(), f"{command}: {rel}"
+
+
+def test_detect_ks_writes_the_attacks_of_a_run_all_with_those_ks(config_file, tmp_path):
+    with_ks = tmp_path / "ks.yaml"
+    with_ks.write_text(yaml.safe_dump(dict(SMALL, ks=[1, 2])))
+    bundle, detected = tmp_path / "run-all", tmp_path / "detect"
+    assert main(["--config", str(with_ks), "--out", str(bundle), "run-all"]) == 0
+    assert main(["--config", str(config_file), "--out", str(detected),
+                 "detect", "--ks", "1", "2"]) == 0
+    run_all, detect = ({p.relative_to(root): p.read_bytes()
+                        for p in (root / "attacks").rglob("*") if p.is_file()}
+                       for root in (bundle, detected))
+    assert run_all and detect == run_all
+
+
+def test_detect_repeated_ks_exit_code(config_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["--config", str(config_file), "--out", str(out),
+                 "detect", "--ks", "1", "1"]) == 1
+    assert "ks" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ("features", "run-all") + STAGE_COMMANDS)

@@ -24,7 +24,6 @@ from iotfed.features import (
     make_windows,
     router_view,
     segment_entropy,
-    shannon_entropy,
 )
 from iotfed.harness import to_csv
 from iotfed.logfmt import (
@@ -58,29 +57,35 @@ class TestSchema:
             FeatureVector(WINDOW[0], C, np.zeros(30))
 
 
+def one_segment_entropy(samples, bins=ENTROPY_BINS):
+    """``segment_entropy`` of ``samples`` as its one segment."""
+    arr = np.asarray(samples, dtype=float)
+    return float(segment_entropy(arr, np.array([arr.size]), bins)[0])
+
+
 class TestShannonEntropy:
     def test_uniform_two_way_split(self):
-        assert shannon_entropy([1, 1, 1, 1, 9, 9, 9, 9], bins=2) == pytest.approx(1.0)
+        assert one_segment_entropy([1, 1, 1, 1, 9, 9, 9, 9], bins=2) == pytest.approx(1.0)
 
     def test_constant_samples(self):
-        assert shannon_entropy([5.0] * 10) == 0.0
+        assert one_segment_entropy([5.0] * 10) == 0.0
 
     def test_empty_samples(self):
-        assert shannon_entropy([]) == 0.0
+        assert one_segment_entropy([]) == 0.0
 
     def test_three_bin_oracle(self):
         # {1,1,2,3} over 3 equal-width bins -> p = {1/2, 1/4, 1/4} -> 1.5 bits
-        assert shannon_entropy([1, 1, 2, 3], bins=3) == pytest.approx(1.5)
+        assert one_segment_entropy([1, 1, 2, 3], bins=3) == pytest.approx(1.5)
 
     def test_bounds(self):
         rng = np.random.default_rng(0)
         samples = rng.normal(size=200)
-        h = shannon_entropy(samples)
+        h = one_segment_entropy(samples)
         assert 0.0 <= h <= np.log2(ENTROPY_BINS)
 
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
-            shannon_entropy([1.0], bins=0)
+            one_segment_entropy([1.0], bins=0)
 
 
 def reference_entropy(samples, bins=ENTROPY_BINS):

@@ -291,7 +291,7 @@ class TestRoutesPerPhase:
         topology = build_topology(ScenarioFamily.III)
         result = run_simulation(topology, SimConfig(seed=9, duration=plan.total_duration), plan)
         assert sorted(calls["route_path"], key=str) == sorted(EDGES * 2, key=str)
-        assert calls["apply_plan"] == [plan] * len(EDGES) * 2
+        assert calls["apply_plan"] == [plan]
         start, end = plan.attack_interval
         for trace in result.traces:
             attacked = trace.origin == E1 and start <= trace.send_time < end
