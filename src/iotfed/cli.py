@@ -5,7 +5,9 @@ pipeline from scratch up to its stage and writes its part of the bundle through
 the same harness writers, byte-identical to a ``run-all`` bundle of the same
 config (``features`` writes normal-corpus feature CSVs, which the bundle lacks).
 Exit codes: 0 success, 1 invalid config (checked before anything is simulated),
-2 a pipeline stage failed (writing the output is stage ``emit``).
+2 a pipeline stage failed (writing the output is stage ``emit``). Files are
+written as they become final, so a failed stage can leave some behind; a
+``run-all`` bundle is complete only once it holds ``BUNDLE_VERSION``.
 """
 
 from __future__ import annotations
@@ -117,11 +119,10 @@ def thresholds(cfg: ExperimentConfig, out: Path) -> None:
 
 def detect(cfg: ExperimentConfig, out: Path) -> None:
     """attack runs: logs, features, reports and plot data"""
-    result = harness.run_experiment(cfg)
-    with harness.stage("emit"):
-        for outcome in result.outcomes:
-            harness.write_attack(cfg, outcome, result.pipelines, out)
-    _print_summary(cfg, result.outcomes)
+    topology, *corpora = harness.simulate_phases(cfg)
+    pipelines = harness.train_pipelines(cfg, topology, *corpora)
+    del corpora
+    _print_summary(cfg, harness.score_attacks(cfg, topology, pipelines, out))
 
 
 def overhead(cfg: ExperimentConfig, out: Path) -> None:

@@ -7,6 +7,7 @@ the threshold value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -35,6 +36,12 @@ def calibrate_threshold(validation_losses: Sequence[float], k: float) -> Thresho
     losses = np.asarray(validation_losses, dtype=float)
     if losses.size == 0:
         raise EmptyValidation("no validation losses")
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        # A diverged model's NaN would make every threshold NaN, and no window
+        # exceeds NaN: detection would silently switch off.
+        raise ValueError(f"reconstruction losses must be finite: {bad.size} of {losses.size} "
+                         f"are not, the first {losses[bad[0]]} at index {bad[0]}")
     if np.any(losses < 0):
         raise ValueError("reconstruction losses must be nonnegative")
     return Threshold(float(losses.mean()), float(losses.std()), k)
@@ -42,6 +49,8 @@ def calibrate_threshold(validation_losses: Sequence[float], k: float) -> Thresho
 
 def classify_window(loss: float, threshold: Threshold) -> bool:
     """True (anomaly) iff the loss strictly exceeds the threshold value."""
+    if not math.isfinite(loss):
+        raise ValueError(f"loss must be finite, not {float(loss)}")
     if loss < 0:
         raise ValueError("loss must be nonnegative")
     return loss > threshold.value

@@ -323,7 +323,6 @@ class AttackOutcome:
     router_reports: dict[str, dict[float, dict[NodeId, DetectionReport]]]
     # mode -> k -> aggregated (any-router) report
     aggregate_reports: dict[str, dict[float, DetectionReport]]
-    sim: SimResult
     # mode -> router -> raw per-window feature vectors
     raw_features: dict[str, dict[NodeId, list[FeatureVector]]]
 
@@ -353,8 +352,9 @@ def detection_reports(losses: Mapping[NodeId, np.ndarray],
 
 
 def evaluate_attack(cfg: ExperimentConfig, topology: Topology, spec: AttackSpec,
-                    pipelines: Mapping[str, TrainedPipeline]) -> AttackOutcome:
-    """Run one 35-minute attack scenario and score both pipelines."""
+                    pipelines: Mapping[str, TrainedPipeline]) -> tuple[AttackOutcome, SimResult]:
+    """Run one 35-minute attack scenario and score both pipelines; the run
+    comes back beside the outcome, which does not hold it."""
     plan = AttackPlan(spec)
     sim_cfg = cfg.sim_config(f"attack-{spec.token()}", plan.total_duration)
     result = run_simulation(topology, sim_cfg, plan)
@@ -369,8 +369,8 @@ def evaluate_attack(cfg: ExperimentConfig, topology: Topology, spec: AttackSpec,
             for r in ROUTERS}
         router_reports[mode], aggregate_reports[mode] = detection_reports(
             losses[mode], pipe.thresholds, truths)
-    return AttackOutcome(spec, truths, losses, router_reports, aggregate_reports, result,
-                         raw_features)
+    return AttackOutcome(spec, truths, losses, router_reports, aggregate_reports,
+                         raw_features), result
 
 
 def emit_plot_data(truths: Sequence[bool],
@@ -436,19 +436,46 @@ def modelled_overhead(cfg: ExperimentConfig) -> dict[str, float]:
             "ratio": centralized / federated}
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   out_dir: Path | str | None = None) -> ExperimentResult:
-    """Execute the full pipeline; optionally write the artifact bundle."""
-    topology, pretrain_result, normal_result = simulate_phases(cfg)
-    pipelines = train_pipelines(cfg, topology, pretrain_result, normal_result)
+def score_attacks(cfg: ExperimentConfig, topology: Topology,
+                  pipelines: Mapping[str, TrainedPipeline],
+                  out_dir: Path | None = None) -> list[AttackOutcome]:
+    """Score each selected attack in turn, writing its directory under ``out_dir``
+    as soon as it is scored; no attack run outlives its turn."""
     outcomes = []
     for spec in cfg.selected_attacks():
         with stage(f"attack-{spec.token()}"):
-            outcomes.append(evaluate_attack(cfg, topology, spec, pipelines))
-    result = ExperimentResult(cfg, pipelines, outcomes)
+            outcome, sim = evaluate_attack(cfg, topology, spec, pipelines)
+        if out_dir is not None:
+            with stage("emit"):
+                write_attack(cfg, outcome, pipelines, out_dir)
+                write_logs(sim, attack_path(out_dir, spec) / "logs")
+        del sim
+        outcomes.append(outcome)
+    return outcomes
+
+
+def run_experiment(cfg: ExperimentConfig,
+                   out_dir: Path | str | None = None) -> ExperimentResult:
+    """Execute the full pipeline; optionally write the artifact bundle.
+
+    Each part is written as soon as it is final and then dropped, and
+    ``write_bundle`` writes ``BUNDLE_VERSION`` last; one an earlier run left
+    is removed first, so only a complete bundle holds one.
+    """
+    topology, pretrain_result, normal_result = simulate_phases(cfg)
+    pipelines = train_pipelines(cfg, topology, pretrain_result, normal_result)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        with stage("emit"):
+            (out_dir / "BUNDLE_VERSION").unlink(missing_ok=True)
+            write_corpora(pretrain_result, normal_result, out_dir)
+            write_models(pipelines, out_dir)
+            write_thresholds(pipelines, out_dir)
+    del pretrain_result, normal_result
+    result = ExperimentResult(cfg, pipelines, score_attacks(cfg, topology, pipelines, out_dir))
     if out_dir is not None:
         with stage("emit"):
-            write_bundle(result, Path(out_dir), pretrain_result, normal_result)
+            write_bundle(result, out_dir)
     return result
 
 
@@ -500,9 +527,10 @@ def report_csv(rows: Sequence[tuple[NodeId, float, DetectionReport]]) -> str:
 
 
 def write_logs(sim: SimResult, log_dir: Path) -> None:
-    """Every device log of one simulated run."""
-    for fname, text in sorted(sim.render_logs().items()):
-        _write(log_dir / fname, text)
+    """Every device log of one simulated run; each document is dropped once written."""
+    docs = sim.render_logs()
+    for fname in sorted(docs):
+        _write(log_dir / fname, docs.pop(fname))
 
 
 def write_corpora(pretrain: SimResult, normal: SimResult, out_dir: Path) -> None:
@@ -541,12 +569,16 @@ def write_thresholds(pipelines: Mapping[str, TrainedPipeline], out_dir: Path) ->
     _write(out_dir / "thresholds.csv", _csv(["mode", "device", "k", "mean", "std", "value"], rows))
 
 
+def attack_path(out_dir: Path, spec: AttackSpec) -> Path:
+    """An attack's directory, ``attacks/<src>_to_<dst>`` under ``out_dir``."""
+    return out_dir / "attacks" / spec.token().replace(">", "_to_")
+
+
 def write_attack(cfg: ExperimentConfig, outcome: AttackOutcome,
                  pipelines: Mapping[str, TrainedPipeline], out_dir: Path) -> None:
-    """One attack's directory: logs, features, per-mode reports, per-router plot data."""
-    attack_dir = out_dir / "attacks" / outcome.spec.token().replace(">", "_to_")
+    """One attack's features, per-mode reports and per-router plot data (not its logs)."""
+    attack_dir = attack_path(out_dir, outcome.spec)
     write_features(outcome.raw_features, attack_dir, outcome.truths)
-    write_logs(outcome.sim, attack_dir / "logs")
     for mode in cfg.modes:
         rows = [(r, k, outcome.router_reports[mode][k][r])
                 for k in sorted(cfg.ks) for r in ROUTERS]
@@ -582,15 +614,9 @@ def write_overhead(overhead: Mapping[str, float], out_dir: Path) -> None:
     _write(out_dir / "overhead.csv", _csv(list(overhead), [list(overhead.values())]))
 
 
-def write_bundle(result: ExperimentResult, out_dir: Path, pretrain_result: SimResult,
-                 normal_result: SimResult) -> None:
-    """Write the versioned artifact bundle for one experiment."""
-    cfg = result.config
+def write_bundle(result: ExperimentResult, out_dir: Path) -> None:
+    """Close a bundle whose other files are written: ``summary.csv``,
+    ``overhead.csv`` and, last, ``BUNDLE_VERSION``, which marks it complete."""
+    write_summary(result.config, result.outcomes, out_dir)
+    write_overhead(modelled_overhead(result.config), out_dir)
     _write(out_dir / "BUNDLE_VERSION", "1\n")
-    write_corpora(pretrain_result, normal_result, out_dir)
-    write_models(result.pipelines, out_dir)
-    write_thresholds(result.pipelines, out_dir)
-    for outcome in result.outcomes:
-        write_attack(cfg, outcome, result.pipelines, out_dir)
-    write_summary(cfg, result.outcomes, out_dir)
-    write_overhead(modelled_overhead(cfg), out_dir)

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .attacks import AttackPlan, apply_plan
-from .logfmt import NODE_CODE, NODES, DeviceLog, format_distinct, to_us
+from .logfmt import NODE_CODE, NODES, DeviceLog, to_us
 from .nodes import (
     EDGES,
     HOP_LIMIT,
@@ -97,20 +97,8 @@ class SimResult:
         return self._traces
 
     def render_logs(self) -> dict[str, str]:
-        """One newline-delimited document per logging device, ``<node>.log``.
-
-        A hop's timestamp appears in several logs. One ``format_distinct``
-        over every log's times formats each distinct stamp once, and each log
-        reads its rows through its own slice of the indices.
-        """
-        if not self.entries:
-            return {}
-        stamps, index = format_distinct(np.concatenate([log.times for log in self.entries.values()]))
-        docs, at = {}, 0
-        for node, log in self.entries.items():
-            docs[f"{node}.log"] = log.render(stamps, index[at:at + len(log.times)])
-            at += len(log.times)
-        return docs
+        """One newline-delimited document per logging device, ``<node>.log``."""
+        return {f"{node}.log": log.render() for node, log in self.entries.items()}
 
 
 def hop_delays_ms(z: np.ndarray, model: HopDelayModel) -> np.ndarray:

@@ -250,7 +250,7 @@ def test_acceptance_8_scenario_iii_detectability():
         pipelines = {mode: build_pipeline(cfg, mode, topology, pretrain, normal)
                      for mode in cfg.modes}
         for spec in cfg.selected_attacks():
-            outcome = evaluate_attack(cfg, topology, spec, pipelines)
+            outcome, _ = evaluate_attack(cfg, topology, spec, pipelines)
             for mode in cfg.modes:
                 k_star = outcome.optimal_k(mode)
                 report = outcome.aggregate_reports[mode][k_star]

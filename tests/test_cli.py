@@ -267,6 +267,33 @@ def test_write_failures_exit_code(tmp_path, capsys, command):
     assert "error in stage emit: " in capsys.readouterr().err
 
 
+def test_run_all_that_fails_part_way_leaves_no_bundle_version(tmp_path, capsys, monkeypatch):
+    # Each attack is written as it ends, so a run that fails part-way leaves
+    # files behind; BUNDLE_VERSION, written last, marks a complete bundle, and
+    # the one an earlier run left in --out is removed before the first write.
+    cfg = tmp_path / "two.yaml"
+    cfg.write_text(yaml.safe_dump(dict(SMALL, pretrain_duration=120.0, normal_duration=600.0,
+                                       epochs=1, pretrain_epochs=1, fed_local_epochs=1,
+                                       attacks=["E4>A", "R2>A"])))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "BUNDLE_VERSION").write_text("1\n")
+    evaluate = harness.evaluate_attack
+
+    def second_fails(cfg, topology, spec, pipelines):
+        if spec.token() == "R2>A":
+            raise RuntimeError("the model diverged")
+        return evaluate(cfg, topology, spec, pipelines)
+
+    monkeypatch.setattr(harness, "evaluate_attack", second_fails)
+    assert main(["--config", str(cfg), "--out", str(out), "run-all"]) == 2
+    assert "error in stage attack-R2>A: the model diverged" in capsys.readouterr().err
+    assert (out / "attacks" / "E4_to_A" / "logs" / "C.log").is_file()
+    assert (out / "attacks" / "E4_to_A" / "report_federated.csv").is_file()
+    assert not (out / "attacks" / "R2_to_A").exists()
+    assert not (out / "BUNDLE_VERSION").exists()
+
+
 def test_readme_config_table_lists_every_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]

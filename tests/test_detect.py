@@ -119,3 +119,22 @@ class TestReportCsv:
         lines = text.strip().split("\n")
         assert lines[0] == "device,k,accuracy,precision,recall,f1"
         assert lines[1].startswith("R1,2,1.0000,")
+
+
+class TestNonFiniteLosses:
+    # A diverged model's NaN loss would make every threshold NaN, and no loss
+    # exceeds NaN: detection would report no attack on any window.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_calibration_refuses_and_names_them(self, bad):
+        with pytest.raises(ValueError, match=rf"must be finite: 1 of 3 are not, "
+                                             rf"the first {bad} at index 1"):
+            calibrate_threshold([0.1, bad, 0.2], 2.0)
+
+    def test_calibration_counts_every_one(self):
+        with pytest.raises(ValueError, match="2 of 3 are not, the first nan at index 0"):
+            calibrate_threshold(np.array([np.nan, 0.1, np.inf], dtype=np.float32), 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float32("nan")])
+    def test_classification_refuses_and_names_it(self, bad):
+        with pytest.raises(ValueError, match=f"loss must be finite, not {float(bad)}"):
+            classify_window(bad, Threshold(0.1, 0.05, 2.0))

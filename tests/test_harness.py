@@ -1,10 +1,12 @@
+import gc
 import hashlib
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from iotfed import federated, harness
+from iotfed import cli, federated, harness
 from iotfed.attacks import AttackPlan, AttackSpec
 from iotfed.autoencoder import TrainConfig, save_weights, train
 from iotfed.detect import DEFAULT_KS, Threshold, calibrate_threshold
@@ -158,6 +160,38 @@ def test_every_bundle_file_goes_through_the_one_writer(tmp_path, monkeypatch):
     run_experiment(cfg, out_dir=tmp_path)
     assert len(written) == len(set(written))
     assert set(written) == {p for p in tmp_path.rglob("*") if p.is_file()}
+    assert written[-1] == tmp_path / "BUNDLE_VERSION"
+
+
+@pytest.mark.parametrize("command", ["run-all", "detect"])
+def test_each_run_is_released_once_written(tmp_path, monkeypatch, command):
+    # Memory stays bounded only if no run outlives its writing: when an attack
+    # is evaluated, the corpora and every earlier attack run are gone.
+    runs, seen = [], []
+    simulate, evaluate = harness.run_simulation, harness.evaluate_attack
+
+    def recorded(*args, **kwargs):
+        result = simulate(*args, **kwargs)
+        runs.append(weakref.ref(result))
+        return result
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        seen.append((len(runs), sum(ref() is not None for ref in runs)))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_simulation", recorded)
+    monkeypatch.setattr(harness, "evaluate_attack", checked)
+    cfg = small_config(pretrain_duration=120.0, normal_duration=600.0,
+                       train=TrainConfig(epochs=1), pretrain_epochs=1, fed_local_epochs=1,
+                       attack_tokens=("E4>A", "R2>A", "E1>A"))
+    if command == "run-all":
+        run_experiment(cfg, out_dir=tmp_path)
+    else:
+        cli.detect(cfg, tmp_path)
+    # (runs so far, runs alive) at each attack: two corpora, then one run per attack.
+    assert seen == [(2, 0), (3, 0), (4, 0)]
+    assert (tmp_path / "attacks" / "E1_to_A" / "logs" / "C.log").is_file()
 
 
 class TestPipelines:

@@ -12,6 +12,8 @@ from conftest import (
     COORD_LINE,
     EDGE_LINE,
     ROUTER_LINE,
+    coordinator_entry,
+    ts,
 )
 from iotfed import logfmt
 from iotfed.logfmt import (
@@ -541,6 +543,27 @@ class TestDeviceLog:
 
     def test_empty_log_renders_empty(self):
         assert EMPTY_LOG.render() == ""
+
+    # Entries of 1, 2 and 3 segments, the n-th of a log starting n seconds in.
+    _ENTRIES = {
+        "edge": lambda n: LogEntry(EntryKind.EDGE, (Segment(E3, R3, ts(n)),), n),
+        "router": lambda n: LogEntry(EntryKind.ROUTER, (Segment(E3, R3, ts(n), ts(n + 0.1)),
+                                                        Segment(R3, R2, ts(n + 0.2))), 10 + n),
+        "coordinator": lambda n: coordinator_entry(E3, [R3, R2, C], ts(n)),
+    }
+
+    @pytest.mark.parametrize("kinds", [
+        (), ("edge",), ("edge", "router", "coordinator"), ("edge", "router", "coordinator", "edge"),
+        ("router", "coordinator", "edge"),
+    ], ids=["0-segments", "1-segment", "2-chunks", "2-chunks-and-1", "entry-across-an-edge"])
+    def test_render_across_chunk_edges(self, monkeypatch, kinds):
+        # Chunks of 3 segments: the 2-segment router entry puts the coordinator
+        # entry's segments on both sides of the first chunk edge.
+        monkeypatch.setattr(logfmt, "_RENDER_CHUNK", 3)
+        entries = [self._ENTRIES[kind](n) for n, kind in enumerate(kinds)]
+        log = DeviceLog.from_entries(entries)
+        assert len(log.src) == sum(len(e.segments) for e in entries)
+        assert log.render().split("\n") == [serialize_entry(e) for e in entries] + [""]
 
     def test_len_reads_the_row_count_and_indexing_infers_kinds(self, monkeypatch):
         log = parse_log(f"{EDGE_LINE}\n{ROUTER_LINE}\n{COORD_LINE}\n")
