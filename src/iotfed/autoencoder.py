@@ -139,10 +139,6 @@ def init_weights(dims: tuple[int, ...] = DEFAULT_DIMS,
     return ModelWeights(np.concatenate(parts), tuple(dims), tuple(activations))
 
 
-def zero_adam_state(weights: ModelWeights) -> AdamState:
-    return AdamState(np.zeros_like(weights.params), np.zeros_like(weights.params), 0)
-
-
 class _Workspace:
     """Every buffer of one step on batches of ``rows`` rows, so a step allocates no array.
 
@@ -258,14 +254,6 @@ def forward(weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, list]:
     x = np.asarray(x)
     ws, batch = _forward_batch(weights, x)
     return (ws.a[-1][0] if x.ndim == 1 else ws.a[-1]), [(None, batch), *zip(ws.z, ws.a)]
-
-
-def reconstruction_loss(weights: ModelWeights, batch: np.ndarray) -> float:
-    """Mean over the batch of the squared reconstruction error norms."""
-    batch = np.atleast_2d(np.asarray(batch))
-    if batch.shape[0] == 0:
-        raise EmptyDataset("loss over an empty batch")
-    return float(np.mean(per_sample_losses(weights, batch)))
 
 
 def per_sample_losses(weights: ModelWeights, batch: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import yaml
 from . import harness
 from .autoencoder import TrainConfig
 from .harness import ExperimentConfig
-from .nodes import ScenarioFamily
+from .nodes import ScenarioFamily, build_topology
 from .simkernel import HopDelayModel
 
 _TRAIN_KEYS = ("epochs", "batch_size", "learning_rate")
@@ -97,7 +97,10 @@ def simulate(cfg: ExperimentConfig, out: Path) -> None:
 
 def features(cfg: ExperimentConfig, out: Path) -> None:
     """per-router feature CSVs of the normal corpus"""
-    normal = harness.simulate_phases(cfg)[2]
+    with harness.stage("topology"):
+        topology = build_topology(cfg.scenario)
+    with harness.stage("simulate"):  # the pretrain corpus is not read here
+        normal = harness.run_simulation(topology, cfg.sim_config("normal", cfg.normal_duration))
     raw = {m: harness.mode_features(cfg, m, normal, cfg.normal_duration) for m in cfg.modes}
     with harness.stage("emit"):
         harness.write_features(raw, out)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .logfmt import NODE_CODE, NODES, DeviceLog, LogEntry, to_us, us_to_ms
+from .logfmt import NODE_CODE, NODES, DeviceLog, to_us, us_to_ms
 from .nodes import EDGES, ROUTERS, A, C, NodeId, Role
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -213,13 +213,6 @@ def window_matrix(log: DeviceLog, windows: Sequence[tuple[datetime, datetime]],
     values[:, [7, 8, 9, 10, 11, 13]] = first_stats[:, [0, 1, 4, 5, 6, 7]]
     values[:, sorted(schema)] = 0.0
     return values
-
-
-def extract_window(entries: Sequence[LogEntry], window: tuple[datetime, datetime],
-                   schema: frozenset[int], device: NodeId = C) -> FeatureVector:
-    """Raw 31-slot feature vector of the entries sent in one [start, end) window."""
-    values = window_matrix(DeviceLog.from_entries(entries), [window], schema)[0]
-    return FeatureVector(window[0], device, values)
 
 
 def router_view(log: DeviceLog, router: NodeId) -> DeviceLog:

@@ -40,18 +40,6 @@ def _check_one_architecture(updates: Sequence[ModelWeights]) -> None:
         raise ShapeMismatch(f"mixed architectures {sorted(archs)}")
 
 
-def fedavg(updates: Sequence[ModelWeights], dtype=np.float32) -> ModelWeights:
-    """Unweighted element-wise mean of client weights, summed in client order."""
-    if not updates:
-        raise EmptyRoster("fedavg needs at least one update")
-    _check_one_architecture(updates)
-    total = updates[0].params.astype(dtype)
-    for update in updates[1:]:
-        total = total + update.params.astype(dtype)
-    return ModelWeights((total / len(updates)).astype(dtype), updates[0].dims,
-                        updates[0].activations)
-
-
 def router_tree(tree: Topology, roster: Sequence[NodeId]) -> dict[NodeId, NodeId]:
     """Parent map over the roster: each router's next hop if that is a roster
     router, otherwise C."""

@@ -122,6 +122,9 @@ class ExperimentConfig:
             raise ValueError("validation_fraction must lie strictly between 0 and 1, "
                              f"not {self.validation_fraction!r}")
         check_window_len(self.window_len)
+        if self.train.seed:  # pretrain and both fits seed their training from derive_seed
+            raise ValueError(f"train.seed must be 0, not {self.train.seed!r}: every training "
+                             "seed derives from seed")
         # Each check names the YAML key that sets the value. The delay model and jitter
         # are checked on a stand-in duration: durations fail the stage that simulates.
         self.train.validate()

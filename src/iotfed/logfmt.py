@@ -32,7 +32,7 @@ import enum
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-class IncompleteTrace(ValueError):
-    """A delay was requested from an entry lacking the needed timestamps."""
-
-
 class EntryKind(enum.Enum):
     EDGE = "edge"
     ROUTER = "router"
@@ -92,10 +88,6 @@ class LogEntry:
     @property
     def origin(self) -> NodeId:
         return self.segments[0].src
-
-    @property
-    def final_dest(self) -> NodeId:
-        return self.segments[-1].dst
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -272,28 +264,6 @@ def us_to_ms(us: int | np.ndarray) -> float | np.ndarray:
     return (us / 1_000_000) * 1000.0
 
 
-def end_to_end_delay(entry: LogEntry) -> float:
-    """Milliseconds from first send to final receive; coordinator entries only."""
-    if entry.kind is not EntryKind.COORDINATOR:
-        raise IncompleteTrace("end-to-end delay requires a coordinator entry")
-    last = entry.segments[-1]
-    if last.received_at is None:
-        raise IncompleteTrace("final segment lacks a receive timestamp")
-    return us_to_ms(to_us(last.received_at) - to_us(entry.segments[0].sent_at))
-
-
-def first_hop_delay(entry: LogEntry) -> float:
-    """Milliseconds across the first segment; requires a complete first hop."""
-    first = entry.segments[0]
-    if first.received_at is None:
-        raise IncompleteTrace("first segment lacks a receive timestamp")
-    return us_to_ms(to_us(first.received_at) - to_us(first.sent_at))
-
-
-def hop_count(entry: LogEntry) -> int:
-    return len(entry.segments)
-
-
 #: Every node a log can name; a node's code in a ``DeviceLog`` is its index here.
 NODES: tuple[NodeId, ...] = ROSTER
 NODE_CODE = {node: code for code, node in enumerate(NODES)}
@@ -324,30 +294,6 @@ class DeviceLog(Sequence[LogEntry]):
         self.src, self.dst, self.times = src, dst, times
         self.ends = np.cumsum(n_segs)
         self.starts = self.ends - n_segs
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[LogEntry]) -> DeviceLog:
-        """``entries`` as columns, in one pass.
-
-        Each entry must have the shape ``parse_entry`` gives its kind, and
-        its status must fit in 64 bits.
-        """
-        rows: list[int] = []      # per entry: segment count, received, status
-        segments: list[int] = []  # per segment: src, dst, sent, received
-        for e in entries:
-            *inner, last = e.segments
-            got = last.received_at is not None
-            if e.kind is not _kind(len(e.segments), got) or any(
-                    s.received_at is None for s in inner):
-                raise ValueError(f"a {e.kind.value} entry of this shape cannot be logged")
-            rows += (len(e.segments), got, -1 if e.status is None else e.status)
-            for s in e.segments:
-                sent = to_us(s.sent_at)
-                segments += (NODE_CODE[s.src], NODE_CODE[s.dst], sent,
-                             sent if s.received_at is None else to_us(s.received_at))
-        n_segs, received, status = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-        src, dst, *times = np.array(segments, dtype=np.int64).reshape(-1, 4).T
-        return cls(n_segs, received.astype(bool), status, src, dst, np.stack(times, axis=1))
 
     def __len__(self) -> int:
         return len(self.n_segs)

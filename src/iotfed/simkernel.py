@@ -109,11 +109,6 @@ def hop_delays_ms(z: np.ndarray, model: HopDelayModel) -> np.ndarray:
     return model.median_ms * np.exp(model.sigma * z)
 
 
-def sample_hop_delay(rng: np.random.Generator, model: HopDelayModel) -> float:
-    """One lognormal transit time in milliseconds: ``hop_delays_ms`` of one draw."""
-    return float(hop_delays_ms(rng.standard_normal(), model))
-
-
 _C_CODE = NODE_CODE[C]
 _START_US = to_us(DEFAULT_START)
 

@@ -1,10 +1,12 @@
-"""Shared fixtures and reference constants for the test suite."""
+"""Shared fixtures, reference constants and test oracles for the test suite."""
 
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
-from iotfed.logfmt import EntryKind, LogEntry, Segment
+from iotfed.autoencoder import ModelWeights
+from iotfed.logfmt import NODE_CODE, DeviceLog, EntryKind, LogEntry, Segment, to_us, us_to_ms
 from iotfed.nodes import NodeId
 
 # The three reference device-log examples, byte for byte.
@@ -19,6 +21,8 @@ COORD_LINE = ("E3>R3,2024-04-26 13:36:10.273312, 2024-04-26 13:36:10.336880, "
 COORD_E2E_MS = 514.539
 COORD_FIRST_HOP_MS = 63.568
 COORD_HOPS = 3
+#: The minute the reference examples were sent in, as a feature window.
+REF_WINDOW = (datetime(2024, 4, 26, 13, 36), datetime(2024, 4, 26, 13, 37))
 
 T0 = datetime(2024, 4, 26, 13, 36, 10)
 
@@ -40,6 +44,45 @@ def coordinator_entry(origin: NodeId, path: list[NodeId], start: datetime,
         segments.append(Segment(src, dst, sent, received))
         t = received
     return LogEntry(EntryKind.COORDINATOR, tuple(segments))
+
+
+def device_log(entries: list[LogEntry]) -> DeviceLog:
+    """The column oracle: ``entries`` as the ``DeviceLog`` that ``parse_log``
+    reads from their ``serialize_entry`` lines, built entry by entry."""
+    rows: list[int] = []      # per entry: segment count, received, status
+    segments: list[int] = []  # per segment: src, dst, sent, received
+    for e in entries:
+        got = e.segments[-1].received_at is not None
+        rows += (len(e.segments), got, -1 if e.status is None else e.status)
+        for s in e.segments:
+            sent = to_us(s.sent_at)
+            segments += (NODE_CODE[s.src], NODE_CODE[s.dst], sent,
+                         sent if s.received_at is None else to_us(s.received_at))
+    n_segs, received, status = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    src, dst, *times = np.array(segments, dtype=np.int64).reshape(-1, 4).T
+    return DeviceLog(n_segs, received.astype(bool), status, src, dst, np.stack(times, axis=1))
+
+
+def end_to_end_delay(entry: LogEntry) -> float:
+    """Milliseconds from first send to final receive of a coordinator entry."""
+    assert entry.kind is EntryKind.COORDINATOR
+    return us_to_ms(to_us(entry.segments[-1].received_at) - to_us(entry.segments[0].sent_at))
+
+
+def first_hop_delay(entry: LogEntry) -> float:
+    """Milliseconds across an entry's first segment, which must be received."""
+    first = entry.segments[0]
+    return us_to_ms(to_us(first.received_at) - to_us(first.sent_at))
+
+
+def fedavg(updates: list[ModelWeights], dtype) -> ModelWeights:
+    """The flat FedAvg mean: client weights summed in client order, in ``dtype``,
+    then divided by the client count."""
+    total = updates[0].params.astype(dtype)
+    for update in updates[1:]:
+        total = total + update.params.astype(dtype)
+    return ModelWeights((total / len(updates)).astype(dtype), updates[0].dims,
+                        updates[0].activations)
 
 
 @pytest.fixture(scope="session")

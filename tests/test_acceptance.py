@@ -18,18 +18,20 @@ from conftest import (
     COORD_HOPS,
     COORD_LINE,
     EDGE_LINE,
+    REF_WINDOW,
     ROUTER_LINE,
+    fedavg,
 )
 from iotfed.autoencoder import (
     TrainConfig,
     backward,
     forward,
     init_weights,
-    reconstruction_loss,
+    per_sample_losses,
     save_weights,
 )
 from iotfed.detect import calibrate_threshold, f1_score
-from iotfed.federated import fedavg, hierarchical_round, run_federated_training
+from iotfed.federated import hierarchical_round, run_federated_training
 from iotfed.harness import (ExperimentConfig, build_pipeline, evaluate_attack, modelled_overhead,
                             run_simulation)
 from iotfed.logfmt import ParseError, parse_entry, serialize_entry
@@ -102,9 +104,9 @@ def test_acceptance_2_gradients_match_finite_differences():
                     for j in range(flat.size):
                         keep = flat[j]
                         flat[j] = keep + h
-                        up = reconstruction_loss(model, x)
+                        up = per_sample_losses(model, x).mean()
                         flat[j] = keep - h
-                        down = reconstruction_loss(model, x)
+                        down = per_sample_losses(model, x).mean()
                         flat[j] = keep
                         numeric = (up - down) / (2 * h)
                         scale = max(abs(numeric), abs(ana[j]), 1.0)
@@ -220,20 +222,20 @@ def test_acceptance_6_log_grammar():
 # --- 7. Feature determinism and schema ---------------------------------------
 
 def test_acceptance_7_feature_schema_and_reference_delays():
-    from iotfed.features import COORDINATOR_SCHEMA, ROUTER_SCHEMA, extract_window
-    from iotfed.logfmt import end_to_end_delay, first_hop_delay, hop_count
+    from iotfed.features import COORDINATOR_SCHEMA, FEATURE_NAMES, ROUTER_SCHEMA, window_matrix
+    from iotfed.logfmt import EMPTY_LOG, parse_log
 
     with acceptance(7, "31-slot schema and reference delay example"):
-        entry = parse_entry(COORD_LINE)
-        assert end_to_end_delay(entry) == pytest.approx(COORD_E2E_MS, abs=1e-3)
-        assert first_hop_delay(entry) == pytest.approx(COORD_FIRST_HOP_MS, abs=1e-3)
-        assert hop_count(entry) == COORD_HOPS
-
-        window_start = entry.segments[0].sent_at.replace(second=0, microsecond=0)
-        window = (window_start, window_start.replace(minute=window_start.minute + 1))
+        slot = FEATURE_NAMES.index
         for schema in (COORDINATOR_SCHEMA, ROUTER_SCHEMA):
-            assert extract_window([entry], window, schema).values.shape == (31,)
-            assert extract_window([], window, schema).values.shape == (31,)
+            values = window_matrix(parse_log(COORD_LINE), [REF_WINDOW], schema)
+            assert values.shape == (1, 31)
+            assert window_matrix(EMPTY_LOG, [REF_WINDOW], schema).shape == (1, 31)
+            e2e = COORD_E2E_MS if schema is COORDINATOR_SCHEMA else 0.0
+            assert values[0, slot("delay_mean")] == pytest.approx(e2e, abs=1e-3)
+            assert values[0, slot("first_hop_mean")] == pytest.approx(COORD_FIRST_HOP_MS,
+                                                                       abs=1e-3)
+            assert values[0, slot("avg_hops")] == COORD_HOPS
 
 
 # --- 8. End-to-end detectability ---------------------------------------------

@@ -23,10 +23,8 @@ from iotfed.autoencoder import (
     init_weights,
     load_weights,
     per_sample_losses,
-    reconstruction_loss,
     save_weights,
     train,
-    zero_adam_state,
 )
 
 
@@ -105,25 +103,20 @@ class TestForward:
                                       per_sample_losses(model, np.array(x)))
 
 
+def loss(model, x):
+    """The batch loss ``train`` minimizes: the mean of the per-sample losses."""
+    return per_sample_losses(model, x).mean()
+
+
 class TestLoss:
     def test_zero_weights_half_input_is_fixed_point(self):
         x = np.full((1, 31), 0.5, dtype=np.float32)
-        assert reconstruction_loss(zero_model(), x) == pytest.approx(0.0)
+        assert loss(zero_model(), x) == pytest.approx(0.0)
 
     def test_ones_input_oracle(self):
         # ||1 - 0.5||^2 over 31 slots = 31 * 0.25 = 7.75
         x = np.ones((1, 31), dtype=np.float32)
-        assert reconstruction_loss(zero_model(), x) == pytest.approx(7.75)
-
-    def test_mean_over_batch_matches_per_sample(self):
-        model = init_weights(seed=2)
-        x = np.random.default_rng(3).uniform(size=(8, 31)).astype(np.float32)
-        assert reconstruction_loss(model, x) == pytest.approx(
-            float(per_sample_losses(model, x).mean()), rel=1e-6)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(EmptyDataset):
-            reconstruction_loss(init_weights(), np.zeros((0, 31)))
+        assert loss(zero_model(), x) == pytest.approx(7.75)
 
 
 class TestBackward:
@@ -138,9 +131,9 @@ class TestBackward:
             for idx in np.ndindex(layer.weight.shape):
                 w = layer.weight.copy()
                 w[idx] += h
-                up = reconstruction_loss(_with_weight(model, li, w), x)
+                up = loss(_with_weight(model, li, w), x)
                 w[idx] -= 2 * h
-                down = reconstruction_loss(_with_weight(model, li, w), x)
+                down = loss(_with_weight(model, li, w), x)
                 numeric = (up - down) / (2 * h)
                 analytic = grads[li][0][idx]
                 assert abs(numeric - analytic) <= 1e-4 * max(1.0, abs(numeric))
@@ -170,6 +163,11 @@ def _with_weight(model, layer_index, new_weight):
     return changed
 
 
+def fresh_state(weights):
+    """The zero Adam state that ``train`` starts from without one."""
+    return AdamState(np.zeros_like(weights.params), np.zeros_like(weights.params))
+
+
 def _fresh_moments(p):
     """Zero Adam moments and the two scratch arrays ``_adam_update`` takes for ``p``."""
     return np.zeros_like(p), np.zeros_like(p), np.empty((2, p.size), p.dtype)
@@ -195,10 +193,10 @@ class TestAdam:
     def test_loss_decreases_after_one_step(self):
         model = init_weights(seed=3).astype(np.float64)
         x = np.random.default_rng(4).uniform(size=(8, 31))
-        before = reconstruction_loss(model, x)
+        before = loss(model, x)
         step = train(model, x, TrainConfig(epochs=1, batch_size=8, learning_rate=0.001))
         assert step.adam_state.t == 1
-        assert reconstruction_loss(step.weights, x) < before
+        assert loss(step.weights, x) < before
 
 
 class TestTrain:
@@ -266,7 +264,7 @@ def _per_array_adam(weights, grads, state, cfg):
 def _oracle_train(weights, data, cfg, state=None):
     """The training loop as first written, one ``_per_array_adam`` per batch."""
     data = np.atleast_2d(np.asarray(data, dtype=weights.params.dtype))
-    state = state if state is not None else zero_adam_state(weights)
+    state = state if state is not None else fresh_state(weights)
     rng = np.random.default_rng(cfg.seed)
     n = data.shape[0]
     history = []
@@ -331,7 +329,7 @@ class TestTrainMatchesPerArrayAdam:
         cfg = TrainConfig(learning_rate=1e-2)
         weights = ModelWeights(model.params.copy(), model.dims, model.activations)
         m, v, scratch = _fresh_moments(weights.params)
-        want_weights, want_state = model, zero_adam_state(model)
+        want_weights, want_state = model, fresh_state(model)
         for t in range(1, 4):
             _, cache = forward(weights, x)
             g = np.concatenate([np.ravel(a) for pair in backward(weights, x, cache) for a in pair])
@@ -345,7 +343,7 @@ class TestTrainMatchesPerArrayAdam:
     def test_mixed_dtype_training_computes_in_the_weights_dtype(self):
         model = init_weights(seed=6)
         x = np.random.default_rng(6).uniform(size=(5, 31))
-        wide = zero_adam_state(model.astype(np.float64))
+        wide = fresh_state(model.astype(np.float64))
         result = train(model, x, TrainConfig(epochs=1), adam_state=wide)
         state = result.adam_state
         assert result.weights.params.dtype == state.m.dtype == state.v.dtype == np.float32

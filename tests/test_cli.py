@@ -6,7 +6,9 @@ import yaml
 
 from iotfed import harness
 from iotfed.cli import _YAML_KEYS, build_parser, load_config, main
-from iotfed.nodes import ScenarioFamily
+from iotfed.logfmt import parse_log
+from iotfed.nodes import ROSTER, ScenarioFamily
+from iotfed.simkernel import SimResult
 
 SMALL = dict(
     seed=21,
@@ -104,6 +106,30 @@ class TestCommands:
         assert (out / "features_federated_R2.csv").exists()
         assert (out / "features_centralized_R1.csv").exists()
 
+    def test_features_simulates_the_normal_corpus_alone(self, config_file, tmp_path,
+                                                        monkeypatch):
+        durations = []
+        simulate = harness.run_simulation
+
+        def recorded(topology, cfg, *args):
+            durations.append(cfg.duration)
+            return simulate(topology, cfg, *args)
+
+        monkeypatch.setattr(harness, "run_simulation", recorded)
+        assert main(["--config", str(config_file), "--out", str(tmp_path), "features"]) == 0
+        assert durations == [SMALL["normal_duration"]]
+
+    def test_features_needs_no_pretrain_corpus(self, config_file, tmp_path):
+        no_pretrain = tmp_path / "no-pretrain.yaml"
+        no_pretrain.write_text(yaml.safe_dump(dict(SMALL, pretrain_duration=0)))
+        for config, out in ((config_file, tmp_path / "a"), (no_pretrain, tmp_path / "b")):
+            assert main(["--config", str(config), "--out", str(out), "features"]) == 0
+        written = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert len(written) == 6
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == written
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_run_all_emits_bundle_and_summary(self, config_file, tmp_path,
                                               capsys):
         out = tmp_path / "out"
@@ -115,6 +141,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("config,command,error", [
         (dict(normal_duration=-5.0), "run-all", "simulate: duration must be"),
+        (dict(normal_duration=-5.0), "features", "simulate: duration must be"),
         (dict(SMALL, normal_duration=90.0), "train-fed",
          "train-federated: normal_duration 90 s in window_len 60 s windows gives 2 windows, "
          "of which validation_fraction 0.2 leaves 2 to train on and 0 to validate on"),
@@ -123,7 +150,7 @@ class TestCommands:
          "of which validation_fraction 0.99 leaves 0 to train on and 15 to validate on"),
         (dict(SMALL, normal_duration=300.0), "train-fed",
          "train-federated: fl_rounds 5 exceeds the 4 training windows per router"),
-    ], ids=["negative-duration", "nothing-to-validate", "nothing-to-train", "round-without-data"])
+    ], ids=["negative-duration", "negative-duration-features", "nothing-to-validate", "nothing-to-train", "round-without-data"])
     def test_stage_error_exit_code(self, tmp_path, capsys, monkeypatch, config, command, error):
         # An empty split or round is refused before any window is built or model trained.
         monkeypatch.setattr(harness, "mode_features", _no_windowing)
@@ -233,6 +260,22 @@ def test_stage_files_match_run_all_bundle(config_file, tmp_path):
         for rel in written:
             assert (bundle / rel).is_file(), f"{command}: {rel} not in the bundle"
             assert (out / rel).read_bytes() == (bundle / rel).read_bytes(), f"{command}: {rel}"
+
+
+def test_features_window_the_normal_corpus_that_simulate_writes(config_file, tmp_path):
+    # features simulates its corpus itself, which the bundle does not hold:
+    # its CSVs must be those of the normal logs, read back.
+    for command in ("simulate", "features"):
+        assert main(["--config", str(config_file), "--out", str(tmp_path), command]) == 0
+    logs = tmp_path / "normal" / "logs"
+    normal = SimResult([], {node: parse_log((logs / f"{node}.log").read_text())
+                            for node in ROSTER if (logs / f"{node}.log").is_file()})
+    cfg = load_config(config_file)
+    for mode in cfg.modes:
+        for router, vectors in harness.mode_features(cfg, mode, normal,
+                                                     cfg.normal_duration).items():
+            assert (tmp_path / f"features_{mode}_{router}.csv").read_text() == \
+                harness.to_csv(vectors)
 
 
 def test_detect_ks_writes_the_attacks_of_a_run_all_with_those_ks(config_file, tmp_path):

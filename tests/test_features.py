@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import COORD_LINE, ROUTER_LINE, coordinator_entry, ts
+from conftest import (
+    COORD_LINE,
+    ROUTER_LINE,
+    coordinator_entry,
+    device_log,
+    end_to_end_delay,
+    first_hop_delay,
+    ts,
+)
 from iotfed import harness
 from iotfed.features import (
     COORDINATOR_SCHEMA,
@@ -19,23 +27,14 @@ from iotfed.features import (
     ScalerMismatch,
     ScalerParams,
     apply_scaler,
-    extract_window,
     fit_scaler,
     make_windows,
     router_view,
     segment_entropy,
+    window_matrix,
 )
 from iotfed.harness import to_csv
-from iotfed.logfmt import (
-    DeviceLog,
-    EntryKind,
-    LogEntry,
-    Segment,
-    end_to_end_delay,
-    first_hop_delay,
-    hop_count,
-    parse_entry,
-)
+from iotfed.logfmt import EntryKind, LogEntry, Segment, parse_entry
 from iotfed.nodes import EDGES, ROUTERS, A, C, E1, E2, E3, E4, R1, R2, R3
 
 SLOT = {name: i for i, name in enumerate(FEATURE_NAMES)}
@@ -185,13 +184,18 @@ class TestSegmentEntropy:
             segment_entropy(np.array([lo, np.nextafter(lo, 2.0)]), np.array([2]), bins=2)
 
 
-class TestExtractWindow:
+def one_window(entries, window, schema):
+    """``window_matrix``'s row for one window of the entries' log."""
+    return window_matrix(device_log(entries), [window], schema)[0]
+
+
+class TestOneWindow:
     def test_single_reference_entry(self):
         entry = parse_entry(COORD_LINE)
         window = (entry.segments[0].sent_at.replace(second=0, microsecond=0),
                   entry.segments[0].sent_at.replace(second=0, microsecond=0)
                   + (WINDOW[1] - WINDOW[0]))
-        v = extract_window([entry], window, COORDINATOR_SCHEMA).values
+        v = one_window([entry], window, COORDINATOR_SCHEMA)
         assert v[SLOT["delay_mean"]] == pytest.approx(514.539, abs=1e-3)
         assert v[SLOT["first_hop_mean"]] == pytest.approx(63.568, abs=1e-3)
         assert v[SLOT["avg_hops"]] == 3.0
@@ -199,14 +203,15 @@ class TestExtractWindow:
         assert v[SLOT["count_3hop"]] == 1.0
 
     def test_empty_window_is_all_zero(self):
-        v = extract_window([], WINDOW, COORDINATOR_SCHEMA)
-        assert not v.values.any()
+        v = one_window([], WINDOW, COORDINATOR_SCHEMA)
+        assert v.shape == (N_FEATURES,)
+        assert not v.any()
 
     def test_two_entry_quartile_oracle(self):
         # end-to-end delays {100, 300} ms -> mean 200, Q1 150, Q2 200, Q3 250
         entries = [coordinator_entry(E1, [R1, C], ts(1.0), hop_ms=50.0),
                    coordinator_entry(E1, [R1, C], ts(2.0), hop_ms=150.0)]
-        v = extract_window(entries, WINDOW, COORDINATOR_SCHEMA).values
+        v = one_window(entries, WINDOW, COORDINATOR_SCHEMA)
         assert v[SLOT["delay_mean"]] == pytest.approx(200.0)
         assert v[SLOT["delay_q1"]] == pytest.approx(150.0)
         assert v[SLOT["delay_q2"]] == pytest.approx(200.0)
@@ -216,7 +221,7 @@ class TestExtractWindow:
 
     def test_segment_pair_counts(self):
         entries = [coordinator_entry(E1, [R1, C], ts(1.0))]
-        v = extract_window(entries, WINDOW, COORDINATOR_SCHEMA).values
+        v = one_window(entries, WINDOW, COORDINATOR_SCHEMA)
         assert v[SLOT["count_src_E1"]] == 1.0
         assert v[SLOT["count_src_R1"]] == 1.0
         assert v[SLOT["count_dst_R1"]] == 1.0
@@ -227,7 +232,7 @@ class TestExtractWindow:
     def test_window_assignment_by_first_send(self):
         inside = coordinator_entry(E1, [R1, C], ts(59.9))
         outside = coordinator_entry(E1, [R1, C], ts(60.0))
-        v = extract_window([inside, outside], WINDOW, COORDINATOR_SCHEMA).values
+        v = one_window([inside, outside], WINDOW, COORDINATOR_SCHEMA)
         assert v[SLOT["total_count"]] == 1.0
 
     def test_router_schema_zero_fills(self):
@@ -235,7 +240,7 @@ class TestExtractWindow:
         window = (entry.segments[0].sent_at.replace(second=0, microsecond=0),
                   entry.segments[0].sent_at.replace(second=0, microsecond=0)
                   + (WINDOW[1] - WINDOW[0]))
-        v = extract_window([entry], window, ROUTER_SCHEMA, device=R3).values
+        v = one_window([entry], window, ROUTER_SCHEMA)
         for slot in ROUTER_ZERO_SLOTS:
             assert v[slot] == 0.0
         assert v[SLOT["first_hop_mean"]] == pytest.approx(63.568, abs=1e-3)
@@ -243,21 +248,21 @@ class TestExtractWindow:
     def test_permutation_invariance(self):
         entries = [coordinator_entry(E1, [R1, C], ts(i), hop_ms=40 + 7 * i)
                    for i in range(5)]
-        forward = extract_window(entries, WINDOW, COORDINATOR_SCHEMA).values
-        backward = extract_window(entries[::-1], WINDOW, COORDINATOR_SCHEMA).values
+        forward = one_window(entries, WINDOW, COORDINATOR_SCHEMA)
+        backward = one_window(entries[::-1], WINDOW, COORDINATOR_SCHEMA)
         np.testing.assert_array_equal(forward, backward)
 
 
 class TestRouterView:
     def test_keeps_only_entries_the_router_forwarded(self):
         own = parse_entry(ROUTER_LINE)  # R3 forwards E3's packet
-        log = DeviceLog.from_entries([own])
+        log = device_log([own])
         assert list(router_view(log, R3)) == [own]
         assert list(router_view(log, R1)) == []
 
     def test_rejects_non_router(self):
         with pytest.raises(ValueError):
-            router_view(DeviceLog.from_entries([]), E3)
+            router_view(device_log([]), E3)
 
 
 def vec(values):
@@ -391,7 +396,7 @@ def window_vector(selected, start, schema, device=C):
         values[9:12] = _quartiles(first)
         values[12] = reference_entropy(e2e)
         values[13] = reference_entropy(first)
-        hops = [hop_count(e) for e in selected]
+        hops = [len(e.segments) for e in selected]
         values[14] = len(selected)
         values[15] = float(np.mean(hops))
         segments = [seg for e in selected for seg in e.segments]
@@ -437,7 +442,8 @@ PATHS = ([R1, C], [R2, C], [R3, C], [R3, R2, C], [R1, R2, C])
 
 
 class TestWindowFeatures:
-    """harness.window_features and extract_window (columns) against the per-entry reference."""
+    """harness.window_features and one-window window_matrix calls against the per-entry
+    reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(),
@@ -445,7 +451,7 @@ class TestWindowFeatures:
            n_windows=st.integers(min_value=1, max_value=12),
            remainder=st.floats(min_value=0.05, max_value=0.95),
            schema=st.sampled_from([COORDINATOR_SCHEMA, ROUTER_SCHEMA]))
-    def test_equals_extract_window_per_window(self, data, window_len, n_windows,
+    def test_equals_one_window_matrix_per_window(self, data, window_len, n_windows,
                                               remainder, schema):
         start = ts(0.123457)
         # Not a multiple of window_len: the last window runs past the duration.
@@ -470,14 +476,14 @@ class TestWindowFeatures:
             if cut and cut <= len(entries[i].segments):
                 entries[i] = logged_by_sender(entries[i], cut, data.draw(st.integers(0, 1)))
 
-        got = harness.window_features(DeviceLog.from_entries(entries), start, duration,
+        got = harness.window_features(device_log(entries), start, duration,
                                       window_len, schema, R2)
         want = reference_window_features(entries, windows, schema, R2)
         assert len(got) == len(want)
         for g, w, window in zip(got, want, windows):
             assert (g.window_start, g.device) == (w.window_start, w.device)
             assert np.array_equal(g.values, w.values)
-            assert np.array_equal(extract_window(entries, window, schema, R2).values, w.values)
+            assert np.array_equal(one_window(entries, window, schema), w.values)
 
     def test_many_entries_per_window_keep_stream_order(self):
         # Hundreds of entries per window, sent in shuffled order: an unstable
@@ -488,7 +494,7 @@ class TestWindowFeatures:
                                      start + timedelta(seconds=float(rng.uniform(0.0, 180.0))),
                                      hop_ms=float(rng.uniform(1.0, 500.0)))
                    for _ in range(600)]
-        got = harness.window_features(DeviceLog.from_entries(entries), start, 180.0, 60.0,
+        got = harness.window_features(device_log(entries), start, 180.0, 60.0,
                                       COORDINATOR_SCHEMA, C)
         want = reference_window_features(entries, make_windows(start, 180.0, 60.0),
                                          COORDINATOR_SCHEMA, C)
@@ -517,7 +523,7 @@ class TestWindowFeatures:
             entries[i] = logged_by_sender(entries[i], rng.integers(1, 3), 0)
         duration = len(counts) * window_len
         windows = make_windows(start, duration, window_len)
-        log = DeviceLog.from_entries(entries)
+        log = device_log(entries)
         for schema in (COORDINATOR_SCHEMA, ROUTER_SCHEMA):
             got = harness.window_features(log, start, duration, window_len, schema, R2)
             want = reference_window_features(entries, windows, schema, R2)
@@ -529,6 +535,6 @@ class TestWindowFeatures:
         windows = make_windows(ts(0), 2.0, 0.7)
         entry = coordinator_entry(E1, [R1, C], windows[0][1])
         assert bucket_entries([entry], windows) == [[], [entry], []]
-        vectors = harness.window_features(DeviceLog.from_entries([entry]), ts(0), 2.0, 0.7,
+        vectors = harness.window_features(device_log([entry]), ts(0), 2.0, 0.7,
                                           COORDINATOR_SCHEMA, C)
         assert [v.values[SLOT["total_count"]] for v in vectors] == [0.0, 1.0, 0.0]

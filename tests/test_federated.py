@@ -6,15 +6,15 @@ from iotfed.autoencoder import (
     ShapeMismatch,
     TrainConfig,
     init_weights,
-    reconstruction_loss,
+    per_sample_losses,
     save_weights,
     train,
 )
+from conftest import fedavg
 from iotfed import federated
 from iotfed.federated import (
     EmptyRoster,
     MissingUpdate,
-    fedavg,
     hierarchical_round,
     router_tree,
     run_federated_training,
@@ -35,21 +35,28 @@ def same_dims_other_activations():
             init_weights((4, 3, 4), ("sigmoid", "relu"))]
 
 
+def flat_round(models, dtype=np.float32):
+    """``hierarchical_round`` with every client router a child of the coordinator."""
+    return hierarchical_round({r: C for r in ROUTERS}, dict(zip(ROUTERS, models)), dtype)
+
+
 class TestFedAvg:
+    """A round over a flat tree is FedAvg: the mean of the client weights."""
+
     def test_two_point_mean(self):
-        avg = fedavg([scalar_model(1.0), scalar_model(3.0)])
+        avg = flat_round([scalar_model(1.0), scalar_model(3.0)])
         assert avg.layers[0].weight[0, 0] == pytest.approx(2.0)
         assert avg.layers[0].bias[0] == pytest.approx(2.0)
 
     def test_idempotent_on_identical_models(self):
         model = init_weights(seed=4)
-        avg = fedavg([model, model, model])
+        avg = flat_round([model, model, model])
         for la, lb in zip(model.layers, avg.layers):
             np.testing.assert_allclose(la.weight, lb.weight, atol=1e-7)
 
     def test_matches_brute_force_mean(self):
         models = random_models(3, seed=10)
-        avg = fedavg(models, dtype=np.float64)
+        avg = flat_round(models, dtype=np.float64)
         for li in range(len(models[0].layers)):
             expected = (models[0].layers[li].weight.astype(np.float64)
                         + models[1].layers[li].weight.astype(np.float64)
@@ -58,15 +65,15 @@ class TestFedAvg:
 
     def test_empty_roster_rejected(self):
         with pytest.raises(EmptyRoster):
-            fedavg([])
+            flat_round([])
 
     def test_mixed_architectures_rejected(self):
         with pytest.raises(ShapeMismatch):
-            fedavg([scalar_model(1.0), init_weights(seed=0)])
+            flat_round([scalar_model(1.0), init_weights(seed=0)])
 
     def test_mixed_activations_rejected(self):
         with pytest.raises(ShapeMismatch, match="mixed architectures"):
-            fedavg(same_dims_other_activations())
+            flat_round(same_dims_other_activations())
 
 
 class TestRouterTree:
@@ -276,5 +283,5 @@ class TestTransferInit:
         warm = train(fitted, held_out, one_epoch)
         cold = train(init_weights(seed=43), held_out, one_epoch)
         assert warm.loss_history[0] <= cold.loss_history[0]
-        assert reconstruction_loss(warm.weights, held_out) <= \
-            reconstruction_loss(cold.weights, held_out)
+        assert per_sample_losses(warm.weights, held_out).mean() <= \
+            per_sample_losses(cold.weights, held_out).mean()

@@ -28,7 +28,7 @@ from iotfed.harness import (
     to_csv,
     write_attack,
 )
-from iotfed.logfmt import EMPTY_LOG, DeviceLog, EntryKind
+from iotfed.logfmt import EMPTY_LOG, DeviceLog, EntryKind, LogEntry
 from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
 from iotfed.simkernel import DEFAULT_START, SimResult
 
@@ -91,6 +91,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="centralised"):
             ExperimentConfig(mode="centralised")
 
+    def test_training_seed_is_refused(self):
+        # pretrain and both fits seed their training from derive_seed, so a
+        # train.seed would change no byte of the bundle.
+        with pytest.raises(ValueError, match="every training seed derives from seed"):
+            ExperimentConfig(train=TrainConfig(seed=9))
+        assert ExperimentConfig(train=TrainConfig(seed=0)).train.seed == 0
+
     def test_sim_config_seeds_differ_by_label(self):
         cfg = ExperimentConfig(seed=5)
         assert cfg.sim_config("a", 60.0).seed != cfg.sim_config("b", 60.0).seed
@@ -138,7 +145,7 @@ def test_pipeline_keeps_logs_in_columns(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a log was converted to or from LogEntry objects")
 
-    monkeypatch.setattr(DeviceLog, "from_entries", refuse)
+    monkeypatch.setattr(LogEntry, "__init__", refuse)
     monkeypatch.setattr(DeviceLog, "__getitem__", refuse)
     cfg = small_config(pretrain_duration=120.0, normal_duration=600.0,
                        train=TrainConfig(epochs=1), pretrain_epochs=1, fed_local_epochs=1)

@@ -11,31 +11,37 @@ from conftest import (
     COORD_HOPS,
     COORD_LINE,
     EDGE_LINE,
+    REF_WINDOW,
     ROUTER_LINE,
     coordinator_entry,
+    device_log,
+    end_to_end_delay,
+    first_hop_delay,
     ts,
 )
 from iotfed import logfmt
+from iotfed.features import COORDINATOR_SCHEMA, FEATURE_NAMES, ROUTER_SCHEMA, window_matrix
 from iotfed.logfmt import (
     EMPTY_LOG,
     DeviceLog,
     EntryKind,
-    IncompleteTrace,
     LogEntry,
     ParseError,
     Segment,
-    end_to_end_delay,
-    first_hop_delay,
     format_timestamp,
     format_us,
     from_us,
-    hop_count,
     parse_entry,
     parse_log,
     serialize_entry,
     to_us,
 )
 from iotfed.nodes import EDGES, ROUTERS, A, C, E3, R2, R3
+
+
+def window_slots(line, schema=COORDINATOR_SCHEMA):
+    """The feature slots, by name, that the pipeline computes for one line's window."""
+    return dict(zip(FEATURE_NAMES, window_matrix(parse_log(line), [REF_WINDOW], schema)[0]))
 
 
 class TestReferenceExamples:
@@ -60,15 +66,16 @@ class TestReferenceExamples:
         assert entry.kind is EntryKind.COORDINATOR
         assert len(entry.segments) == 3
         assert entry.origin == E3
-        assert entry.final_dest == C
+        assert entry.segments[-1].dst == C
         assert entry.segments[0].sent_at == datetime(2024, 4, 26, 13, 36, 10, 273312)
         assert entry.segments[-1].received_at == datetime(2024, 4, 26, 13, 36, 10, 787851)
 
     def test_coordinator_delays(self):
-        entry = parse_entry(COORD_LINE)
-        assert end_to_end_delay(entry) == pytest.approx(COORD_E2E_MS, abs=1e-3)
-        assert first_hop_delay(entry) == pytest.approx(COORD_FIRST_HOP_MS, abs=1e-3)
-        assert hop_count(entry) == COORD_HOPS
+        slots = window_slots(COORD_LINE)
+        assert slots["delay_mean"] == pytest.approx(COORD_E2E_MS, abs=1e-3)
+        assert slots["first_hop_mean"] == pytest.approx(COORD_FIRST_HOP_MS, abs=1e-3)
+        assert slots["avg_hops"] == COORD_HOPS
+        assert window_slots(COORD_LINE, ROUTER_SCHEMA)["delay_mean"] == 0.0
 
     def test_path_through_routers(self):
         entry = parse_entry(COORD_LINE)
@@ -127,7 +134,7 @@ class TestParseErrors:
         entry = parse_entry(line)
         assert entry.segments[0].received_at < entry.segments[0].sent_at
         for got, want in zip(parse_log(serialize_entry(entry)).columns,
-                             DeviceLog.from_entries([entry]).columns):
+                             device_log([entry]).columns):
             assert np.array_equal(got, want)
 
     def test_three_timestamps_on_one_pair_rejected(self):
@@ -181,17 +188,14 @@ class TestParseErrors:
 
 class TestDelays:
     def test_edge_entry_has_no_delays(self):
-        entry = parse_entry(EDGE_LINE)
-        with pytest.raises(IncompleteTrace):
-            end_to_end_delay(entry)
-        with pytest.raises(IncompleteTrace):
-            first_hop_delay(entry)
+        slots = window_slots(EDGE_LINE)
+        assert slots["total_count"] == 1.0
+        assert slots["delay_mean"] == slots["first_hop_mean"] == 0.0
 
     def test_router_entry_has_first_hop_only(self):
-        entry = parse_entry(ROUTER_LINE)
-        assert first_hop_delay(entry) == pytest.approx(COORD_FIRST_HOP_MS, abs=1e-3)
-        with pytest.raises(IncompleteTrace):
-            end_to_end_delay(entry)
+        slots = window_slots(ROUTER_LINE)
+        assert slots["first_hop_mean"] == pytest.approx(COORD_FIRST_HOP_MS, abs=1e-3)
+        assert slots["delay_mean"] == 0.0
 
 
 class TestParseLog:
@@ -426,7 +430,7 @@ def test_statuses_beyond_64_bits_rejected():
     with pytest.raises(ParseError, match="64 bits"):
         parse_log(line)
     widest = list(parse_log(f"E3>R3, 2024-04-26 13:36:10.273312, S:{2**63 - 1}\n"))
-    assert list(DeviceLog.from_entries(widest)) == widest
+    assert list(device_log(widest)) == widest
 
 
 @pytest.mark.parametrize("status", [0, 1, 7, 255, 1024])
@@ -534,7 +538,7 @@ class TestDeviceLog:
                                          Segment(R3, R2, *_CALENDAR_EDGES[6:8]),
                                          Segment(R2, C, *_CALENDAR_EDGES[8:10])))])
     def test_round_trips_entries_and_renders_each_as_serialize_entry(self, entries):
-        log = DeviceLog.from_entries(entries)
+        log = device_log(entries)
         assert len(log) == len(entries)
         assert list(log) == entries
         assert [log[i] for i in range(-len(entries), 0)] == entries
@@ -561,7 +565,7 @@ class TestDeviceLog:
         # entry's segments on both sides of the first chunk edge.
         monkeypatch.setattr(logfmt, "_RENDER_CHUNK", 3)
         entries = [self._ENTRIES[kind](n) for n, kind in enumerate(kinds)]
-        log = DeviceLog.from_entries(entries)
+        log = device_log(entries)
         assert len(log.src) == sum(len(e.segments) for e in entries)
         assert log.render().split("\n") == [serialize_entry(e) for e in entries] + [""]
 
@@ -581,17 +585,6 @@ class TestDeviceLog:
         part = log[window]
         assert isinstance(part, DeviceLog)
         assert list(part) == list(log)[window]
-
-    @pytest.mark.parametrize("entry", [
-        LogEntry(EntryKind.ROUTER, (Segment(E3, R3, datetime(2024, 1, 1)),), 0),
-        LogEntry(EntryKind.EDGE, (Segment(E3, R3, datetime(2024, 1, 1),
-                                          datetime(2024, 1, 2)),), 0),
-        LogEntry(EntryKind.ROUTER, (Segment(E3, R3, datetime(2024, 1, 1)),
-                                    Segment(R3, C, datetime(2024, 1, 2))), 0),
-    ], ids=["router-kind-one-segment", "edge-kind-received", "incomplete-middle-segment"])
-    def test_entries_the_grammar_cannot_hold_rejected(self, entry):
-        with pytest.raises(ValueError):
-            DeviceLog.from_entries([entry])
 
 
 # Rewrites of a canonical line that parse_entry reads to the same entry: the
@@ -640,7 +633,7 @@ def assert_read_as_parse_entry_reads(doc):
             parse_log(doc)
         assert (exc_info.value.reason, exc_info.value.offset, exc_info.value.line) == error
     else:
-        for got, want in zip(parse_log(doc).columns, DeviceLog.from_entries(entries).columns):
+        for got, want in zip(parse_log(doc).columns, device_log(entries).columns):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
