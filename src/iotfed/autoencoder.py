@@ -4,14 +4,15 @@ Default architecture 31 -> 32 (ReLU) -> 16 (ReLU) -> 32 (sigmoid) ->
 31 (sigmoid), trained with mean squared reconstruction error. A model's
 parameters are one flat vector, float32 in the pipeline; gradient-check
 oracles run the same code in float64. Training takes a leading client
-axis, so the clients of a federated round step together as one stack.
+axis, so the clients of a federated round step together as one stack,
+and runs each step as a list of numpy calls whose operands are bound once.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -140,16 +141,19 @@ def init_weights(dims: tuple[int, ...] = DEFAULT_DIMS,
 
 
 class _Workspace:
-    """Every buffer of one step on batches of ``rows`` rows, so a step allocates no array.
+    """Every buffer of one step on batches of ``rows`` rows, and the calls that fill them.
 
     ``layers`` are ``_layer_views`` of the parameters, with or without a
     leading client axis; every buffer carries the same leading axes. For
     layer i, ``z[i]`` and ``a[i]`` take its pre-activation and activation,
     ``delta[i]`` the loss gradient of its pre-activation and ``grad_a[i]``
-    that of its activation. ``weight_t`` and ``bias`` view each layer's
-    weight and bias as the forward matmul and addition take them. The
-    backward buffers are made on first use, so a workspace that only
-    scores rows holds the forward and loss buffers alone.
+    that of its activation. The backward buffers are made on first use, so a
+    workspace that only scores rows holds the forward and loss buffers alone.
+
+    ``forward_calls``, ``loss_calls`` and ``backward_calls`` return lists
+    of ``(function, args)`` calls with every operand bound, for ``_run``;
+    running a list allocates no array. Scalar operands are 0-d arrays of
+    the buffers' dtype, cast once here as a call would cast a Python number.
     """
 
     def __init__(self, layers: tuple[Layer, ...], rows: int, dtype):
@@ -157,12 +161,11 @@ class _Workspace:
         self.shapes = [(*lead, rows, layer.bias.shape[-1]) for layer in layers]
         self.dtype = dtype
         self.layers = layers
-        self.weight_t = [layer.weight.swapaxes(-1, -2) for layer in layers]
-        self.bias = [layer.bias[..., None, :] for layer in layers]
         self.z, self.a = self._buffers(), self._buffers()
         self.residual, self.square = (np.empty(self.shapes[-1], dtype) for _ in range(2))
         self.row_loss = np.empty((*lead, rows), dtype)
         self.loss = np.empty(lead, dtype)
+        self.zero, self.one, self.two, self.rows = (np.array(c, dtype) for c in (0, 1, 2, rows))
 
     def _buffers(self) -> list[np.ndarray]:
         return [np.empty(shape, self.dtype) for shape in self.shapes]
@@ -175,74 +178,74 @@ class _Workspace:
     def grad_a(self) -> list[np.ndarray]:
         return self._buffers()
 
-    @cached_property
-    def delta_t(self) -> list[np.ndarray]:
-        return [delta.swapaxes(-1, -2) for delta in self.delta]
+    def forward_calls(self, batch: np.ndarray) -> list:
+        """Calls writing every layer's pre-activation and activation of ``batch``.
+
+        ``batch`` is ``(N, in)`` under ``(out, in)`` weights, or ``(K, N, in)``
+        under ``(K, out, in)`` weight stacks, one model per leading index. The
+        sigmoid is ``1 / (1 + exp(-z))``, computed in place.
+        """
+        calls, a = [], batch
+        for layer, z, out in zip(self.layers, self.z, self.a):
+            calls += [(np.matmul, (a, layer.weight.swapaxes(-1, -2), z)),
+                      (np.add, (z, layer.bias[..., None, :], z))]
+            if layer.activation == "relu":
+                # np.maximum's positional out is deprecated and warns.
+                calls.append((partial(np.maximum, out=out), (z, self.zero)))
+            else:
+                calls += [(np.negative, (z, out)), (np.exp, (out, out)),
+                          (np.add, (out, self.one, out)), (np.reciprocal, (out, out))]
+            a = out
+        return calls
+
+    def loss_calls(self, batch: np.ndarray) -> list:
+        """Calls writing each row's squared reconstruction error norm into
+        ``row_loss``, after ``forward_calls``, and the reconstruction minus
+        ``batch`` into ``residual``."""
+        return [(np.subtract, (self.a[-1], batch, self.residual)),
+                (np.square, (self.residual, self.square)),
+                (np.add.reduce, (self.square, -1, None, self.row_loss))]
+
+    def backward_calls(self, batch: np.ndarray, grads: tuple[Layer, ...]) -> list:
+        """Calls writing the batch loss gradients into ``grads``, laid out as ``layers``.
+
+        They read ``residual`` and the forward buffers; the loss is the mean
+        over rows of the residual's squared norm. The input layer's own input
+        gradient is never needed, so it is not computed.
+        """
+        grad_a = self.grad_a[-1]
+        calls = [(np.multiply, (self.two, self.residual, grad_a)),
+                 (np.divide, (grad_a, self.rows, grad_a))]
+        for idx in range(len(self.layers) - 1, -1, -1):
+            layer, z, a, delta = self.layers[idx], self.z[idx], self.a[idx], self.delta[idx]
+            if layer.activation == "relu":
+                calls.append((np.greater, (z, self.zero, delta)))
+            else:
+                calls += [(np.subtract, (self.one, a, delta)), (np.multiply, (delta, a, delta))]
+            calls += [(np.multiply, (delta, grad_a, delta)),
+                      (np.matmul, (delta.swapaxes(-1, -2), self.a[idx - 1] if idx else batch,
+                                   grads[idx].weight)),
+                      (np.add.reduce, (delta, -2, None, grads[idx].bias))]
+            if idx:
+                grad_a = self.grad_a[idx - 1]
+                calls.append((np.matmul, (delta, layer.weight, grad_a)))
+        return calls
 
 
-def _forward(ws: _Workspace, batch: np.ndarray) -> None:
-    """Write every layer's pre-activation and activation of ``batch`` into ``ws``.
-
-    ``batch`` is ``(N, in)`` under ``(out, in)`` weights, or ``(K, N, in)``
-    under ``(K, out, in)`` weight stacks, one model per leading index. The
-    sigmoid is ``1.0 / (1.0 + exp(-z))``, computed in place.
-    """
-    a = batch
-    for layer, weight_t, bias, z, out in zip(ws.layers, ws.weight_t, ws.bias, ws.z, ws.a):
-        np.matmul(a, weight_t, out=z)
-        z += bias
-        if layer.activation == "relu":
-            np.maximum(z, 0.0, out=out)
-        else:
-            np.negative(z, out=out)
-            np.exp(out, out=out)
-            out += 1
-            np.divide(1.0, out, out=out)
-        a = out
-
-
-def _losses(ws: _Workspace, batch: np.ndarray) -> np.ndarray:
-    """Each row's squared reconstruction error norm after ``_forward``, as ``ws.row_loss``.
-
-    Leaves the reconstruction minus the batch in ``ws.residual``.
-    """
-    np.subtract(ws.a[-1], batch, out=ws.residual)
-    np.square(ws.residual, out=ws.square)
-    return ws.square.sum(axis=-1, out=ws.row_loss)
-
-
-def _backward(ws: _Workspace, batch: np.ndarray, grads: tuple[Layer, ...]) -> None:
-    """Write the batch loss gradients into ``grads``, laid out as ``ws.layers``.
-
-    Reads ``ws.residual`` and the forward buffers; the loss is the mean over
-    rows of the residual's squared norm. The input layer's own input
-    gradient is never needed, so it is not computed.
-    """
-    grad_a = ws.grad_a[-1]
-    np.multiply(2.0, ws.residual, out=grad_a)
-    grad_a /= ws.residual.shape[-2]
-    for idx in range(len(ws.layers) - 1, -1, -1):
-        layer, delta = ws.layers[idx], ws.delta[idx]
-        if layer.activation == "relu":
-            np.greater(ws.z[idx], 0, out=delta)
-        else:
-            np.subtract(1.0, ws.a[idx], out=delta)
-            delta *= ws.a[idx]
-        delta *= grad_a
-        np.matmul(ws.delta_t[idx], ws.a[idx - 1] if idx else batch, out=grads[idx].weight)
-        delta.sum(axis=-2, out=grads[idx].bias)
-        if idx:
-            grad_a = np.matmul(delta, layer.weight, out=ws.grad_a[idx - 1])
+def _run(calls: list) -> None:
+    """Make each ``(function, args)`` call of ``calls``, in order."""
+    for call, args in calls:
+        call(*args)
 
 
 def _forward_batch(weights: ModelWeights, x) -> tuple[_Workspace, np.ndarray]:
-    """A workspace holding ``_forward`` of ``x`` as a batch, and that batch."""
+    """A workspace holding the forward pass of ``x`` as a batch, and that batch."""
     batch = np.atleast_2d(np.asarray(x))
     if batch.shape[1] != weights.input_dim:
         raise ShapeMismatch(
             f"input dim {batch.shape[1]} != model dim {weights.input_dim}")
     ws = _Workspace(weights.layers, batch.shape[0], np.result_type(batch, weights.params))
-    _forward(ws, batch)
+    _run(ws.forward_calls(batch))
     return ws, batch
 
 
@@ -257,7 +260,9 @@ def forward(weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def per_sample_losses(weights: ModelWeights, batch: np.ndarray) -> np.ndarray:
-    return _losses(*_forward_batch(weights, batch))
+    ws, batch = _forward_batch(weights, batch)
+    _run(ws.loss_calls(batch))
+    return ws.row_loss
 
 
 def backward(weights: ModelWeights, batch: np.ndarray,
@@ -267,37 +272,46 @@ def backward(weights: ModelWeights, batch: np.ndarray,
     dtype = np.result_type(cache[-1][1], batch)
     ws = _Workspace(weights.layers, batch.shape[0], dtype)
     ws.z, ws.a = [z for z, _ in cache[1:]], [a for _, a in cache[1:]]
-    np.subtract(ws.a[-1], batch, out=ws.residual)
     grads = _layer_views(np.empty(weights.params.size, dtype), weights.dims, weights.activations)
-    _backward(ws, batch, grads)
+    _run(ws.loss_calls(batch) + ws.backward_calls(batch, grads))
     return [(layer.weight, layer.bias) for layer in grads]
 
 
-def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 t: int, learning_rate: float, scratch: np.ndarray) -> None:
-    """Bias-corrected Adam step ``t`` on flat buffers, in place on ``p``, ``m`` and ``v``.
+def _corrections(rows: np.ndarray, t: int) -> None:
+    """Write into row i of the ``(N, 2)`` array ``rows`` the bias corrections
+    ``1 - BETA1 ** s`` and ``1 - BETA2 ** s`` of step ``s = t + 1 + i``."""
+    rows[...] = [(1 - BETA1 ** s, 1 - BETA2 ** s) for s in range(t + 1, t + 1 + len(rows))]
 
-    Performs the float operations of ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*g*g``, ``m_hat = m/(1-b1**t)``, ``v_hat = v/(1-b2**t)``
-    and ``p = p - lr*m_hat/(sqrt(v_hat) + eps)``, each read left to right, in
-    that order, so it gives the same bits as evaluating those expressions.
-    ``scratch`` holds two arrays of ``p``'s shape.
+
+def _adam(p: np.ndarray, g: np.ndarray, mv: np.ndarray, step: np.ndarray,
+          correction: np.ndarray, learning_rate: float) -> list:
+    """Calls of one bias-corrected Adam step on flat buffers, in place on ``p`` and ``mv``.
+
+    ``mv`` stacks the moments m over v, each laid out as ``p``; ``step`` is
+    scratch of ``mv``'s shape; ``correction`` is the row of ``_corrections``
+    for the step. The calls perform the float operations of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``, ``m_hat = m/(1-b1**t)``,
+    ``v_hat = v/(1-b2**t)`` and ``p = p - lr*m_hat/(sqrt(v_hat) + eps)``,
+    each read left to right, so they give the same bits as evaluating those
+    expressions. Only the moment update spans ``mv`` whole: a call that
+    broadcasts a per-moment constant over it costs more than two calls.
     """
-    step, denom = scratch
-    m *= BETA1
-    np.multiply(1 - BETA1, g, out=step)
-    m += step
-    v *= BETA2
-    np.multiply(1 - BETA2, g, out=step)
-    step *= g
-    v += step
-    np.divide(v, 1 - BETA2 ** t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += EPSILON
-    np.divide(m, 1 - BETA1 ** t, out=step)
-    step *= learning_rate
-    step /= denom
-    p -= step
+    b1, b2, r1, r2, eps, lr = (np.array(c, mv.dtype) for c in (
+        BETA1, BETA2, 1 - BETA1, 1 - BETA2, EPSILON, learning_rate))
+    (m, v), (m_hat, denom) = mv, step
+    return [(np.multiply, (m, b1, m)),
+            (np.multiply, (v, b2, v)),
+            (np.multiply, (r1, g, m_hat)),
+            (np.multiply, (r2, g, denom)),
+            (np.multiply, (denom, g, denom)),
+            (np.add, (mv, step, mv)),
+            (np.divide, (v, correction[1, ...], denom)),
+            (np.sqrt, (denom, denom)),
+            (np.add, (denom, eps, denom)),
+            (np.divide, (m, correction[0, ...], m_hat)),
+            (np.multiply, (m_hat, lr, m_hat)),
+            (np.divide, (m_hat, denom, m_hat)),
+            (np.subtract, (p, m_hat, p))]
 
 
 @dataclass
@@ -343,8 +357,10 @@ def train(weights: ModelWeights | Sequence[ModelWeights],
     and moments each live in one buffer of the weights' dtype; the
     parameters and moments are copied from the arguments, which are never
     written to, and returned as they stand after the last step. Each epoch
-    gathers the rows in its order once, and every step runs in a workspace
-    made once per batch row count.
+    gathers the rows in its order once, and fills the Adam bias corrections
+    of its steps. Each batch slot's step (forward, loss, backward, Adam) is
+    one list of bound calls, built once per call in a workspace made once
+    per batch row count.
     """
     cfg.validate()
     stacked = isinstance(data, (list, tuple))
@@ -383,38 +399,44 @@ def train(weights: ModelWeights | Sequence[ModelWeights],
     lead, size = x.shape[:-2], template.params.size
     p = np.array([w.params for w in models], dtype).reshape(*lead, size)
     zero = np.zeros(size, dtype)
-    m = np.array([zero if state is None else state.m for state in states], dtype).reshape(p.shape)
-    v = np.array([zero if state is None else state.v for state in states], dtype).reshape(p.shape)
-    g, scratch = np.empty_like(p), np.empty((2, *p.shape), dtype)
+    states = [AdamState(zero, zero) if state is None else state for state in states]
+    mv = np.array([[s.m for s in states], [s.v for s in states]], dtype).reshape(2, *p.shape)
+    g, step = np.empty_like(p), np.empty_like(mv)
     layers = _layer_views(p, template.dims, template.activations)
     grads = _layer_views(g, template.dims, template.activations)
 
     index = batch_orders(seeds, cfg.epochs, n).reshape(cfg.epochs, -1)
     gathered = np.empty_like(x)
+    starts = range(0, n, cfg.batch_size)
+    corrections = np.empty((len(starts), 2), dtype)
+    total = np.zeros(lead)
     workspaces: dict[int, _Workspace] = {}
-    batches = []
-    for start in range(0, n, cfg.batch_size):
+    calls = []
+    for start, correction in zip(starts, corrections):
         batch = gathered[..., start:start + cfg.batch_size, :]
         rows = batch.shape[-2]
         if rows not in workspaces:
             workspaces[rows] = _Workspace(layers, rows, dtype)
-        batches.append((batch, workspaces[rows]))
+        ws = workspaces[rows]
+        calls += ws.forward_calls(batch) + ws.loss_calls(batch)
+        calls += [(np.add.reduce, (ws.row_loss, -1, None, ws.loss)),
+                  (np.add, (total, ws.loss, total))]
+        calls += ws.backward_calls(batch, grads)
+        calls += _adam(p, g, mv, step, correction, cfg.learning_rate)
     flat_x, flat_gathered = x.reshape(-1, x.shape[-1]), gathered.reshape(-1, x.shape[-1])
-    history = np.zeros((cfg.epochs, *lead))
+    history = np.empty((cfg.epochs, *lead))
     for epoch in range(cfg.epochs):
+        _corrections(corrections, t)
+        t += len(starts)
         np.take(flat_x, index[epoch], axis=0, out=flat_gathered, mode="clip")
-        total = history[epoch:epoch + 1]
-        for batch, ws in batches:
-            _forward(ws, batch)
-            total += _losses(ws, batch).sum(axis=-1, out=ws.loss)
-            _backward(ws, batch, grads)
-            t += 1
-            _adam_update(p, g, m, v, t, cfg.learning_rate, scratch)
+        total[...] = 0
+        _run(calls)
+        history[epoch] = total
     history /= n
     results = [TrainResult(ModelWeights(pk, template.dims, template.activations), hk.tolist(),
                            AdamState(mk, vk, t))
-               for pk, mk, vk, hk in zip(p.reshape(-1, size), m.reshape(-1, size),
-                                         v.reshape(-1, size), history.reshape(cfg.epochs, -1).T)]
+               for pk, mk, vk, hk in zip(p.reshape(-1, size), *mv.reshape(2, -1, size),
+                                         history.reshape(cfg.epochs, -1).T)]
     return results if stacked else results[0]
 
 

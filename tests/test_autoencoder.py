@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,9 @@ from iotfed.autoencoder import (
     ModelWeights,
     ShapeMismatch,
     TrainConfig,
-    _adam_update,
+    _adam,
+    _corrections,
+    _run,
     backward,
     batch_orders,
     forward,
@@ -169,16 +173,22 @@ def fresh_state(weights):
 
 
 def _fresh_moments(p):
-    """Zero Adam moments and the two scratch arrays ``_adam_update`` takes for ``p``."""
-    return np.zeros_like(p), np.zeros_like(p), np.empty((2, p.size), p.dtype)
+    """Zero Adam moments for ``p``, m over v in one buffer, as ``_adam`` takes them."""
+    return np.zeros((2, *p.shape), p.dtype)
+
+
+def _adam_step(p, g, mv, t, learning_rate):
+    """Adam step ``t`` through ``_adam``, its correction row filled by ``_corrections``."""
+    correction = np.empty((1, 2), p.dtype)
+    _corrections(correction, t - 1)
+    _run(_adam(p, g, mv, np.empty_like(mv), correction[0], learning_rate))
 
 
 class TestAdam:
     def test_zero_gradient_leaves_weights(self):
         model = init_weights(seed=1)
         p = model.params.copy()
-        m, v, scratch = _fresh_moments(p)
-        _adam_update(p, np.zeros_like(p), m, v, 1, TrainConfig().learning_rate, scratch)
+        _adam_step(p, np.zeros_like(p), _fresh_moments(p), 1, TrainConfig().learning_rate)
         np.testing.assert_array_equal(p, model.params)
 
     def test_first_step_is_signed_learning_rate(self):
@@ -186,8 +196,7 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.001)
         p = zero_model((2, 2), ("sigmoid",)).params.astype(np.float64)
         g = np.array([0.3, -0.7, 0.0, 1.2, 0.0, 0.0])  # W0 row-major, then b0
-        m, v, scratch = _fresh_moments(p)
-        _adam_update(p, g, m, v, 1, cfg.learning_rate, scratch)
+        _adam_step(p, g, _fresh_moments(p), 1, cfg.learning_rate)
         np.testing.assert_allclose(p, -cfg.learning_rate * np.sign(g), atol=1e-6)
 
     def test_loss_decreases_after_one_step(self):
@@ -328,17 +337,38 @@ class TestTrainMatchesPerArrayAdam:
         x = np.random.default_rng(5).uniform(size=(6, 31)).astype(np.float32)
         cfg = TrainConfig(learning_rate=1e-2)
         weights = ModelWeights(model.params.copy(), model.dims, model.activations)
-        m, v, scratch = _fresh_moments(weights.params)
+        mv = _fresh_moments(weights.params)
         want_weights, want_state = model, fresh_state(model)
         for t in range(1, 4):
             _, cache = forward(weights, x)
             g = np.concatenate([np.ravel(a) for pair in backward(weights, x, cache) for a in pair])
-            _adam_update(weights.params, g, m, v, t, cfg.learning_rate, scratch)
+            _adam_step(weights.params, g, mv, t, cfg.learning_rate)
             _, cache = forward(want_weights, x)
             want_weights, want_state = _per_array_adam(
                 want_weights, backward(want_weights, x, cache), want_state, cfg)
         assert _snapshot(weights) == _snapshot(want_weights)
-        _assert_state_equal(AdamState(m, v, 3), want_state)
+        _assert_state_equal(AdamState(*mv, 3), want_state)
+
+    @pytest.mark.parametrize("t", [5_000, 100_000])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_far_into_training(self, t, dtype):
+        # The bias corrections come from rows filled once per epoch. At step
+        # 5 000 the v correction still differs from step to step; by 100 000
+        # both have rounded to 1.
+        rng = np.random.default_rng(21)
+        model = init_weights(seed=21, dtype=dtype)
+        cfg = TrainConfig(epochs=2, batch_size=7, learning_rate=1e-2, seed=21)
+        data = [rng.uniform(size=(20, 31)) for _ in range(3)]
+        states = [replace(train(model, matrix, replace(cfg, epochs=1, seed=c)).adam_state, t=t)
+                  for c, matrix in enumerate(data)]
+        single = train(model, data[0], cfg, adam_state=states[0])
+        stacked = train(model, data, cfg, adam_state=states)
+        for got, matrix, state in [(single, data[0], states[0]), *zip(stacked, data, states)]:
+            weights, history, want_state = _oracle_train(model, matrix, cfg, state)
+            assert _snapshot(got.weights) == _snapshot(weights)
+            assert got.loss_history == history
+            _assert_state_equal(got.adam_state, want_state)
+            assert got.adam_state.t == t + 6
 
     def test_mixed_dtype_training_computes_in_the_weights_dtype(self):
         model = init_weights(seed=6)
@@ -504,6 +534,33 @@ class TestNoAliasing:
         assert _snapshot(a.weights, a.adam_state) == _snapshot(b.weights, b.adam_state)
         assert a.loss_history == b.loss_history
         assert _snapshot(first.weights, first.adam_state) == before
+
+
+class TestTrainMemory:
+    def test_peak_grows_only_with_the_per_epoch_arrays(self):
+        # A step keeps nothing it allocates and the bias-correction rows are
+        # refilled each epoch, so 198 more epochs may raise the traced peak only
+        # by the loss history (array and lists) and the row orders, which
+        # batch_orders draws for every epoch up front.
+        data = [np.random.default_rng(c).uniform(size=(40, 31)) for c in range(2)]
+        model = init_weights(seed=3, dtype=np.float64)
+
+        def peak_and_epoch_bytes(epochs):
+            cfg = TrainConfig(epochs=epochs, batch_size=4, seed=5)
+            train(model, data, cfg)  # lazy imports and numpy caches fill outside the trace
+            tracemalloc.start()
+            try:
+                results = train(model, data, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            lists = sum(sys.getsizeof(r.loss_history) + sys.getsizeof(0.0) * len(r.loss_history)
+                        for r in results)
+            history = np.empty((epochs, len(data))).nbytes
+            return peak, lists + history + batch_orders([cfg.seed] * 2, epochs, 40).nbytes
+
+        short, long = peak_and_epoch_bytes(2), peak_and_epoch_bytes(200)
+        assert long[0] - short[0] <= long[1] - short[1]
 
 
 class TestWeightFile:

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Public names kept without a pipeline caller, each with its reason.
 EXEMPT = {
-    "autoencoder.forward": "with backward, the gradient checks' handle on the _backward "
+    "autoencoder.forward": "with backward, the gradient checks' handle on the backward calls "
                            "that train runs",
     "autoencoder.backward": "the gradient checks compare it with finite differences of the loss",
     "autoencoder.load_weights": "the read side of the bundle's weight format, which "
