@@ -165,7 +165,7 @@ class _Workspace:
         self.residual, self.square = (np.empty(self.shapes[-1], dtype) for _ in range(2))
         self.row_loss = np.empty((*lead, rows), dtype)
         self.loss = np.empty(lead, dtype)
-        self.zero, self.one, self.two, self.rows = (np.array(c, dtype) for c in (0, 1, 2, rows))
+        self.zero, self.one, self.half_rows = (np.array(c, dtype) for c in (0, 1, rows / 2))
 
     def _buffers(self) -> list[np.ndarray]:
         return [np.empty(shape, self.dtype) for shape in self.shapes]
@@ -214,8 +214,9 @@ class _Workspace:
         gradient is never needed, so it is not computed.
         """
         grad_a = self.grad_a[-1]
-        calls = [(np.multiply, (self.two, self.residual, grad_a)),
-                 (np.divide, (grad_a, self.rows, grad_a))]
+        # 2 * residual / rows in one rounding: doubling is exact, and so is
+        # rows / 2 below 2**24, so both round the quotient 2r / rows once.
+        calls = [(np.divide, (self.residual, self.half_rows, grad_a))]
         for idx in range(len(self.layers) - 1, -1, -1):
             layer, z, a, delta = self.layers[idx], self.z[idx], self.a[idx], self.delta[idx]
             if layer.activation == "relu":

@@ -486,10 +486,16 @@ def run_experiment(cfg: ExperimentConfig,
 # ``_csv``. The writers below, one per artifact group, are shared by the
 # bundle and the CLI stage commands.
 
-def _write(path: Path, data: str | bytes) -> None:
-    """Write one bundle file, making its directories; text is encoded as UTF-8 here."""
+def _write(path: Path, data: str | bytes | Iterable[str | bytes]) -> None:
+    """Write one bundle file, making its directories; text is encoded as UTF-8 here.
+
+    ``data`` is the file's content, or an iterable of its parts in order,
+    each written before the next is drawn.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data.encode() if isinstance(data, str) else data)
+    with path.open("wb") as fh:
+        for part in (data,) if isinstance(data, (str, bytes)) else data:
+            fh.write(part.encode() if isinstance(part, str) else part)
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -529,11 +535,21 @@ def report_csv(rows: Sequence[tuple[NodeId, float, DetectionReport]]) -> str:
                 ([device, f"{k:g}", *_metrics(rep)] for device, k, rep in rows))
 
 
+#: Rows of a device log rendered and written at a time, so that writing a
+#: log holds one part's text (about 0.6 MB of the coordinator's) whatever
+#: the corpus's length.
+_LOG_PART_ROWS = 4096
+
+
 def write_logs(sim: SimResult, log_dir: Path) -> None:
-    """Every device log of one simulated run; each document is dropped once written."""
-    docs = sim.render_logs()
-    for fname in sorted(docs):
-        _write(log_dir / fname, docs.pop(fname))
+    """Every device log of one simulated run, ``<node>.log``, each rendered and
+    written ``_LOG_PART_ROWS`` rows at a time. A part is a view of its rows,
+    rendered, as every log is, by ``SimResult.render_logs``."""
+    for fname, node in sorted((f"{node}.log", node) for node in sim.entries):
+        log = sim.entries[node]
+        parts = (SimResult([], {node: log.rows(slice(a, a + _LOG_PART_ROWS))}).render_logs()
+                 for a in range(0, len(log), _LOG_PART_ROWS))
+        _write(log_dir / fname, (docs[fname] for docs in parts))
 
 
 def write_corpora(pretrain: SimResult, normal: SimResult, out_dir: Path) -> None:

@@ -108,7 +108,7 @@ def from_us(us: int) -> datetime:
     return datetime.min + timedelta(microseconds=us)
 
 
-_DAY_US = 86_400_000_000
+_MINUTE_US, _DAY_US = 60_000_000, 86_400_000_000
 _EPOCH_US = to_us(datetime(1970, 1, 1))
 _MAX_US = to_us(datetime.max)
 
@@ -126,6 +126,14 @@ _DIGITS2, _DIGITS4 = _digit_table(2), _digit_table(4)
 _STAMP_SHAPE = np.frombuffer(b"0000-00-00 00:00:00.000000", np.uint8)
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Whether each of a 1-d array's values starts a run of equal consecutive values."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 def format_us(stamps: np.ndarray) -> np.ndarray:
     """``format_timestamp`` of each ``to_us`` value as a row of 26 ASCII bytes.
 
@@ -133,26 +141,40 @@ def format_us(stamps: np.ndarray) -> np.ndarray:
     from integer arithmetic, the calendar from numpy's ``datetime64`` casts,
     and digits from tables. A value outside ``from_us``'s range raises
     ``OverflowError``, as ``from_us`` does.
+
+    Logs hold their stamps in time order, and a hop's receive time is the
+    next hop's send time, so stamps come in runs. Each run of equal
+    consecutive stamps (in C order) is formatted once, and the calendar,
+    ``YYYY-MM-DD HH:MM:``, once per run of stamps in one minute; unsorted
+    stamps are slower for it.
     """
     us = np.asarray(stamps, dtype=np.int64)
     if us.size and (us.min() < 0 or us.max() > _MAX_US):
         raise OverflowError("date value out of range")
-    days, us_of_day = np.divmod(us, _DAY_US)
+    flat = us.ravel()
+    change = _run_starts(flat)
+    distinct = flat[change]
+    minutes, us_of_minute = np.divmod(distinct, _MINUTE_US)
+    turn = _run_starts(minutes)
+    days, minute_of_day = np.divmod(minutes[turn], 24 * 60)
     day = (days - _EPOCH_US // _DAY_US).astype("datetime64[D]")
     month = day.astype("datetime64[M]")
     months = month.astype(np.int64)  # since 1970-01
-    seconds, micro = np.divmod(us_of_day, 1_000_000)
-    minutes, second = np.divmod(seconds, 60)
-    hour, minute = np.divmod(minutes, 60)
-    text = np.empty(us.shape + (26,), dtype=np.uint8)
-    text[...] = _STAMP_SHAPE
-    for at, digits, value in ((0, _DIGITS4, months // 12 + 1970), (5, _DIGITS2, months % 12 + 1),
-                              (8, _DIGITS2, (day - month).astype(np.int64) + 1),
-                              (11, _DIGITS2, hour), (14, _DIGITS2, minute),
-                              (17, _DIGITS2, second), (20, _DIGITS2, micro // 10_000),
-                              (22, _DIGITS4, micro % 10_000)):
-        text[..., at:at + digits.itemsize].view(digits.dtype)[..., 0] = digits[value]
-    return text
+    hour, minute = np.divmod(minute_of_day, 60)
+    calendar = np.empty((len(day), 17), dtype=np.uint8)
+    calendar[...] = _STAMP_SHAPE[:17]
+    second, micro = np.divmod(us_of_minute, 1_000_000)
+    text = np.empty((len(distinct), 26), dtype=np.uint8)
+    text[:, 19] = _STAMP_SHAPE[19]
+    for rows, at, digits, value in (
+            (calendar, 0, _DIGITS4, months // 12 + 1970), (calendar, 5, _DIGITS2, months % 12 + 1),
+            (calendar, 8, _DIGITS2, (day - month).astype(np.int64) + 1),
+            (calendar, 11, _DIGITS2, hour), (calendar, 14, _DIGITS2, minute),
+            (text, 17, _DIGITS2, second), (text, 20, _DIGITS2, micro // 10_000),
+            (text, 22, _DIGITS4, micro % 10_000)):
+        rows[:, at:at + digits.itemsize].view(digits.dtype)[:, 0] = digits[value]
+    text[:, :17] = calendar[np.cumsum(turn) - 1]
+    return text[np.cumsum(change) - 1].reshape(us.shape + (26,))
 
 
 def _parse_timestamp(token: str, offset: int) -> datetime:
@@ -318,7 +340,16 @@ class DeviceLog(Sequence[LogEntry]):
         return LogEntry(_kind(b - a, received), segments, None if status < 0 else status)
 
     def rows(self, keep: np.ndarray | slice) -> DeviceLog:
-        """The rows a boolean mask, an index array or a slice selects, in that order."""
+        """The rows a boolean mask, an index array or a slice selects, in that order.
+
+        A slice of step 1 gives a log of views of these columns, not copies.
+        """
+        if isinstance(keep, slice) and keep.step in (None, 1):
+            a, b, _ = keep.indices(len(self))
+            b = max(a, b)
+            s, e = (int(self.starts[a]), int(self.ends[b - 1])) if b > a else (0, 0)
+            return DeviceLog(self.n_segs[a:b], self.received[a:b], self.status[a:b],
+                             self.src[s:e], self.dst[s:e], self.times[s:e])
         index = np.arange(len(self))[keep]
         n_segs = self.n_segs[index]
         seg = np.repeat(self.starts[index] - np.cumsum(n_segs) + n_segs, n_segs) + np.arange(

@@ -183,55 +183,49 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     stamps = _START_US + np.rint(clocks * 1e6)[reached].astype(np.int64)
     first_stamp = np.cumsum(hops + 1) - (hops + 1)
     # Log rows packet by packet, each packet's hop rows then its C row: the
-    # order that decides which device logged first. A hop row has status 0;
-    # a C row has none (-1).
+    # order that decides which device logged first.
     packet, j = np.nonzero(reached & logs[path_of])
-    arrived = j == hops[packet]
-    rows = np.stack([codes[path_of[packet], j], clocks[packet, j], packet,
-                     np.where(arrived, j, j + 1), np.where(arrived, -1, 0)], axis=1)
-    entries = _device_logs(rows, path_of, first_stamp, stamps, codes)
+    entries = _device_logs(packet, j, clocks, hops, path_of, first_stamp, stamps, codes)
     return SimResult(partial(_traces, send_time, path_of, paths), entries)
 
 
-def _device_logs(rows: np.ndarray, path: np.ndarray, first_stamp: np.ndarray,
-                 stamps: np.ndarray, codes: np.ndarray) -> dict[NodeId, DeviceLog]:
+def _device_logs(packet: np.ndarray, j: np.ndarray, clocks: np.ndarray, hops: np.ndarray,
+                 path: np.ndarray, first_stamp: np.ndarray, stamps: np.ndarray,
+                 codes: np.ndarray) -> dict[NodeId, DeviceLog]:
     """Each device's entries as columns, sorted by (log time, packet number).
 
-    ``rows`` holds one log entry per row, in packet order: device, log time,
-    packet, segments and status. Each packet has a path (a row of ``codes``,
-    the node code of each point) and the index of its first stamp. Segment
-    ``j`` of a packet's entry runs from point ``j`` of its path to point
-    ``j + 1``, at those points' stamps; of a last segment, only the
-    coordinator logs the arrival. Devices keep the order they first logged in.
+    Each packet has ``hops`` hops, a path (a row of ``codes``, the node code
+    of each point) and the index of its first stamp. Log row ``i``, in
+    packet order, is logged at point ``j[i]`` of packet ``packet[i]``'s
+    path, at clock ``clocks[packet[i], j[i]]``. The row at a path's last
+    point is the coordinator's arrival, with no status (-1); any other row
+    logs the hop it sends, with status 0. Segment ``k`` of an entry runs
+    from point ``k`` of its path to point ``k + 1``, at those points'
+    stamps; of a last segment, only the coordinator logs the arrival.
+    Devices keep the order they first logged in, and each is assembled on
+    its own, so only one device's intermediates are held at a time.
     """
-    # Stable sorts: by time, ties in packet order, then grouped by device.
-    device = rows[:, 0].astype(np.uint8)  # node codes; a radix sort groups them
-    order = np.argsort(rows[:, 1], kind="stable")
-    order = order[np.argsort(device[order], kind="stable")]
-    node = device[order]
-    # One array each: the device logs keep slices of n_segs and status alive.
-    packet, n_segs, status = (rows[order, k].astype(np.int64) for k in (2, 3, 4))
-    seg_packet = np.repeat(packet, n_segs)
-    seg_start = np.cumsum(n_segs) - n_segs
-    j = np.arange(len(seg_packet)) - np.repeat(seg_start, n_segs)
-    point = first_stamp[seg_packet] + j
-    received = node == _C_CODE
-    got = np.repeat(received, n_segs) | (j < np.repeat(n_segs, n_segs) - 1)
-    sent = stamps[point]
-    # A segment not received repeats its send time.
-    times = np.stack([sent, np.where(got, stamps[point + 1], sent)], axis=1)
-    seg_path = path[seg_packet]
-    src, dst = codes[seg_path, j], codes[seg_path, j + 1]
-    # Device d's rows are bounds[d]:bounds[d + 1] of the grouped columns.
-    bounds = np.append(0, np.cumsum(np.bincount(node, minlength=len(NODES))))
-    seg_at = np.append(seg_start, len(seg_packet))
+    device = codes.astype(np.uint8)[path[packet], j]
     devices, first_row = np.unique(device, return_index=True)
     logs = {}
     for d in devices[np.argsort(first_row)].tolist():
-        a, b = bounds[d], bounds[d + 1]
-        s, e = seg_at[a], seg_at[b]
-        logs[NODES[d]] = DeviceLog(n_segs[a:b], received[a:b], status[a:b],
-                                   src[s:e], dst[s:e], times[s:e])
+        mine = np.flatnonzero(device == d)  # in packet order, so a stable sort breaks ties by it
+        mine = mine[np.argsort(clocks[packet[mine], j[mine]], kind="stable")]
+        p, at = packet[mine], j[mine]
+        arrived = at == hops[p]
+        n_segs = np.where(arrived, at, at + 1)
+        status = np.where(arrived, -1, 0)
+        seg_packet = np.repeat(p, n_segs)
+        k = np.arange(len(seg_packet)) - np.repeat(np.cumsum(n_segs) - n_segs, n_segs)
+        point = first_stamp[seg_packet] + k
+        received = d == _C_CODE
+        got = received | (k < np.repeat(n_segs, n_segs) - 1)
+        sent = stamps[point]
+        # A segment not received repeats its send time.
+        times = np.stack([sent, np.where(got, stamps[point + 1], sent)], axis=1)
+        seg_path = path[seg_packet]
+        logs[NODES[d]] = DeviceLog(n_segs, np.full(len(p), received), status,
+                                   codes[seg_path, k], codes[seg_path, k + 1], times)
     return logs
 
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from iotfed.harness import (
 )
 from iotfed.logfmt import EMPTY_LOG, DeviceLog, EntryKind, LogEntry
 from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
-from iotfed.simkernel import DEFAULT_START, SimResult
+from iotfed.simkernel import DEFAULT_START, SimConfig, SimResult, run_simulation
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -199,6 +200,37 @@ def test_each_run_is_released_once_written(tmp_path, monkeypatch, command):
     # (runs so far, runs alive) at each attack: two corpora, then one run per attack.
     assert seen == [(2, 0), (3, 0), (4, 0)]
     assert (tmp_path / "attacks" / "E1_to_A" / "logs" / "C.log").is_file()
+
+
+@pytest.mark.parametrize("part_rows", [1, 7, 4096])
+def test_logs_written_in_parts_are_the_rendered_documents(tmp_path, monkeypatch, part_rows):
+    monkeypatch.setattr(harness, "_LOG_PART_ROWS", part_rows)
+    sim = run_simulation(build_topology(ScenarioFamily.III), SimConfig(seed=3, duration=40.0))
+    harness.write_logs(sim, tmp_path)
+    docs = sim.render_logs()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(docs)
+    for name, doc in docs.items():
+        assert (tmp_path / name).read_text() == doc
+
+
+def test_writing_logs_holds_one_part_at_a_time(tmp_path):
+    # Each log is rendered and written a part at a time, so a corpus twice as
+    # long leaves the traced peak of writing it unchanged.
+    topology = build_topology(ScenarioFamily.III)
+
+    def peak(hours):
+        sim = run_simulation(topology, SimConfig(seed=3, duration=hours * 3600.0))
+        tracemalloc.start()
+        try:
+            harness.write_logs(sim, tmp_path / f"{hours}h")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    harness.write_logs(run_simulation(topology, SimConfig(seed=3, duration=60.0)),
+                       tmp_path / "warm")  # lazy imports and numpy caches fill outside the trace
+    one, two = peak(1), peak(2)
+    assert abs(two - one) <= 0.1 * one
 
 
 class TestPipelines:

@@ -478,6 +478,37 @@ def test_format_us_matches_format_timestamp_before_the_start(offsets):
                                    for u in us]
 
 
+#: Instants where a minute, a day, a month or a year turns, or a leap day starts or ends.
+_TURNS = [datetime(2024, 4, 26, 13, 1), datetime(2023, 7, 1), datetime(2024, 1, 1),
+          datetime(2024, 2, 29), datetime(2024, 3, 1), datetime(1900, 3, 1), datetime(2000, 3, 1)]
+#: Microseconds around a turn: runs of equal stamps, and seconds and minutes either side.
+_AROUND = [-61_000_000, -1_000_001, -1, -1, -1, 0, 0, 1, 999_999, 1_000_000, 59_999_999,
+           60_000_000, 86_399_999_999]
+
+
+def _formatted(us: np.ndarray) -> list:
+    return [format_timestamp(from_us(u)) for u in us.ravel().tolist()]
+
+
+@pytest.mark.parametrize("turn", _TURNS, ids=[str(t) for t in _TURNS])
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled", "as-sent-and-received"])
+def test_format_us_formats_runs_across_a_turn_as_format_timestamp(turn, order):
+    us = to_us(turn) + np.array(_AROUND, dtype=np.int64)
+    if order == "reversed":
+        us = us[::-1]
+    elif order == "shuffled":
+        us = np.random.default_rng(0).permutation(np.repeat(us, 2))
+    elif order == "as-sent-and-received":  # a hop's receive time is the next hop's send time
+        us = np.stack([us[:-1], us[1:]], axis=1)
+    assert _decoded(format_us(us)) == np.reshape(_formatted(us), us.shape).tolist()
+
+
+@given(st.lists(st.sampled_from(_AROUND), max_size=30), st.sampled_from(_TURNS))
+def test_format_us_matches_format_timestamp_on_repeated_unsorted_stamps(offsets, turn):
+    us = to_us(turn) + np.array(offsets, dtype=np.int64)
+    assert _decoded(format_us(us)) == _formatted(us)
+
+
 @pytest.mark.parametrize("us", [-1, to_us(datetime.max) + 1])
 def test_stamps_outside_the_datetime_range_overflow(us):
     with pytest.raises(OverflowError):
@@ -585,6 +616,21 @@ class TestDeviceLog:
         part = log[window]
         assert isinstance(part, DeviceLog)
         assert list(part) == list(log)[window]
+
+    @pytest.mark.parametrize("window", [slice(0, 0), slice(5, 2), slice(3, 40), slice(-9, None),
+                                        slice(None), slice(0, 10**6)],
+                             ids=["empty", "empty-reversed", "partial", "tail", "full",
+                                  "beyond-the-end"])
+    def test_step_one_slices_are_views_of_the_columns(self, small_sim, window):
+        log = small_sim[2].entries[C]
+        part = log.rows(window)
+        selected = log.rows(np.arange(len(log))[window])
+        assert len(part) == len(range(len(log))[window])
+        for got, expected, column in zip(part.columns, selected.columns, log.columns):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            assert np.shares_memory(got, column) == (len(got) > 0)
+        assert np.array_equal(part.starts, selected.starts)
+        assert part.render() == selected.render()
 
 
 # Rewrites of a canonical line that parse_entry reads to the same entry: the
