@@ -1,6 +1,6 @@
 """From-scratch dense autoencoder: forward, backprop, Adam, training.
 
-Default architecture 31 -> 32 (ReLU) -> 16 (ReLU) -> 32 (sigmoid) ->
+One fixed architecture, 31 -> 32 (ReLU) -> 16 (ReLU) -> 32 (sigmoid) ->
 31 (sigmoid), trained with mean squared reconstruction error. A model's
 parameters are one flat vector, float32 in the pipeline; gradient-check
 oracles run the same code in float64. Training takes a leading client
@@ -10,25 +10,31 @@ and runs each step as a list of numpy calls whose operands are bound once.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-DEFAULT_DIMS = (31, 32, 16, 32, 31)
-DEFAULT_ACTIVATIONS = ("relu", "relu", "sigmoid", "sigmoid")
+#: Each layer's width, input first, and each layer's activation.
+DIMS = (31, 32, 16, 32, 31)
+ACTIVATIONS = ("relu", "relu", "sigmoid", "sigmoid")
+N_PARAMS = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(DIMS, DIMS[1:]))  # 3 119
 # Adam's moment decay rates and its guard against division by zero.
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
-WEIGHT_MAGIC = b"IFW1"
-_ACT_CODES = {"relu": 0, "sigmoid": 1}
-_ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
+#: The weight file's header: magic, tag length and layer count (u16 each),
+#: the tag ``31-32-16-32-31``, then per layer its fan-out and fan-in (u32
+#: each) and activation (u8, 0 ReLU and 1 sigmoid), all little-endian.
+WEIGHT_HEADER = (b"IFW1\x0e\x00\x04\x00" b"31-32-16-32-31"
+                 b"\x20\x00\x00\x00\x1f\x00\x00\x00\x00" b"\x10\x00\x00\x00\x20\x00\x00\x00\x00"
+                 b"\x20\x00\x00\x00\x10\x00\x00\x00\x01" b"\x1f\x00\x00\x00\x20\x00\x00\x00\x01")
+#: A weight file's length: the header, then every parameter as float32.
+WEIGHT_FILE_BYTES = len(WEIGHT_HEADER) + 4 * N_PARAMS  # 12 534
 
 
 class ShapeMismatch(ValueError):
-    """Array shapes disagree with the architecture."""
+    """Array shapes disagree with the model's."""
 
 
 class EmptyDataset(ValueError):
@@ -38,48 +44,28 @@ class EmptyDataset(ValueError):
 class Layer(NamedTuple):
     weight: np.ndarray    # (out, in), row-major
     bias: np.ndarray      # (out,)
-    activation: str       # "relu" | "sigmoid"
 
 
 @dataclass(frozen=True)
 class ModelWeights:
-    """A dense model whose parameters are one 1-D array.
+    """The model's parameters as one 1-D array.
 
     ``params`` holds W0, b0, W1, b1, ..., each row-major: ``Wi`` is
-    ``(dims[i+1], dims[i])`` and ``bi`` has ``dims[i+1]`` entries. This is
+    ``(DIMS[i+1], DIMS[i])`` and ``bi`` has ``DIMS[i+1]`` entries. This is
     also the order of the weight file's data.
     """
 
     params: np.ndarray
-    dims: tuple[int, ...]
-    activations: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if len(self.activations) != len(self.dims) - 1:
-            raise ShapeMismatch("need one activation per layer")
-        for act in self.activations:
-            if act not in _ACT_CODES:
-                raise ValueError(f"unknown activation {act!r}")
-        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.dims, self.dims[1:]))
-        if self.params.shape != (size,):
-            raise ShapeMismatch(f"a {self.arch_tag} model holds {size} parameters, "
+        if self.params.shape != (N_PARAMS,):
+            raise ShapeMismatch(f"the model holds {N_PARAMS} parameters, "
                                 f"not an array of shape {self.params.shape}")
 
     @cached_property
     def layers(self) -> tuple[Layer, ...]:
         """Each layer's weight and bias, as views into ``params``."""
-        return _layer_views(self.params, self.dims, self.activations)
-
-    @property
-    def arch_tag(self) -> str:
-        return arch_tag(self.dims)
-
-    @property
-    def input_dim(self) -> int:
-        return self.dims[0]
-
-    def astype(self, dtype) -> ModelWeights:
-        return ModelWeights(self.params.astype(dtype), self.dims, self.activations)
+        return _layer_views(self.params)
 
 
 @dataclass(frozen=True)
@@ -106,38 +92,31 @@ class AdamState:
     t: int = 0
 
 
-def arch_tag(dims: tuple[int, ...]) -> str:
-    return "-".join(str(d) for d in dims)
-
-
-def _layer_views(params: np.ndarray, dims: tuple[int, ...],
-                 activations: tuple[str, ...]) -> tuple[Layer, ...]:
+def _layer_views(params: np.ndarray) -> tuple[Layer, ...]:
     """Each layer's weight and bias as views into ``params`` laid out as ``ModelWeights.params``.
 
-    Leading axes of ``params`` carry over: a ``(K, size)`` stack of K models
+    Leading axes of ``params`` carry over: a ``(K, N_PARAMS)`` stack of K models
     gives ``(K, out, in)`` weights and ``(K, out)`` biases.
     """
     lead = params.shape[:-1]
     layers, start = [], 0
-    for fan_in, fan_out, act in zip(dims, dims[1:], activations):
+    for fan_in, fan_out in zip(DIMS, DIMS[1:]):
         end = start + fan_out * fan_in
         layers.append(Layer(params[..., start:end].reshape(*lead, fan_out, fan_in),
-                            params[..., end:end + fan_out], act))
+                            params[..., end:end + fan_out]))
         start = end + fan_out
     return tuple(layers)
 
 
-def init_weights(dims: tuple[int, ...] = DEFAULT_DIMS,
-                 activations: tuple[str, ...] = DEFAULT_ACTIVATIONS,
-                 seed: int = 0, dtype=np.float32) -> ModelWeights:
+def init_weights(seed: int = 0, dtype=np.float32) -> ModelWeights:
     """Glorot-uniform weights and zero biases from a seeded generator."""
     rng = np.random.default_rng(seed)
     parts = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
+    for fan_in, fan_out in zip(DIMS, DIMS[1:]):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         parts += (rng.uniform(-limit, limit, size=fan_out * fan_in).astype(dtype),
                   np.zeros(fan_out, dtype=dtype))
-    return ModelWeights(np.concatenate(parts), tuple(dims), tuple(activations))
+    return ModelWeights(np.concatenate(parts))
 
 
 class _Workspace:
@@ -186,10 +165,10 @@ class _Workspace:
         sigmoid is ``1 / (1 + exp(-z))``, computed in place.
         """
         calls, a = [], batch
-        for layer, z, out in zip(self.layers, self.z, self.a):
+        for layer, activation, z, out in zip(self.layers, ACTIVATIONS, self.z, self.a):
             calls += [(np.matmul, (a, layer.weight.swapaxes(-1, -2), z)),
                       (np.add, (z, layer.bias[..., None, :], z))]
-            if layer.activation == "relu":
+            if activation == "relu":
                 # np.maximum's positional out is deprecated and warns.
                 calls.append((partial(np.maximum, out=out), (z, self.zero)))
             else:
@@ -219,7 +198,7 @@ class _Workspace:
         calls = [(np.divide, (self.residual, self.half_rows, grad_a))]
         for idx in range(len(self.layers) - 1, -1, -1):
             layer, z, a, delta = self.layers[idx], self.z[idx], self.a[idx], self.delta[idx]
-            if layer.activation == "relu":
+            if ACTIVATIONS[idx] == "relu":
                 calls.append((np.greater, (z, self.zero, delta)))
             else:
                 calls += [(np.subtract, (self.one, a, delta)), (np.multiply, (delta, a, delta))]
@@ -242,40 +221,17 @@ def _run(calls: list) -> None:
 def _forward_batch(weights: ModelWeights, x) -> tuple[_Workspace, np.ndarray]:
     """A workspace holding the forward pass of ``x`` as a batch, and that batch."""
     batch = np.atleast_2d(np.asarray(x))
-    if batch.shape[1] != weights.input_dim:
-        raise ShapeMismatch(
-            f"input dim {batch.shape[1]} != model dim {weights.input_dim}")
+    if batch.shape[1] != DIMS[0]:
+        raise ShapeMismatch(f"input dim {batch.shape[1]} != model dim {DIMS[0]}")
     ws = _Workspace(weights.layers, batch.shape[0], np.result_type(batch, weights.params))
     _run(ws.forward_calls(batch))
     return ws, batch
-
-
-def forward(weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Reconstruct a batch (N, 31) or single vector; returns (x_hat, cache).
-
-    The cache holds per-layer pre-activations and activations for backprop.
-    """
-    x = np.asarray(x)
-    ws, batch = _forward_batch(weights, x)
-    return (ws.a[-1][0] if x.ndim == 1 else ws.a[-1]), [(None, batch), *zip(ws.z, ws.a)]
 
 
 def per_sample_losses(weights: ModelWeights, batch: np.ndarray) -> np.ndarray:
     ws, batch = _forward_batch(weights, batch)
     _run(ws.loss_calls(batch))
     return ws.row_loss
-
-
-def backward(weights: ModelWeights, batch: np.ndarray,
-             cache: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of the batch reconstruction loss, shaped like the weights."""
-    batch = np.atleast_2d(np.asarray(batch))
-    dtype = np.result_type(cache[-1][1], batch)
-    ws = _Workspace(weights.layers, batch.shape[0], dtype)
-    ws.z, ws.a = [z for z, _ in cache[1:]], [a for _, a in cache[1:]]
-    grads = _layer_views(np.empty(weights.params.size, dtype), weights.dims, weights.activations)
-    _run(ws.loss_calls(batch) + ws.backward_calls(batch, grads))
-    return [(layer.weight, layer.bias) for layer in grads]
 
 
 def _corrections(rows: np.ndarray, t: int) -> None:
@@ -344,11 +300,11 @@ def train(weights: ModelWeights | Sequence[ModelWeights],
 
     ``data`` is one matrix, or a list of K client matrices of one shape. A
     list trains K models, one per matrix, in one stepping loop over stacked
-    ``(K, rows, dim)`` data and ``(K, size)`` parameters and moments.
+    ``(K, rows, 31)`` data and ``(K, N_PARAMS)`` parameters and moments.
     ``weights`` is then one model every client starts from, or a list of K
-    of one architecture and dtype; ``seeds`` is None (every client shuffles
-    with ``cfg.seed``) or a list of K seeds; ``adam_state`` is None or a
-    list of K states (None for a fresh one) at one step count. The result
+    of one dtype; ``seeds`` is None (every client shuffles with
+    ``cfg.seed``) or a list of K seeds; ``adam_state`` is None or a list of
+    K states (None for a fresh one) at one step count. The result
     is one ``TrainResult`` per client, with the same bits as training that
     client alone from its own model, state and seed.
 
@@ -377,10 +333,9 @@ def train(weights: ModelWeights | Sequence[ModelWeights],
     for what, given in (("Adam states", states), ("initial models", models), ("seeds", seeds)):
         if len(given) != k:
             raise ValueError(f"{len(given)} {what} for {k} client matrices")
-    if len({(w.dims, w.activations, w.params.dtype) for w in models}) > 1:
-        raise ShapeMismatch("initial models of more than one architecture or dtype")
-    template = models[0]
-    dtype = template.params.dtype
+    if len({w.params.dtype for w in models}) > 1:
+        raise ShapeMismatch("initial models of more than one dtype")
+    dtype = models[0].params.dtype
     if stacked:
         mats = [np.atleast_2d(np.asarray(d, dtype=dtype)) for d in data]
         if len({mat.shape for mat in mats}) > 1:
@@ -388,8 +343,8 @@ def train(weights: ModelWeights | Sequence[ModelWeights],
         x = np.stack(mats)
     else:
         x = np.atleast_2d(np.asarray(data, dtype=dtype))
-    if x.shape[-1] != template.input_dim:
-        raise ShapeMismatch(f"input dim {x.shape[-1]} != model dim {template.input_dim}")
+    if x.shape[-1] != DIMS[0]:
+        raise ShapeMismatch(f"input dim {x.shape[-1]} != model dim {DIMS[0]}")
     n = x.shape[-2]
     if n == 0:
         raise EmptyDataset("no training vectors")
@@ -397,14 +352,13 @@ def train(weights: ModelWeights | Sequence[ModelWeights],
     if len(steps) > 1:
         raise ValueError(f"client Adam states at steps {sorted(steps)}, not one")
     t = steps.pop()
-    lead, size = x.shape[:-2], template.params.size
-    p = np.array([w.params for w in models], dtype).reshape(*lead, size)
-    zero = np.zeros(size, dtype)
+    lead = x.shape[:-2]
+    p = np.array([w.params for w in models], dtype).reshape(*lead, N_PARAMS)
+    zero = np.zeros(N_PARAMS, dtype)
     states = [AdamState(zero, zero) if state is None else state for state in states]
     mv = np.array([[s.m for s in states], [s.v for s in states]], dtype).reshape(2, *p.shape)
     g, step = np.empty_like(p), np.empty_like(mv)
-    layers = _layer_views(p, template.dims, template.activations)
-    grads = _layer_views(g, template.dims, template.activations)
+    layers, grads = _layer_views(p), _layer_views(g)
 
     index = batch_orders(seeds, cfg.epochs, n).reshape(cfg.epochs, -1)
     gathered = np.empty_like(x)
@@ -434,43 +388,25 @@ def train(weights: ModelWeights | Sequence[ModelWeights],
         _run(calls)
         history[epoch] = total
     history /= n
-    results = [TrainResult(ModelWeights(pk, template.dims, template.activations), hk.tolist(),
-                           AdamState(mk, vk, t))
-               for pk, mk, vk, hk in zip(p.reshape(-1, size), *mv.reshape(2, -1, size),
+    results = [TrainResult(ModelWeights(pk), hk.tolist(), AdamState(mk, vk, t))
+               for pk, mk, vk, hk in zip(p.reshape(-1, N_PARAMS), *mv.reshape(2, -1, N_PARAMS),
                                          history.reshape(cfg.epochs, -1).T)]
     return results if stacked else results[0]
 
 
 def save_weights(weights: ModelWeights) -> bytes:
-    """Versioned binary weight file: header plus little-endian float32 ``params``."""
-    tag = weights.arch_tag.encode()
-    header = [WEIGHT_MAGIC, struct.pack("<HH", len(tag), len(weights.activations)), tag]
-    header += [struct.pack("<IIB", fan_out, fan_in, _ACT_CODES[act]) for fan_in, fan_out, act
-               in zip(weights.dims, weights.dims[1:], weights.activations)]
-    return b"".join(header) + weights.params.astype("<f4").tobytes()
+    """The weight file: ``WEIGHT_HEADER``, then ``params`` as little-endian float32."""
+    return WEIGHT_HEADER + weights.params.astype("<f4").tobytes()
 
 
 def load_weights(blob: bytes) -> ModelWeights:
     """The model a ``save_weights`` file holds.
 
-    Raises ``ValueError`` unless ``blob`` is exactly one such file: a
-    truncated file, trailing bytes and a tag that disagrees with the layer
-    shapes are all refused.
+    Raises ``ValueError`` unless ``blob`` is exactly one such file: another
+    header, a truncated file and trailing bytes are all refused.
     """
-    if blob[:4] != WEIGHT_MAGIC:
-        raise ValueError("not a weight file")
-    try:
-        tag_len, n_layers = struct.unpack_from("<HH", blob, 4)
-        at = 8 + tag_len
-        shapes = [struct.unpack_from("<IIB", blob, at + 9 * i) for i in range(n_layers)]
-    except struct.error:
-        raise ValueError("weight file header is truncated") from None
-    tag = blob[8:at].decode()
-    dims = tuple(s[1] for s in shapes[:1]) + tuple(s[0] for s in shapes)
-    if [s[:2] for s in shapes] != list(zip(dims[1:], dims)) or tag != arch_tag(dims):
-        raise ValueError(f"weight file tag {tag!r} disagrees with its layer shapes")
-    at += 9 * n_layers
-    if (len(blob) - at) % 4:
-        raise ValueError(f"weight file data of {len(blob) - at} bytes is not whole float32 values")
-    params = np.frombuffer(blob, dtype="<f4", offset=at).astype(np.float32)
-    return ModelWeights(params, dims, tuple(_ACT_NAMES.get(s[2], str(s[2])) for s in shapes))
+    if not blob.startswith(WEIGHT_HEADER):
+        raise ValueError("not a weight file of this model")
+    if len(blob) != WEIGHT_FILE_BYTES:
+        raise ValueError(f"weight file of {len(blob)} bytes, not {WEIGHT_FILE_BYTES}")
+    return ModelWeights(np.frombuffer(blob, "<f4", offset=len(WEIGHT_HEADER)).astype(np.float32))

@@ -70,10 +70,6 @@ class DetectionReport:
     degenerate_recall: bool = False
 
     @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-    @property
     def false_positive_rate(self) -> float:
         negatives = self.fp + self.tn
         return self.fp / negatives if negatives else 0.0

@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autoencoder import AdamState, ModelWeights, ShapeMismatch, TrainConfig, save_weights, train
+from .autoencoder import (WEIGHT_FILE_BYTES, AdamState, ModelWeights, ShapeMismatch, TrainConfig,
+                          train)
 from .nodes import C, NodeId, Role, Topology
 
 
@@ -34,23 +35,16 @@ class CommsRecord:
     bytes: int
 
 
-def _check_one_architecture(updates: Sequence[ModelWeights]) -> None:
-    archs = {(u.dims, u.activations) for u in updates}
-    if len(archs) > 1:
-        raise ShapeMismatch(f"mixed architectures {sorted(archs)}")
-
-
 def router_tree(tree: Topology, roster: Sequence[NodeId]) -> dict[NodeId, NodeId]:
     """Parent map over the roster: each router's next hop if that is a roster
     router, otherwise C."""
     return {r: tree[r] if tree.get(r) in roster else C for r in roster}
 
 
-def hierarchical_round(tree: Topology, locals_: Mapping[NodeId, ModelWeights],
-                       dtype=np.float32) -> ModelWeights:
+def hierarchical_round(tree: Topology, locals_: Mapping[NodeId, ModelWeights]) -> ModelWeights:
     """Aggregate one round over the router tree; equals the flat mean.
 
-    ``dtype`` controls accumulation width. Each router adds its children's
+    Sums are taken in the weights' own dtype. Each router adds its children's
     subtree sums to its own weights, in router index order, and the
     coordinator adds the top-level sums in that order. A parent map in
     which some router never reaches the coordinator raises ValueError.
@@ -62,7 +56,6 @@ def hierarchical_round(tree: Topology, locals_: Mapping[NodeId, ModelWeights],
     for router in roster:
         if locals_[router] is None:
             raise MissingUpdate(str(router))
-    _check_one_architecture([locals_[r] for r in roster])
 
     children = {r: [c for c in roster if parents[c] == r] for r in roster}
     top_level = [r for r in roster if parents[r] not in children]
@@ -74,11 +67,10 @@ def hierarchical_round(tree: Topology, locals_: Mapping[NodeId, ModelWeights],
         raise ValueError(f"routers {', '.join(stranded)} never reach the coordinator")
 
     def subtree(router: NodeId) -> np.ndarray:
-        return sum(map(subtree, children[router]), locals_[router].params.astype(dtype))
+        return sum(map(subtree, children[router]), locals_[router].params)
 
     total = sum(map(subtree, top_level[1:]), subtree(top_level[0]))
-    template = locals_[roster[0]]
-    return ModelWeights((total / len(roster)).astype(dtype), template.dims, template.activations)
+    return ModelWeights(total / len(roster))
 
 
 @dataclass
@@ -118,8 +110,6 @@ def run_federated_training(local_cfg: TrainConfig, pretrained: ModelWeights,
         if len(rows) > 1 or 0 in rows:
             raise ShapeMismatch(f"round {rnd} brings {sorted(rows)} rows per client; "
                                 "one stacked round needs equal counts, at least one row")
-    payload = len(save_weights(pretrained))
-
     global_model = pretrained
     states: list[AdamState | None] = [None] * len(roster)
     per_round: list[ModelWeights] = []
@@ -132,8 +122,8 @@ def run_federated_training(local_cfg: TrainConfig, pretrained: ModelWeights,
             tree, {r: result.weights for r, result in zip(roster, results)})
         per_round.append(global_model)
         for router in roster:
-            ledger.append(CommsRecord(rnd, router, C, payload))
+            ledger.append(CommsRecord(rnd, router, C, WEIGHT_FILE_BYTES))
         for router in roster:
-            ledger.append(CommsRecord(rnd, C, router, payload))
+            ledger.append(CommsRecord(rnd, C, router, WEIGHT_FILE_BYTES))
 
     return FederatedResult(global_model, per_round, ledger)

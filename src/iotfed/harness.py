@@ -22,6 +22,7 @@ import numpy as np
 from .attacks import (AttackPlan, AttackSpec, check_window_len, enumerate_attacks,
                       label_windows)
 from .autoencoder import (
+    WEIGHT_FILE_BYTES,
     ModelWeights,
     TrainConfig,
     init_weights,
@@ -432,9 +433,8 @@ def modelled_overhead(cfg: ExperimentConfig) -> dict[str, float]:
     router per round; centralized counts the paper's modelled 1.5 MB of raw
     data per router.
     """
-    payload = len(save_weights(init_weights(seed=0)))
     centralized = 1.5e6 * len(ROUTERS)
-    federated = 2.0 * payload * cfg.fl_rounds * len(ROUTERS)
+    federated = 2.0 * WEIGHT_FILE_BYTES * cfg.fl_rounds * len(ROUTERS)
     return {"centralized_bytes": centralized, "federated_bytes": federated,
             "ratio": centralized / federated}
 

@@ -85,10 +85,6 @@ class LogEntry:
     segments: tuple[Segment, ...]
     status: int | None = None
 
-    @property
-    def origin(self) -> NodeId:
-        return self.segments[0].src
-
 
 def format_timestamp(ts: datetime) -> str:
     """``YYYY-MM-DD HH:MM:SS.ffffff``; the year is zero-padded to four digits."""
@@ -319,11 +315,6 @@ class DeviceLog(Sequence[LogEntry]):
 
     def __len__(self) -> int:
         return len(self.n_segs)
-
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The constructor's arguments, in its order."""
-        return self.n_segs, self.received, self.status, self.src, self.dst, self.times
 
     def __getitem__(self, i: int | slice) -> LogEntry | DeviceLog:
         if isinstance(i, slice):

@@ -22,7 +22,6 @@ from .attacks import AttackPlan, apply_plan
 from .logfmt import NODE_CODE, NODES, DeviceLog, to_us
 from .nodes import (
     EDGES,
-    HOP_LIMIT,
     C,
     NodeId,
     Role,
@@ -144,8 +143,8 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     path_hops = [len(path.hops) - 1 for path in paths]
     sends: list[float] = []  # per packet: send time
     routed: list[int] = []   # per packet: its route's index in paths
-    # Every hop normal, in draw order; a path has at most HOP_LIMIT hops.
-    z = np.empty(int(cfg.duration) * len(EDGES) * HOP_LIMIT)
+    # Every hop normal, in draw order; no packet takes more hops than the longest route.
+    z = np.empty(int(cfg.duration) * len(EDGES) * max(path_hops))
     n = 0
     for tick in range(int(cfg.duration)):
         for e in range(len(EDGES)):
@@ -170,6 +169,7 @@ def run_simulation(topology: Topology, cfg: SimConfig,
         logs[q, h] = path.terminal == C and not path.looped
 
     send_time, path_of = np.array(sends), np.array(routed, dtype=np.int64)
+    del sends, routed
     hops = np.array(path_hops, dtype=np.int64)[path_of]
     reached = np.arange(width) <= hops[:, None]  # the points of each packet's path
     # Row i is packet i's send time then its hop delays, zero padded, so the
@@ -177,6 +177,7 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     clocks = np.zeros((len(path_of), width))
     clocks[:, 0] = send_time
     clocks[:, 1:][reached[:, 1:]] = hop_delays_ms(z[:n], cfg.hop_delay_model) / 1000.0
+    del z  # the draw buffers go before the logs are assembled
     np.cumsum(clocks, axis=1, out=clocks)
 
     # A packet stamps its send and each arrival, in µs from DEFAULT_START.

@@ -5,7 +5,8 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from iotfed.autoencoder import ModelWeights
+from iotfed.autoencoder import (N_PARAMS, ModelWeights, _forward_batch, _layer_views, _run,
+                                _Workspace)
 from iotfed.logfmt import NODE_CODE, DeviceLog, EntryKind, LogEntry, Segment, to_us, us_to_ms
 from iotfed.nodes import NodeId
 
@@ -46,6 +47,11 @@ def coordinator_entry(origin: NodeId, path: list[NodeId], start: datetime,
     return LogEntry(EntryKind.COORDINATOR, tuple(segments))
 
 
+def columns(log: DeviceLog) -> tuple[np.ndarray, ...]:
+    """A log's columns, as ``DeviceLog`` takes them."""
+    return log.n_segs, log.received, log.status, log.src, log.dst, log.times
+
+
 def device_log(entries: list[LogEntry]) -> DeviceLog:
     """The column oracle: ``entries`` as the ``DeviceLog`` that ``parse_log``
     reads from their ``serialize_entry`` lines, built entry by entry."""
@@ -75,14 +81,36 @@ def first_hop_delay(entry: LogEntry) -> float:
     return us_to_ms(to_us(first.received_at) - to_us(first.sent_at))
 
 
-def fedavg(updates: list[ModelWeights], dtype) -> ModelWeights:
-    """The flat FedAvg mean: client weights summed in client order, in ``dtype``,
-    then divided by the client count."""
-    total = updates[0].params.astype(dtype)
+def fedavg(updates: list[ModelWeights]) -> ModelWeights:
+    """The flat FedAvg mean: client weights summed in client order, in their
+    dtype, then divided by the client count."""
+    total = updates[0].params
     for update in updates[1:]:
-        total = total + update.params.astype(dtype)
-    return ModelWeights((total / len(updates)).astype(dtype), updates[0].dims,
-                        updates[0].activations)
+        total = total + update.params
+    return ModelWeights(total / len(updates))
+
+
+def forward(weights: ModelWeights, x) -> tuple[np.ndarray, list]:
+    """Reconstruct a batch (N, 31) or single vector; returns (x_hat, cache).
+
+    The cache holds the input, then each layer's pre-activation and
+    activation, for ``backward``.
+    """
+    x = np.asarray(x)
+    ws, batch = _forward_batch(weights, x)
+    return (ws.a[-1][0] if x.ndim == 1 else ws.a[-1]), [(None, batch), *zip(ws.z, ws.a)]
+
+
+def backward(weights: ModelWeights, batch, cache: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gradients of the batch reconstruction loss, shaped like the weights:
+    the backward calls ``train`` runs, on ``forward``'s cache."""
+    batch = np.atleast_2d(np.asarray(batch))
+    dtype = np.result_type(cache[-1][1], batch)
+    ws = _Workspace(weights.layers, batch.shape[0], dtype)
+    ws.z, ws.a = [z for z, _ in cache[1:]], [a for _, a in cache[1:]]
+    grads = _layer_views(np.empty(N_PARAMS, dtype))
+    _run(ws.loss_calls(batch) + ws.backward_calls(batch, grads))
+    return [(layer.weight, layer.bias) for layer in grads]
 
 
 @pytest.fixture(scope="session")

@@ -20,12 +20,13 @@ from conftest import (
     EDGE_LINE,
     REF_WINDOW,
     ROUTER_LINE,
+    backward,
     fedavg,
+    forward,
 )
 from iotfed.autoencoder import (
+    ModelWeights,
     TrainConfig,
-    backward,
-    forward,
     init_weights,
     per_sample_losses,
     save_weights,
@@ -63,20 +64,19 @@ def test_acceptance_1_hierarchical_equals_flat_mean():
             for i, router in enumerate(order):
                 choices = [C] + order[:i]
                 parents[router] = choices[int(rng.integers(len(choices)))]
-            locals_ = {r: init_weights((6, 5, 4, 5, 6),
-                                       ("relu", "relu", "sigmoid", "sigmoid"),
-                                       seed=int(rng.integers(1 << 30)))
-                       for r in roster}
+            locals_ = {r: init_weights(seed=int(rng.integers(1 << 30))) for r in roster}
             updates = [locals_[r] for r in sorted(locals_, key=NodeId.sort_key)]
 
-            tree32 = hierarchical_round(parents, locals_, dtype=np.float32)
-            flat32 = fedavg(updates, dtype=np.float32)
+            tree32 = hierarchical_round(parents, locals_)
+            flat32 = fedavg(updates)
             for lt, lf in zip(tree32.layers, flat32.layers):
                 np.testing.assert_allclose(lt.weight, lf.weight, atol=1e-6)
                 np.testing.assert_allclose(lt.bias, lf.bias, atol=1e-6)
 
-            tree64 = hierarchical_round(parents, locals_, dtype=np.float64)
-            flat64 = fedavg(updates, dtype=np.float64)
+            # Widened to float64, a few float32 values sum exactly in any order.
+            wide = {r: ModelWeights(m.params.astype(np.float64)) for r, m in locals_.items()}
+            tree64 = hierarchical_round(parents, wide)
+            flat64 = fedavg([wide[r] for r in sorted(wide, key=NodeId.sort_key)])
             for lt, lf in zip(tree64.layers, flat64.layers):
                 np.testing.assert_array_equal(lt.weight, lf.weight)
                 np.testing.assert_array_equal(lt.bias, lf.bias)
@@ -92,7 +92,8 @@ def test_acceptance_2_gradients_match_finite_differences():
         h = 1e-5
         worst = 0.0
         for trial in range(20):
-            model = init_weights(seed=int(rng.integers(1 << 30))).astype(np.float64)
+            narrow = init_weights(seed=int(rng.integers(1 << 30)))
+            model = ModelWeights(narrow.params.astype(np.float64))
             x = rng.uniform(0.0, 1.0, size=(4, 31))
             _, cache = forward(model, x)
             grads = backward(model, x, cache)

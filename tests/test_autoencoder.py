@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
+from conftest import backward, forward
 from iotfed.autoencoder import (
     BETA1,
     BETA2,
-    DEFAULT_ACTIVATIONS,
-    DEFAULT_DIMS,
     EPSILON,
-    WEIGHT_MAGIC,
+    N_PARAMS,
+    WEIGHT_FILE_BYTES,
+    WEIGHT_HEADER,
     AdamState,
     EmptyDataset,
     ModelWeights,
@@ -21,9 +22,7 @@ from iotfed.autoencoder import (
     _adam,
     _corrections,
     _run,
-    backward,
     batch_orders,
-    forward,
     init_weights,
     load_weights,
     per_sample_losses,
@@ -32,17 +31,14 @@ from iotfed.autoencoder import (
 )
 
 
-def zero_model(dims=DEFAULT_DIMS, activations=DEFAULT_ACTIVATIONS):
-    size = sum((inp + 1) * out for inp, out in zip(dims, dims[1:]))
-    return ModelWeights(np.zeros(size, dtype=np.float32), dims, activations)
+def zero_model(dtype=np.float32):
+    return ModelWeights(np.zeros(N_PARAMS, dtype=dtype))
 
 
 class TestArchitecture:
     def test_default_shape_and_latent(self):
-        model = init_weights()
-        assert model.input_dim == 31
         x = np.zeros(31, dtype=np.float32)
-        x_hat, cache = forward(model, x)
+        x_hat, cache = forward(init_weights(), x)
         assert x_hat.shape == (31,)
         # cache entries: input + 4 layers; latent is the second layer's output
         assert cache[2][1].shape[-1] == 16
@@ -58,23 +54,19 @@ class TestArchitecture:
         c = init_weights(seed=43)
         assert not np.array_equal(a.layers[0].weight, c.layers[0].weight)
 
-    def test_bias_shape_checked(self):
-        # A 4x3 weight followed by five bias values instead of four.
+    @pytest.mark.parametrize("shape", [(N_PARAMS - 1,), (N_PARAMS + 1,), (1, N_PARAMS)])
+    def test_params_of_another_shape_rejected(self, shape):
         with pytest.raises(ShapeMismatch):
-            ModelWeights(np.zeros(4 * 3 + 5), (3, 4), ("relu",))
-
-    def test_unknown_activation_rejected(self):
-        with pytest.raises(ValueError):
-            ModelWeights(np.zeros(4 * 3 + 4), (3, 4), ("tanh",))
+            ModelWeights(np.zeros(shape))
 
     def test_layers_are_views_into_params(self):
-        model = init_weights((3, 4, 2), ("relu", "sigmoid"), seed=1)
-        (w0, b0, _), (w1, b1, act) = model.layers
-        assert (w0.shape, b0.shape, w1.shape, b1.shape, act) == ((4, 3), (4,), (2, 4), (2,), "sigmoid")
+        model = init_weights(seed=1)
+        assert [(w.shape, b.shape) for w, b in model.layers] == [
+            ((32, 31), (32,)), ((16, 32), (16,)), ((32, 16), (32,)), ((31, 32), (31,))]
         np.testing.assert_array_equal(
-            np.concatenate([w0.ravel(), b0, w1.ravel(), b1]), model.params)
-        w1[1, 2] = 7.0
-        assert model.params[4 * 3 + 4 + 1 * 4 + 2] == 7.0
+            np.concatenate([a.ravel() for layer in model.layers for a in layer]), model.params)
+        model.layers[1].weight[1, 2] = 7.0
+        assert model.params[32 * 31 + 32 + 1 * 32 + 2] == 7.0
         assert model.layers is model.layers
 
 
@@ -124,10 +116,9 @@ class TestLoss:
 
 
 class TestBackward:
-    def test_finite_difference_small_model(self):
-        dims, acts = (5, 4, 3, 4, 5), ("relu", "relu", "sigmoid", "sigmoid")
-        model = init_weights(dims, acts, seed=7).astype(np.float64)
-        x = np.random.default_rng(8).uniform(size=(4, 5))
+    def test_finite_difference_weights(self):
+        model = init_weights(seed=7, dtype=np.float64)
+        x = np.random.default_rng(8).uniform(size=(4, 31))
         _, cache = forward(model, x)
         grads = backward(model, x, cache)
         h = 1e-6
@@ -143,7 +134,7 @@ class TestBackward:
                 assert abs(numeric - analytic) <= 1e-4 * max(1.0, abs(numeric))
 
     def test_zero_input_zero_weights_gradient_structure(self):
-        model = zero_model().astype(np.float64)
+        model = zero_model(np.float64)
         x = np.zeros((3, 31))
         _, cache = forward(model, x)
         grads = backward(model, x, cache)
@@ -162,7 +153,7 @@ class TestBackward:
 
 
 def _with_weight(model, layer_index, new_weight):
-    changed = ModelWeights(model.params.copy(), model.dims, model.activations)
+    changed = ModelWeights(model.params.copy())
     changed.layers[layer_index].weight[...] = new_weight
     return changed
 
@@ -194,13 +185,13 @@ class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         # With bias correction, step 1 moves each weight by ~lr * sign(g).
         cfg = TrainConfig(learning_rate=0.001)
-        p = zero_model((2, 2), ("sigmoid",)).params.astype(np.float64)
-        g = np.array([0.3, -0.7, 0.0, 1.2, 0.0, 0.0])  # W0 row-major, then b0
+        p = np.zeros(6)
+        g = np.array([0.3, -0.7, 0.0, 1.2, 0.0, 0.0])
         _adam_step(p, g, _fresh_moments(p), 1, cfg.learning_rate)
         np.testing.assert_allclose(p, -cfg.learning_rate * np.sign(g), atol=1e-6)
 
     def test_loss_decreases_after_one_step(self):
-        model = init_weights(seed=3).astype(np.float64)
+        model = init_weights(seed=3, dtype=np.float64)
         x = np.random.default_rng(4).uniform(size=(8, 31))
         before = loss(model, x)
         step = train(model, x, TrainConfig(epochs=1, batch_size=8, learning_rate=0.001))
@@ -252,11 +243,9 @@ def _per_array_adam(weights, grads, state, cfg):
     """Per-array Adam as first written: the reference for the flat-buffer update."""
     t = state.t + 1
     # The moments share the parameters' layout, so a model over them gives per-layer views.
-    m_layers, v_layers = (ModelWeights(moment, weights.dims, weights.activations).layers
-                          for moment in (state.m, state.v))
+    m_layers, v_layers = (ModelWeights(moment).layers for moment in (state.m, state.v))
     params, ms, vs = [], [], []
-    for layer, (gw, gb), (mw, mb, _), (vw, vb, _) in zip(weights.layers, grads,
-                                                         m_layers, v_layers):
+    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(weights.layers, grads, m_layers, v_layers):
         for param, g, m, v in ((layer.weight, gw, mw, vw), (layer.bias, gb, mb, vb)):
             m = BETA1 * m + (1 - BETA1) * g
             v = BETA2 * v + (1 - BETA2) * g * g
@@ -266,7 +255,7 @@ def _per_array_adam(weights, grads, state, cfg):
             params.append(p.astype(param.dtype).ravel())
             ms.append(m.ravel())
             vs.append(v.ravel())
-    return (ModelWeights(np.concatenate(params), weights.dims, weights.activations),
+    return (ModelWeights(np.concatenate(params)),
             AdamState(np.concatenate(ms), np.concatenate(vs), t))
 
 
@@ -311,13 +300,12 @@ class TestTrainMatchesPerArrayAdam:
            epochs=st.integers(1, 5),
            learning_rate=st.sampled_from([1e-2, 1e-3, 1e-4]),
            dtype=st.sampled_from([np.float32, np.float64]),
-           dims=st.sampled_from([DEFAULT_DIMS, (5, 4, 3, 4, 5)]),
            seed=st.integers(0, 2**32 - 1))
     def test_same_bits_as_the_per_array_loop(self, rows, batch_size, epochs,
-                                             learning_rate, dtype, dims, seed):
+                                             learning_rate, dtype, seed):
         rng = np.random.default_rng(seed)
-        x = rng.uniform(size=(rows, dims[0]))
-        model = init_weights(dims, DEFAULT_ACTIVATIONS, seed=seed % 1000, dtype=dtype)
+        x = rng.uniform(size=(rows, 31))
+        model = init_weights(seed=seed % 1000, dtype=dtype)
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size,
                           learning_rate=learning_rate, seed=seed)
         got = train(model, x, cfg)
@@ -336,7 +324,7 @@ class TestTrainMatchesPerArrayAdam:
         model = init_weights(seed=4)
         x = np.random.default_rng(5).uniform(size=(6, 31)).astype(np.float32)
         cfg = TrainConfig(learning_rate=1e-2)
-        weights = ModelWeights(model.params.copy(), model.dims, model.activations)
+        weights = ModelWeights(model.params.copy())
         mv = _fresh_moments(weights.params)
         want_weights, want_state = model, fresh_state(model)
         for t in range(1, 4):
@@ -373,7 +361,7 @@ class TestTrainMatchesPerArrayAdam:
     def test_mixed_dtype_training_computes_in_the_weights_dtype(self):
         model = init_weights(seed=6)
         x = np.random.default_rng(6).uniform(size=(5, 31))
-        wide = fresh_state(model.astype(np.float64))
+        wide = fresh_state(init_weights(seed=6, dtype=np.float64))
         result = train(model, x, TrainConfig(epochs=1), adam_state=wide)
         state = result.adam_state
         assert result.weights.params.dtype == state.m.dtype == state.v.dtype == np.float32
@@ -387,19 +375,16 @@ class TestStackedTrain:
     @given(clients=st.integers(1, 4), rows=st.integers(1, 70),
            batch_size=st.sampled_from([1, 7, 32]), epochs=st.integers(1, 3),
            dtype=st.sampled_from([np.float32, np.float64]),
-           dims=st.sampled_from([DEFAULT_DIMS, (5, 4, 3, 4, 5)]),
            carried=st.booleans(), seed=st.integers(0, 2**32 - 1))
     # Partial last batches: 9 rows in batches of 7, 40 rows in batches of 32.
-    @example(clients=3, rows=9, batch_size=7, epochs=2, dtype=np.float32, dims=DEFAULT_DIMS,
-             carried=True, seed=1)
-    @example(clients=4, rows=40, batch_size=32, epochs=1, dtype=np.float64,
-             dims=(5, 4, 3, 4, 5), carried=False, seed=2)
+    @example(clients=3, rows=9, batch_size=7, epochs=2, dtype=np.float32, carried=True, seed=1)
+    @example(clients=4, rows=40, batch_size=32, epochs=1, dtype=np.float64, carried=False, seed=2)
     def test_same_bits_as_one_call_per_client(self, clients, rows, batch_size, epochs, dtype,
-                                              dims, carried, seed):
+                                              carried, seed):
         rng = np.random.default_rng(seed)
-        model = init_weights(dims, DEFAULT_ACTIVATIONS, seed=seed % 1000, dtype=dtype)
+        model = init_weights(seed=seed % 1000, dtype=dtype)
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=1e-2, seed=seed)
-        data = [rng.uniform(size=(rows, dims[0])) for _ in range(clients)]
+        data = [rng.uniform(size=(rows, 31)) for _ in range(clients)]
         states = [None] * clients
         if carried:
             # One epoch on each client's own data: equal steps, different moments.
@@ -420,21 +405,17 @@ class TestStackedTrain:
     @given(clients=st.integers(1, 4), rows=st.integers(1, 70),
            batch_size=st.sampled_from([1, 7, 32]), epochs=st.integers(1, 3),
            dtype=st.sampled_from([np.float32, np.float64]),
-           dims=st.sampled_from([DEFAULT_DIMS, (5, 4, 3, 4, 5)]),
            carried=st.booleans(), seed=st.integers(0, 2**32 - 1))
     # Partial last batches, carried states, both dtypes; clients 2k and 2k+1 share a seed.
-    @example(clients=3, rows=9, batch_size=7, epochs=2, dtype=np.float32, dims=DEFAULT_DIMS,
-             carried=True, seed=1)
-    @example(clients=4, rows=40, batch_size=32, epochs=1, dtype=np.float64,
-             dims=(5, 4, 3, 4, 5), carried=True, seed=2)
+    @example(clients=3, rows=9, batch_size=7, epochs=2, dtype=np.float32, carried=True, seed=1)
+    @example(clients=4, rows=40, batch_size=32, epochs=1, dtype=np.float64, carried=True, seed=2)
     def test_per_client_models_and_seeds_give_each_clients_bits(
-            self, clients, rows, batch_size, epochs, dtype, dims, carried, seed):
+            self, clients, rows, batch_size, epochs, dtype, carried, seed):
         rng = np.random.default_rng(seed)
-        models = [init_weights(dims, DEFAULT_ACTIVATIONS, seed=(seed + c) % 1000, dtype=dtype)
-                  for c in range(clients)]
+        models = [init_weights(seed=(seed + c) % 1000, dtype=dtype) for c in range(clients)]
         seeds = [seed + c // 2 for c in range(clients)]
         cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=1e-2, seed=seed)
-        data = [rng.uniform(size=(rows, dims[0])) for _ in range(clients)]
+        data = [rng.uniform(size=(rows, 31)) for _ in range(clients)]
         states = [None] * clients
         if carried:
             # One epoch from each client's own model: equal steps, different moments.
@@ -458,15 +439,10 @@ class TestStackedTrain:
             want = [rng.permutation(n) + c * n for _ in range(epochs)]
             np.testing.assert_array_equal(orders[:, c], want)
 
-    @pytest.mark.parametrize("other", [
-        init_weights((31, 16, 31), ("relu", "sigmoid")),
-        init_weights(activations=("relu", "relu", "relu", "sigmoid")),
-        init_weights(dtype=np.float64),
-    ], ids=["dims", "activations", "dtype"])
-    def test_initial_models_of_another_architecture_rejected(self, other):
+    def test_initial_models_of_another_dtype_rejected(self):
         x = np.zeros((4, 31))
-        with pytest.raises(ShapeMismatch):
-            train([init_weights(), other], [x, x], TrainConfig(epochs=1))
+        with pytest.raises(ShapeMismatch, match="dtype"):
+            train([init_weights(), init_weights(dtype=np.float64)], [x, x], TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("kwargs,error", [
         (dict(weights=[init_weights()] * 2), "2 initial models for 3"),
@@ -564,32 +540,31 @@ class TestTrainMemory:
 
 
 class TestWeightFile:
+    def test_header_is_pinned(self):
+        # The 58 bytes that the weight files of earlier bundles begin with.
+        assert WEIGHT_HEADER == (
+            b"IFW1\x0e\x00\x04\x0031-32-16-32-31 \x00\x00\x00\x1f\x00\x00\x00\x00\x10\x00"
+            b"\x00\x00 \x00\x00\x00\x00 \x00\x00\x00\x10\x00\x00\x00\x01\x1f\x00\x00\x00"
+            b" \x00\x00\x00\x01")
+        blob = save_weights(init_weights())
+        assert blob[:len(WEIGHT_HEADER)] == WEIGHT_HEADER
+        assert len(blob) == WEIGHT_FILE_BYTES == 12534
+
     def test_round_trip_is_exact(self):
         model = init_weights(seed=13)
         restored = load_weights(save_weights(model))
-        assert restored.arch_tag == model.arch_tag
-        for la, lb in zip(model.layers, restored.layers):
-            np.testing.assert_array_equal(la.weight, lb.weight)
-            np.testing.assert_array_equal(la.bias, lb.bias)
-            assert la.activation == lb.activation
+        assert _snapshot(restored) == _snapshot(model)
 
     def test_default_payload_size_matches_budget(self):
         blob = save_weights(init_weights())
         # 3119 float32 parameters + header; within 5% of 12.6 KB.
         assert abs(len(blob) - 12600) / 12600 < 0.05
 
-    def test_magic_checked(self):
-        blob = save_weights(init_weights())
-        with pytest.raises(ValueError):
-            load_weights(b"XXXX" + blob[4:])
-        assert blob[:4] == WEIGHT_MAGIC
-
-    def test_round_trip_of_another_architecture(self):
-        model = init_weights((5, 4, 3, 4, 5), ("sigmoid", "relu", "relu", "sigmoid"), seed=2)
+    def test_wide_model_round_trips_as_float32(self):
+        model = init_weights(seed=2, dtype=np.float64)
         restored = load_weights(save_weights(model))
-        assert (restored.dims, restored.activations) == (model.dims, model.activations)
         assert restored.params.dtype == np.float32
-        np.testing.assert_array_equal(restored.params, model.params)
+        np.testing.assert_array_equal(restored.params, model.params.astype(np.float32))
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ValueError):
@@ -601,8 +576,11 @@ class TestWeightFile:
         with pytest.raises(ValueError):
             load_weights(blob[:len(blob) - cut])
 
-    def test_tag_disagreeing_with_layer_shapes_rejected(self):
+    @pytest.mark.parametrize("at,new", [(0, b"XXXX"), (20, b"99"), (6, b"\x05"), (57, b"\x00")],
+                             ids=["magic", "tag-31-32-16-32-99", "layer-count", "last-activation"])
+    def test_another_header_rejected(self, at, new):
         blob = save_weights(init_weights())
-        assert b"31-32-16-32-31" in blob
-        with pytest.raises(ValueError, match="disagrees"):
-            load_weights(blob.replace(b"31-32-16-32-31", b"31-32-16-32-99"))
+        other = blob[:at] + new + blob[at + len(new):]
+        assert other[:len(WEIGHT_HEADER)] != WEIGHT_HEADER and len(other) == len(blob)
+        with pytest.raises(ValueError, match="not a weight file"):
+            load_weights(other)

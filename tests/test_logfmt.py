@@ -13,6 +13,7 @@ from conftest import (
     EDGE_LINE,
     REF_WINDOW,
     ROUTER_LINE,
+    columns,
     coordinator_entry,
     device_log,
     end_to_end_delay,
@@ -65,7 +66,7 @@ class TestReferenceExamples:
         entry = parse_entry(COORD_LINE)
         assert entry.kind is EntryKind.COORDINATOR
         assert len(entry.segments) == 3
-        assert entry.origin == E3
+        assert entry.segments[0].src == E3
         assert entry.segments[-1].dst == C
         assert entry.segments[0].sent_at == datetime(2024, 4, 26, 13, 36, 10, 273312)
         assert entry.segments[-1].received_at == datetime(2024, 4, 26, 13, 36, 10, 787851)
@@ -133,8 +134,8 @@ class TestParseErrors:
                 "R3>C,2024-04-26 13:36:10.369257, S:0")
         entry = parse_entry(line)
         assert entry.segments[0].received_at < entry.segments[0].sent_at
-        for got, want in zip(parse_log(serialize_entry(entry)).columns,
-                             device_log([entry]).columns):
+        for got, want in zip(columns(parse_log(serialize_entry(entry))),
+                             columns(device_log([entry]))):
             assert np.array_equal(got, want)
 
     def test_three_timestamps_on_one_pair_rejected(self):
@@ -515,9 +516,9 @@ def test_stamps_outside_the_datetime_range_overflow(us):
         from_us(us)
     with pytest.raises(OverflowError):
         format_us(np.array([to_us(datetime(2024, 1, 1)), us]))
-    *columns, times = parse_log(EDGE_LINE).columns
+    *others, times = columns(parse_log(EDGE_LINE))
     with pytest.raises(OverflowError):
-        DeviceLog(*columns, np.full_like(times, us)).render()
+        DeviceLog(*others, np.full_like(times, us)).render()
 
 
 @st.composite
@@ -626,7 +627,7 @@ class TestDeviceLog:
         part = log.rows(window)
         selected = log.rows(np.arange(len(log))[window])
         assert len(part) == len(range(len(log))[window])
-        for got, expected, column in zip(part.columns, selected.columns, log.columns):
+        for got, expected, column in zip(columns(part), columns(selected), columns(log)):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
             assert np.shares_memory(got, column) == (len(got) > 0)
         assert np.array_equal(part.starts, selected.starts)
@@ -679,7 +680,7 @@ def assert_read_as_parse_entry_reads(doc):
             parse_log(doc)
         assert (exc_info.value.reason, exc_info.value.offset, exc_info.value.line) == error
     else:
-        for got, want in zip(parse_log(doc).columns, device_log(entries).columns):
+        for got, want in zip(columns(parse_log(doc)), columns(device_log(entries))):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -704,7 +705,7 @@ def test_respaced_documents_are_read_as_columns(small_sim, monkeypatch, respace)
     respaced = "\n".join(map(respace, canonical.splitlines()))
     want = parse_log(canonical)
     monkeypatch.setattr(logfmt, "parse_entry", refuse_entry)
-    for got, expected in zip(parse_log(respaced).columns, want.columns):
+    for got, expected in zip(columns(parse_log(respaced)), columns(want)):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
 

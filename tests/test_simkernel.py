@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import columns
 from iotfed import simkernel
 from iotfed.attacks import AttackPlan, AttackSpec, apply_plan, enumerate_attacks
 from iotfed.logfmt import EntryKind, LogEntry, Segment, parse_log, serialize_entry
@@ -149,7 +150,7 @@ class TestDeterminism:
         _, _, result = small_sim
         docs = result.render_logs()
         for node, log in result.entries.items():
-            for got, want in zip(parse_log(docs[f"{node}.log"]).columns, log.columns):
+            for got, want in zip(columns(parse_log(docs[f"{node}.log"])), columns(log)):
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("spec", [
@@ -163,7 +164,7 @@ class TestDeterminism:
                                 SimConfig(seed=5, duration=plan.total_duration), plan)
         docs = result.render_logs()
         for node, log in result.entries.items():
-            for got, want in zip(parse_log(docs[f"{node}.log"]).columns, log.columns,
+            for got, want in zip(columns(parse_log(docs[f"{node}.log"])), columns(log),
                                  strict=True):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
@@ -183,7 +184,7 @@ class TestAttackEffects:
         start, end = plan.attack_interval
         for entry in result.entries[C]:
             offset = (entry.segments[0].sent_at - simkernel.DEFAULT_START).total_seconds()
-            if entry.origin == E1:
+            if entry.segments[0].src == E1:
                 assert not (start <= offset < end)
 
     def test_redirected_traces_end_at_attacker(self, attack_run):
@@ -217,7 +218,7 @@ class TestStamps:
         coordinator = list(result.entries[C])
         assert {e.segments[0].received_at.microsecond for e in coordinator} == {7812}
         assert {e.segments[-1].received_at.microsecond
-                for e in coordinator if e.origin == E3} == {23438}
+                for e in coordinator if e.segments[0].src == E3} == {23438}
 
     def test_jitter_zero_sends_exactly_on_ticks(self):
         topology = build_topology(ScenarioFamily.III)
@@ -228,9 +229,11 @@ class TestStamps:
 
 
 class TestSimulationMemory:
-    def test_peak_stays_within_two_and_a_half_times_the_result(self):
-        # Each device's log is assembled on its own, so beyond the result the
-        # run holds its per-packet arrays and one device's intermediates.
+    def test_peak_stays_within_1_75_times_the_result(self):
+        # Each device's log is assembled on its own, after the hop normals and
+        # the draw loop's lists are released, so beyond the result the run
+        # holds its per-packet arrays and one device's intermediates (1.53x
+        # here; 1.91x while the draw buffers lived through the assembly).
         topology, cfg = build_topology(ScenarioFamily.III), SimConfig(seed=3, duration=60 * MIN)
         run_simulation(topology, SimConfig(seed=3, duration=2.0))  # warm any caches
         tracemalloc.start()
@@ -240,7 +243,7 @@ class TestSimulationMemory:
         finally:
             tracemalloc.stop()
         assert len(result.traces) == 4 * 3600
-        assert peak <= 2.5 * held
+        assert peak <= 1.75 * held
 
 
 class TestCollectorLoad:
