@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import columns
 from iotfed import cli, federated, harness
 from iotfed.attacks import AttackPlan, AttackSpec
 from iotfed.autoencoder import TrainConfig, load_weights, save_weights, train
@@ -29,7 +30,7 @@ from iotfed.harness import (
     to_csv,
     write_attack,
 )
-from iotfed.logfmt import EMPTY_LOG, DeviceLog, EntryKind, LogEntry
+from iotfed.logfmt import EMPTY_LOG, DeviceLog, EntryKind, LogEntry, parse_log
 from iotfed.nodes import C, R1, R2, R3, ROUTERS, ScenarioFamily, build_topology
 from iotfed.simkernel import DEFAULT_START, SimConfig, SimResult, run_simulation
 
@@ -230,6 +231,26 @@ def test_writing_logs_holds_one_part_at_a_time(tmp_path):
     harness.write_logs(run_simulation(topology, SimConfig(seed=3, duration=60.0)),
                        tmp_path / "warm")  # lazy imports and numpy caches fill outside the trace
     one, two = peak(1), peak(2)
+    assert abs(two - one) <= 0.1 * one
+
+
+def test_parsing_a_log_holds_one_block_at_a_time():
+    # parse_log reads a block of lines at a time and grows its columns in
+    # place, so beyond the columns it returns, a log twice as long takes no
+    # more memory to read.
+    topology = build_topology(ScenarioFamily.III)
+
+    def working_memory(hours):
+        doc = run_simulation(topology, SimConfig(seed=3, duration=hours * 3600.0)).render_logs()
+        tracemalloc.start()
+        try:
+            log = parse_log(doc["C.log"])
+            return tracemalloc.get_traced_memory()[1] - sum(a.nbytes for a in columns(log))
+        finally:
+            tracemalloc.stop()
+
+    parse_log(run_simulation(topology, SimConfig(seed=3, duration=60.0)).render_logs()["C.log"])
+    one, two = working_memory(1), working_memory(2)
     assert abs(two - one) <= 0.1 * one
 
 

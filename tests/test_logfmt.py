@@ -784,3 +784,91 @@ def test_parse_log_reads_a_canonical_document_without_python_per_line(small_sim,
     monkeypatch.setattr(logfmt, "parse_entry", refuse_entry)
     assert len(parse_log(canonical)) == canonical.count("\n")
     assert 0 < len(calls) <= len(statuses)
+
+
+# A document is read a block of whole lines at a time; these sizes cut it
+# at (nearly) every line end, inside a line and across a few lines.
+_BLOCK_SIZES = (1, 7, 64)
+
+
+def parse_outcome(doc):
+    """``parse_log(doc)``'s columns, or its error's reason, offset and line."""
+    try:
+        return columns(parse_log(doc))
+    except ParseError as err:
+        return err.reason, err.offset, err.line
+
+
+def assert_same_outcome(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+@st.composite
+def documents_across_blocks(draw):
+    """Rendered entries with runs of empty lines between them, perhaps one
+    character beyond ASCII at the start or end of a line, and perhaps no
+    last ``"\\n"``."""
+    lines = []
+    for entry in draw(st.lists(logged_entries(), max_size=8)):
+        lines += [serialize_entry(entry)] + [""] * draw(st.integers(0, 2))
+    if lines and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        odd = draw(st.sampled_from(["\xe9", "\u0661", "\ud800", "\U0001F600"]))
+        lines[at] = draw(st.sampled_from([odd + lines[at], lines[at] + odd]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=150)
+@given(st.one_of(documents_across_blocks(), edited_documents()))
+def test_a_document_read_in_blocks_reads_as_one_block(doc):
+    assert len(doc) < logfmt._PARSE_BLOCK
+    whole = parse_outcome(doc)
+    for size in _BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(logfmt, "_PARSE_BLOCK", size)
+            assert "\n".join(logfmt._blocks(doc)) == doc
+            assert_same_outcome(parse_outcome(doc), whole)
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+def test_the_first_refused_line_of_the_document_raises_from_the_third_block(monkeypatch, size):
+    good = [serialize_entry(parse_entry(line)) for line in (EDGE_LINE, ROUTER_LINE, COORD_LINE)]
+    lines = [good[i % 3] if i % 4 else "" for i in range(40)]
+    doc = "\n".join(lines) + "\n"
+    monkeypatch.setattr(logfmt, "_PARSE_BLOCK", size)
+    blocks = [block.split("\n") for block in logfmt._blocks(doc)]
+    # Numbers of the third block's lines that hold an entry, and a later one.
+    first = len(blocks[0]) + len(blocks[1])
+    third = [first + i for i, line in enumerate(blocks[2]) if line]
+    later = first + len(blocks[2]) + next(i for i, line in enumerate(blocks[3]) if line)
+    # An impossible date refuses every stamp numpy casts with it, so any good
+    # line before it in its block is refused too; the tab after it is a
+    # second bad line, in a later block.
+    lines[third[-1]] = lines[third[-1]].replace("04-26", "02-30")
+    lines[later] = lines[later].replace(", ", ",\t", 1)
+    doc = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as want:
+        parse_entry(lines[third[-1]])
+    with pytest.raises(ParseError) as got:
+        parse_log(doc)
+    assert (got.value.reason, got.value.offset, got.value.line) == (
+        want.value.reason, want.value.offset, third[-1] + 1)
+    monkeypatch.setattr(logfmt, "_PARSE_BLOCK", len(doc))
+    assert_same_outcome(parse_outcome(doc), (want.value.reason, want.value.offset, third[-1] + 1))
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+def test_each_status_text_is_read_once_per_document_in_any_blocks(small_sim, monkeypatch, size):
+    canonical = "".join(small_sim[2].render_logs().values())
+    statuses = {line.rsplit(", ", 1)[1] for line in canonical.splitlines() if ", S:" in line}
+    calls = []
+    status = logfmt._status
+    monkeypatch.setattr(logfmt, "_status", lambda field: calls.append(field) or status(field))
+    monkeypatch.setattr(logfmt, "_PARSE_BLOCK", size)
+    assert len(parse_log(canonical)) == canonical.count("\n")
+    assert len(calls) == len(set(calls)) and 0 < len(calls) <= len(statuses)
