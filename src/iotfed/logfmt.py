@@ -292,6 +292,11 @@ _PAIRS = [[f"{a}>{b}, ".encode() for b in NODES] for a in NODES]
 _PAIR_TEXT = np.array(_PAIRS)
 _PAIR_LEN = np.array([[len(pair) for pair in row] for row in _PAIRS], dtype=np.uint8)
 _COMMA = np.array(b", ")
+#: A ``DeviceLog``'s node codes: ``NODES`` holds nine nodes.
+CODE_DTYPE = np.dtype(np.uint8)
+#: A ``DeviceLog``'s segment counts: a parsed line may carry more than 255
+#: segments, so a uint8 count would wrap.
+COUNT_DTYPE = np.dtype(np.int32)
 #: Segments rendered at a time. Of the powers of two from 1 024 to 65 536,
 #: 8 192 rendered the default 5 h corpus fastest; its rows and stamps take
 #: about 1 MB.
@@ -306,13 +311,24 @@ class DeviceLog(Sequence[LogEntry]):
     in ``to_us`` microseconds. Only a row's last segment can lack a receive
     time (then ``received[i]`` is false and it repeats the send time).
     ``status[i]`` is -1 for none. Kinds are inferred as ``parse_entry`` does.
+
+    Every producer fills one layout, each column as narrow as what it holds:
+
+    - ``src``/``dst``: ``CODE_DTYPE`` (uint8), an index into nine nodes;
+    - ``n_segs``: ``COUNT_DTYPE`` (int32), as a parsed line may carry more
+      than 255 segments;
+    - ``received``: bool;
+    - ``status``: int64, any status that fits in 64 bits, -1 for none;
+    - ``times`` and the derived ``starts``/``ends``: int64, ``to_us``
+      microseconds and segment offsets. Offsets are summed in int64, never
+      in the counts' own type.
     """
 
     def __init__(self, n_segs: np.ndarray, received: np.ndarray, status: np.ndarray,
                  src: np.ndarray, dst: np.ndarray, times: np.ndarray):
         self.n_segs, self.received, self.status = n_segs, received, status
         self.src, self.dst, self.times = src, dst, times
-        self.ends = np.cumsum(n_segs)
+        self.ends = np.cumsum(n_segs, dtype=np.int64)
         self.starts = self.ends - n_segs
 
     def __len__(self) -> int:
@@ -345,8 +361,8 @@ class DeviceLog(Sequence[LogEntry]):
                              self.src[s:e], self.dst[s:e], self.times[s:e])
         index = np.arange(len(self))[keep]
         n_segs = self.n_segs[index]
-        seg = np.repeat(self.starts[index] - np.cumsum(n_segs) + n_segs, n_segs) + np.arange(
-            n_segs.sum())
+        seg = np.repeat(self.starts[index] - np.cumsum(n_segs, dtype=np.int64) + n_segs,
+                        n_segs) + np.arange(n_segs.sum(dtype=np.int64))
         return DeviceLog(n_segs, self.received[index], self.status[index],
                          self.src[seg], self.dst[seg], self.times[seg])
 
@@ -403,9 +419,10 @@ class DeviceLog(Sequence[LogEntry]):
         return doc.decode("ascii")
 
 
-_NONE = np.zeros(0, dtype=np.int64)
 #: The log of a device that logged nothing.
-EMPTY_LOG = DeviceLog(_NONE, _NONE.astype(bool), _NONE, _NONE, _NONE, _NONE.reshape(0, 2))
+EMPTY_LOG = DeviceLog(np.zeros(0, COUNT_DTYPE), np.zeros(0, bool), np.zeros(0, np.int64),
+                      np.zeros(0, CODE_DTYPE), np.zeros(0, CODE_DTYPE),
+                      np.zeros((0, 2), np.int64))
 
 #: ``"E3>R3"`` -> ``NODE_CODE[E3] * len(NODES) + NODE_CODE[R3]``, for every pair
 #: of nodes in each spacing ``parse_entry`` takes around ``>``.
@@ -571,7 +588,7 @@ def _read_fields(n_fields: np.ndarray, status: np.ndarray, pair: np.ndarray, wid
 
     seg_at = np.flatnonzero(is_pair)
     seg_line = line_of[seg_at]
-    src, dst = np.divmod(pair[seg_at], len(NODES))
+    src, dst = (code.astype(CODE_DTYPE) for code in np.divmod(pair[seg_at], len(NODES)))
     n_stamps = np.add.reduceat(is_stamp, seg_at, dtype=np.int64)
     us, stamp_ok = _stamps_us(np.compress(is_stamp[wide], stamp_text, axis=0))
     bad[line_of[is_stamp][~stamp_ok]] = True
@@ -591,8 +608,9 @@ def _read_fields(n_fields: np.ndarray, status: np.ndarray, pair: np.ndarray, wid
 
     ok = ~bad
     keep = ok[seg_line]
-    log = DeviceLog(np.bincount(seg_line, minlength=len(n_fields))[ok], received[ok], status[ok],
-                    src[keep], dst[keep], np.stack([sent, got], axis=1)[keep])
+    n_segs = np.bincount(seg_line, minlength=len(n_fields))[ok].astype(COUNT_DTYPE)
+    log = DeviceLog(n_segs, received[ok], status[ok], src[keep], dst[keep],
+                    np.stack([sent, got], axis=1)[keep])
     return log, ok
 
 

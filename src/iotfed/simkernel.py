@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .attacks import AttackPlan, apply_plan
-from .logfmt import NODE_CODE, NODES, DeviceLog, to_us
+from .logfmt import CODE_DTYPE, COUNT_DTYPE, NODE_CODE, NODES, DeviceLog, to_us
 from .nodes import (
     EDGES,
     C,
@@ -160,7 +160,7 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     # point (an edge) and each router log the hop they send; C logs the
     # arrival when it is the last point of a route that delivers.
     width = max(path_hops) + 1
-    codes = np.zeros((len(paths), width), dtype=np.int64)
+    codes = np.zeros((len(paths), width), dtype=CODE_DTYPE)
     logs = np.zeros((len(paths), width), dtype=bool)
     for q, path in enumerate(paths):
         h = path_hops[q]
@@ -168,7 +168,9 @@ def run_simulation(topology: Topology, cfg: SimConfig,
         logs[q, :h + 1] = [j == 0 or node.role is Role.ROUTER for j, node in enumerate(path.hops)]
         logs[q, h] = path.terminal == C and not path.looped
 
-    send_time, path_of = np.array(sends), np.array(routed, dtype=np.int64)
+    # A run has at most 2 * len(EDGES) routes, and path_of outlives the run
+    # in the traces' closure.
+    send_time, path_of = np.array(sends), np.array(routed, dtype=np.uint8)
     del sends, routed
     hops = np.array(path_hops, dtype=np.int64)[path_of]
     reached = np.arange(width) <= hops[:, None]  # the points of each packet's path
@@ -184,8 +186,9 @@ def run_simulation(topology: Topology, cfg: SimConfig,
     stamps = _START_US + np.rint(clocks * 1e6)[reached].astype(np.int64)
     first_stamp = np.cumsum(hops + 1) - (hops + 1)
     # Log rows packet by packet, each packet's hop rows then its C row: the
-    # order that decides which device logged first.
-    packet, j = np.nonzero(reached & logs[path_of])
+    # order that decides which device logged first. The row indices are held
+    # as int32, half np.nonzero's width, while the logs are assembled.
+    packet, j = (index.astype(np.int32) for index in np.nonzero(reached & logs[path_of]))
     entries = _device_logs(packet, j, clocks, hops, path_of, first_stamp, stamps, codes)
     return SimResult(partial(_traces, send_time, path_of, paths), entries)
 
@@ -206,7 +209,7 @@ def _device_logs(packet: np.ndarray, j: np.ndarray, clocks: np.ndarray, hops: np
     Devices keep the order they first logged in, and each is assembled on
     its own, so only one device's intermediates are held at a time.
     """
-    device = codes.astype(np.uint8)[path[packet], j]
+    device = codes[path[packet], j]
     devices, first_row = np.unique(device, return_index=True)
     logs = {}
     for d in devices[np.argsort(first_row)].tolist():
@@ -214,10 +217,11 @@ def _device_logs(packet: np.ndarray, j: np.ndarray, clocks: np.ndarray, hops: np
         mine = mine[np.argsort(clocks[packet[mine], j[mine]], kind="stable")]
         p, at = packet[mine], j[mine]
         arrived = at == hops[p]
-        n_segs = np.where(arrived, at, at + 1)
+        n_segs = np.where(arrived, at, at + 1).astype(COUNT_DTYPE, copy=False)
         status = np.where(arrived, -1, 0)
         seg_packet = np.repeat(p, n_segs)
-        k = np.arange(len(seg_packet)) - np.repeat(np.cumsum(n_segs) - n_segs, n_segs)
+        k = np.arange(len(seg_packet)) - np.repeat(
+            np.cumsum(n_segs, dtype=np.int64) - n_segs, n_segs)
         point = first_stamp[seg_packet] + k
         received = d == _C_CODE
         got = received | (k < np.repeat(n_segs, n_segs) - 1)

@@ -66,7 +66,8 @@ def device_log(entries: list[LogEntry]) -> DeviceLog:
                          sent if s.received_at is None else to_us(s.received_at))
     n_segs, received, status = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     src, dst, *times = np.array(segments, dtype=np.int64).reshape(-1, 4).T
-    return DeviceLog(n_segs, received.astype(bool), status, src, dst, np.stack(times, axis=1))
+    return DeviceLog(n_segs.astype(np.int32), received.astype(bool), status,
+                     src.astype(np.uint8), dst.astype(np.uint8), np.stack(times, axis=1))
 
 
 def end_to_end_delay(entry: LogEntry) -> float:

@@ -37,7 +37,9 @@ from iotfed.logfmt import (
     serialize_entry,
     to_us,
 )
-from iotfed.nodes import EDGES, ROUTERS, A, C, E3, R2, R3
+from iotfed.attacks import AttackPlan, AttackSpec
+from iotfed.nodes import EDGES, ROUTERS, A, C, E1, E3, R2, R3, ScenarioFamily, build_topology
+from iotfed.simkernel import SimConfig, run_simulation
 
 
 def window_slots(line, schema=COORDINATOR_SCHEMA):
@@ -601,6 +603,16 @@ class TestDeviceLog:
         assert len(log.src) == sum(len(e.segments) for e in entries)
         assert log.render().split("\n") == [serialize_entry(e) for e in entries] + [""]
 
+    def test_a_line_of_300_segments_keeps_its_count(self):
+        # A uint8 count would wrap to 44.
+        stamps = [format_timestamp(ts(k / 1000)) for k in range(301)]
+        line = ", ".join(f"{pair}, {stamps[k]}, {stamps[k + 1]}"
+                         for k, pair in enumerate(["R1>R2", "R2>R1"] * 150))
+        log = parse_log(f"{line}\n")
+        assert len(log) == 1 and log.n_segs.tolist() == [300]
+        assert len(log[0].segments) == 300
+        assert log.render() == f"{line}\n"
+
     def test_len_reads_the_row_count_and_indexing_infers_kinds(self, monkeypatch):
         log = parse_log(f"{EDGE_LINE}\n{ROUTER_LINE}\n{COORD_LINE}\n")
         assert [e.kind for e in log] == [EntryKind.EDGE, EntryKind.ROUTER,
@@ -632,6 +644,36 @@ class TestDeviceLog:
             assert np.shares_memory(got, column) == (len(got) > 0)
         assert np.array_equal(part.starts, selected.starts)
         assert part.render() == selected.render()
+
+
+#: The one column layout of every ``DeviceLog``, derived offsets included.
+_LAYOUT = {"n_segs": np.int32, "received": np.bool_, "status": np.int64, "src": np.uint8,
+           "dst": np.uint8, "times": np.int64, "starts": np.int64, "ends": np.int64}
+
+
+@pytest.fixture(scope="module")
+def simulated_logs(small_sim):
+    """Every device log of a plain run and of a run with an attack in it."""
+    plan = AttackPlan(AttackSpec(ScenarioFamily.III, E1, A),
+                      normal_before=60.0, attack_window=60.0, normal_after=60.0)
+    attacked = run_simulation(build_topology(ScenarioFamily.III),
+                              SimConfig(seed=5, duration=plan.total_duration), plan)
+    return [*small_sim[2].entries.values(), *attacked.entries.values()]
+
+
+@pytest.mark.parametrize("produce", [
+    lambda logs: logs,
+    lambda logs: [parse_log(log.render()) for log in logs],
+    lambda logs: [log.rows(slice(2, -3)) for log in logs],
+    lambda logs: [log.rows(np.arange(len(log))[::-2]) for log in logs],
+    lambda logs: [log.rows(log.n_segs > 1) for log in logs],
+    lambda logs: [EMPTY_LOG],
+], ids=["simulated", "parsed", "rows-slice", "rows-index", "rows-mask", "empty"])
+def test_every_producer_fills_the_one_layout(simulated_logs, produce):
+    for log in produce(simulated_logs):
+        assert {name: getattr(log, name).dtype for name in _LAYOUT} == {
+            name: np.dtype(dtype) for name, dtype in _LAYOUT.items()}
+        assert log.times.shape == (len(log.src), 2)
 
 
 # Rewrites of a canonical line that parse_entry reads to the same entry: the
